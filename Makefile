@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test bench bench-report vet lint race race-observe check experiments report examples clean api service-load fuzz chaos platforms calibrate
+.PHONY: all build test bench bench-report bench-golden vet fmt lint race race-observe check experiments report examples clean api service-load fuzz chaos platforms calibrate
 
 # Pinned staticcheck version; CI installs exactly this.
 STATICCHECK_VERSION = 2024.1.1
@@ -17,6 +17,10 @@ test:
 
 vet:
 	$(GO) vet ./...
+
+# Every Go file must be gofmt-clean; lists the offenders and fails.
+fmt:
+	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt needed:"; echo "$$out"; exit 1; fi
 
 # Static analysis beyond vet. staticcheck is not vendored; when the
 # binary is absent the target skips with a notice instead of failing
@@ -89,7 +93,7 @@ calibrate:
 	rm -rf $$tmp && echo "calibrate: record -> fit -> converge ok"
 
 # Everything a change must pass before merging.
-check: build vet lint test race service-load chaos fuzz platforms calibrate bench-report
+check: build vet fmt lint test race service-load chaos fuzz platforms calibrate bench-golden bench-report
 
 bench:
 	$(GO) test -bench=. -benchmem ./...
@@ -100,6 +104,12 @@ bench:
 # advisory, so the gate is portable).
 bench-report:
 	$(GO) run ./cmd/benchreport -smoke -out bench-out -baseline BENCH_2026-08-08.json
+
+# The benchmark's own tests (perfbench/ is a separate module): a
+# golden-checked smoke of all four workloads, so a speed rewrite that
+# changes any simulated outcome fails here.
+bench-golden:
+	cd perfbench && $(GO) test .
 
 # Regenerate every paper table/figure with shape checks.
 experiments:

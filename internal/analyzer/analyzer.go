@@ -8,6 +8,7 @@ package analyzer
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 
 	"heteropart/internal/apps"
@@ -41,7 +42,9 @@ type Report struct {
 	App       string
 	Class     classify.Class
 	NeedsSync bool
-	// Ranked is Table I's ordering for this class.
+	// Ranked is Table I's ordering for this class, less the
+	// ratio-splitting static strategies (SP-Unified, SP-Varied) when
+	// the problem's phases are atomic.
 	Ranked []string
 	// Best is the selected strategy (head of Ranked).
 	Best string
@@ -72,6 +75,13 @@ func Analyze(p *apps.Problem) (Report, error) {
 		needsSync = classify.DetectSync(p.Unique, p.Unique[0].Size)
 	}
 	ranked := Ranking(cls, needsSync)
+	if p.AtomicPhases {
+		// SP-Unified and SP-Varied split every phase by a ratio, which
+		// indivisible phases refuse; rank only strategies that can run.
+		ranked = slices.DeleteFunc(ranked, func(name string) bool {
+			return name == "SP-Unified" || name == "SP-Varied"
+		})
+	}
 	if len(ranked) == 0 {
 		return Report{}, fmt.Errorf("analyzer: no strategy for class %v", cls)
 	}

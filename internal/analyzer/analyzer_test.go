@@ -1,6 +1,7 @@
 package analyzer
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -110,6 +111,47 @@ func TestMatchmakeRunsBestStrategy(t *testing.T) {
 	}
 	if err := p.Verify(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestAnalyzeSkipsRatioSplitForAtomicPhases pins the fix for an
+// atomic-phase problem whose class ranks a ratio-splitting static
+// strategy first: Cholesky at n=1024 is 2x2 tiles, a chain, so it
+// classifies as MK-Seq with sync. SP-Varied and SP-Unified refuse
+// indivisible phases, so Analyze must leave them out and Matchmake
+// must run the next strategy instead of failing.
+func TestAnalyzeSkipsRatioSplitForAtomicPhases(t *testing.T) {
+	app, err := apps.ByName("Cholesky")
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := app.Build(apps.Variant{N: 1024})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := Analyze(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Class != classify.MKSeq || !rep.NeedsSync {
+		t.Fatalf("Cholesky n=1024 classified %v sync=%v, want MK-Seq with sync", rep.Class, rep.NeedsSync)
+	}
+	if want := []string{"DP-Perf", "DP-Dep"}; !slices.Equal(rep.Ranked, want) {
+		t.Fatalf("ranked %v, want %v", rep.Ranked, want)
+	}
+	if rep.Best != "DP-Perf" {
+		t.Fatalf("best = %s, want DP-Perf", rep.Best)
+	}
+	// Table I itself is untouched.
+	if got := Ranking(rep.Class, rep.NeedsSync); got[0] != "SP-Varied" {
+		t.Fatalf("Table I head for MK-Seq with sync = %s, want SP-Varied", got[0])
+	}
+	_, out, err := Matchmake(p, device.PaperPlatform(0), strategy.Options{})
+	if err != nil {
+		t.Fatalf("matchmake: %v", err)
+	}
+	if out.Strategy != "DP-Perf" {
+		t.Fatalf("matchmake ran %s, want DP-Perf", out.Strategy)
 	}
 }
 

@@ -51,13 +51,15 @@ func (t Transfer) String() string {
 // call-chains in the apps layer stay fluent while the runtime refuses
 // to execute against a faulted directory.
 type Directory struct {
-	spaces  int
-	buffers map[int]*bufState
-	nextID  int
+	spaces int
+	// buffers is indexed by buffer ID (IDs are dense from Register).
+	buffers []*bufState
 	err     error
 	// prefer, when non-nil, orders candidate sources per destination
 	// (SetSourcePreference); nil means the host-first default.
 	prefer func(to Space) []Space
+	// hostFirst is the default source order, built once.
+	hostFirst []Space
 }
 
 type bufState struct {
@@ -69,10 +71,14 @@ type bufState struct {
 // of spaces (1 host + number of accelerators). spaces < 1 is recorded
 // as a deferred error and clamped to the host space alone.
 func NewDirectory(spaces int) *Directory {
-	d := &Directory{spaces: spaces, buffers: make(map[int]*bufState)}
+	d := &Directory{spaces: spaces}
 	if spaces < 1 {
 		d.spaces = 1
 		d.err = fmt.Errorf("mem: need at least the host space, got %d", spaces)
+	}
+	d.hostFirst = make([]Space, d.spaces)
+	for i := range d.hostFirst {
+		d.hostFirst[i] = Space(i)
 	}
 	return d
 }
@@ -103,17 +109,19 @@ func (d *Directory) Register(name string, elems, elemSize int64) *Buffer {
 			elemSize = 1
 		}
 	}
-	b := &Buffer{ID: d.nextID, Name: name, Elems: elems, ElemSize: elemSize}
-	d.nextID++
+	b := &Buffer{ID: len(d.buffers), Name: name, Elems: elems, ElemSize: elemSize}
 	st := &bufState{buf: b, valid: make([]Set, d.spaces)}
 	st.valid[HostSpace].Add(b.Whole())
-	d.buffers[b.ID] = st
+	d.buffers = append(d.buffers, st)
 	return b
 }
 
 // state returns the bookkeeping record for b, or nil if b was never
 // registered with this directory.
 func (d *Directory) state(b *Buffer) *bufState {
+	if b.ID < 0 || b.ID >= len(d.buffers) {
+		return nil
+	}
 	return d.buffers[b.ID]
 }
 
@@ -160,15 +168,8 @@ func (d *Directory) sourceFor(b *Buffer, iv Interval, order []Space) (Space, Int
 		return 0, Interval{}, unregistered(b)
 	}
 	for _, s := range order {
-		v := &st.valid[s]
-		if !v.ContainsPoint(iv.Lo) {
-			continue
-		}
-		have := v.IntersectInterval(iv)
-		for _, h := range have.Intervals() {
-			if h.Lo == iv.Lo {
-				return s, h, nil
-			}
+		if h, ok := st.valid[s].prefix(iv); ok {
+			return s, h, nil
 		}
 	}
 	return 0, Interval{}, fmt.Errorf("mem: %s%v valid nowhere (lost update?)", b.Name, iv)
@@ -176,23 +177,19 @@ func (d *Directory) sourceFor(b *Buffer, iv Interval, order []Space) (Space, Int
 
 // searchOrder is the default source preference: the host first
 // (taskwait keeps it whole, and host-sourced transfers match OmpSs
-// behaviour), then devices in ID order.
-func (d *Directory) searchOrder() []Space {
-	order := make([]Space, d.spaces)
-	for i := range order {
-		order[i] = Space(i)
-	}
-	return order
-}
+// behaviour), then devices in ID order. The slice is shared; callers
+// only read it.
+func (d *Directory) searchOrder() []Space { return d.hostFirst }
 
 // SetSourcePreference installs a per-destination source ordering used
 // by TransfersForRead's route selection. The runtime derives it from
 // the platform's link graph — e.g. preferring a peer with a direct
 // P2P edge over a host round-trip — for platforms whose topology
 // makes the default host-first order suboptimal. order(to) must
-// return every space exactly once, deterministically; nil restores
-// the default. SourceOf (the exported single-lookup form) always uses
-// the default order so its contract stays stable.
+// return every space exactly once, deterministically; the directory
+// only reads the returned slice, so order may hand out a memoized one.
+// nil restores the default. SourceOf (the exported single-lookup
+// form) always uses the default order so its contract stays stable.
 func (d *Directory) SetSourcePreference(order func(to Space) []Space) {
 	d.prefer = order
 }
@@ -211,11 +208,18 @@ func (d *Directory) orderFor(s Space) []Space {
 // Source selection follows the installed source preference (see
 // SetSourcePreference), defaulting to host-first.
 func (d *Directory) TransfersForRead(b *Buffer, s Space, iv Interval) ([]Transfer, error) {
+	st := d.state(b)
+	if st == nil {
+		if iv.Empty() {
+			return nil, nil
+		}
+		return nil, unregistered(b)
+	}
 	var out []Transfer
 	order := d.orderFor(s)
-	for _, missing := range d.MissingIn(b, s, iv) {
-		cur := missing
-		for !cur.Empty() {
+	have := &st.valid[s]
+	for g := have.gap(iv); !g.Empty(); g = have.gap(Interval{Lo: g.Hi, Hi: iv.Hi}) {
+		for cur := g; !cur.Empty(); {
 			src, prefix, err := d.sourceFor(b, cur, order)
 			if err != nil {
 				return nil, err
@@ -266,11 +270,7 @@ func (d *Directory) FlushTransfers(b *Buffer) ([]Transfer, error) {
 // in registration order (deterministic).
 func (d *Directory) FlushAllTransfers() ([]Transfer, error) {
 	var out []Transfer
-	for id := 0; id < d.nextID; id++ {
-		st, ok := d.buffers[id]
-		if !ok {
-			continue
-		}
+	for _, st := range d.buffers {
 		txs, err := d.FlushTransfers(st.buf)
 		if err != nil {
 			return nil, err
@@ -317,11 +317,7 @@ func (d *Directory) InvalidateSpace(s Space) error {
 	if s == HostSpace {
 		return fmt.Errorf("mem: cannot invalidate the host space")
 	}
-	for id := 0; id < d.nextID; id++ {
-		st, ok := d.buffers[id]
-		if !ok {
-			continue
-		}
+	for _, st := range d.buffers {
 		only := st.valid[s].Clone()
 		for i := range st.valid {
 			if Space(i) == s {
@@ -333,10 +329,8 @@ func (d *Directory) InvalidateSpace(s Space) error {
 			return fmt.Errorf("mem: invalidating space %d loses %s%v", s, st.buf.Name, only.Intervals()[0])
 		}
 	}
-	for id := 0; id < d.nextID; id++ {
-		if st, ok := d.buffers[id]; ok {
-			st.valid[s].Clear()
-		}
+	for _, st := range d.buffers {
+		st.valid[s].Clear()
 	}
 	return nil
 }
@@ -356,11 +350,7 @@ func (d *Directory) HostWhole() bool {
 // in at least one space (no lost updates). It returns an error naming
 // the first violation.
 func (d *Directory) CoverageInvariant() error {
-	for id := 0; id < d.nextID; id++ {
-		st, ok := d.buffers[id]
-		if !ok {
-			continue
-		}
+	for _, st := range d.buffers {
 		var covered Set
 		for i := range st.valid {
 			covered = covered.Union(st.valid[i])

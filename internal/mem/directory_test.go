@@ -25,6 +25,40 @@ func reads(t *testing.T, d *Directory, b *Buffer, s Space, q Interval) []Transfe
 	return ts
 }
 
+// TestValidInSurvivesDirectoryUpdates pins ValidIn as a copy: the
+// sets it returned must not move when MarkWritten and Commit later
+// trim, merge and extend validity in place.
+func TestValidInSurvivesDirectoryUpdates(t *testing.T) {
+	d, b := newDir(t)
+	commitReads := func(q Interval) {
+		t.Helper()
+		for _, tr := range reads(t, d, b, 1, q) {
+			if err := d.Commit(tr); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	commitReads(iv(100, 300))
+	host, dev := d.ValidIn(b, HostSpace), d.ValidIn(b, 1)
+	wantHost, wantDev := host.String(), dev.String()
+
+	// Trim the host set, merge into the device set, extend it, split it.
+	if err := d.MarkWritten(b, 1, iv(0, 100)); err != nil {
+		t.Fatal(err)
+	}
+	commitReads(iv(300, 400))
+	if err := d.MarkWritten(b, HostSpace, iv(350, 360)); err != nil {
+		t.Fatal(err)
+	}
+	if host.String() != wantHost || dev.String() != wantDev {
+		t.Fatalf("ValidIn results moved: host %s (was %s), device %s (was %s)",
+			host.String(), wantHost, dev.String(), wantDev)
+	}
+	if got := d.ValidIn(b, 1).String(); got != "{[0,350) [360,400)}" {
+		t.Fatalf("device validity = %s", got)
+	}
+}
+
 func TestRegisterStartsHostValid(t *testing.T) {
 	d, b := newDir(t)
 	if !d.ValidIn(b, HostSpace).Contains(b.Whole()) {

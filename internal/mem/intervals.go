@@ -11,6 +11,7 @@ package mem
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -63,6 +64,11 @@ func min64(a, b int64) int64 {
 
 // Set is a canonical set of elements: sorted, pairwise-disjoint,
 // non-adjacent intervals. The zero value is the empty set.
+//
+// Add, Remove and Clear mutate the set in place, reusing its backing
+// array. A Set value copied by assignment shares that array with the
+// original, so a copy that must outlive later mutation is taken with
+// Clone (Union, Subtract and Directory.ValidIn already return one).
 type Set struct {
 	ivs []Interval
 }
@@ -76,8 +82,9 @@ func NewSet(ivs ...Interval) Set {
 	return s
 }
 
-// Intervals returns the canonical interval list (callers must not
-// mutate it).
+// Intervals returns the canonical interval list. The slice aliases the
+// set's storage: it is valid only until the set's next mutation, and
+// callers must not modify it.
 func (s Set) Intervals() []Interval { return s.ivs }
 
 // Empty reports whether the set has no elements.
@@ -118,11 +125,7 @@ func (s *Set) Add(iv Interval) {
 		iv.Lo = min64(iv.Lo, s.ivs[i].Lo)
 		iv.Hi = max64(iv.Hi, s.ivs[j-1].Hi)
 	}
-	out := make([]Interval, 0, len(s.ivs)-(j-i)+1)
-	out = append(out, s.ivs[:i]...)
-	out = append(out, iv)
-	out = append(out, s.ivs[j:]...)
-	s.ivs = out
+	s.ivs = slices.Replace(s.ivs, i, j, iv)
 }
 
 // Remove subtracts iv from the set.
@@ -130,20 +133,27 @@ func (s *Set) Remove(iv Interval) {
 	if iv.Empty() || len(s.ivs) == 0 {
 		return
 	}
-	out := make([]Interval, 0, len(s.ivs)+1)
-	for _, cur := range s.ivs {
-		if !cur.Overlaps(iv) {
-			out = append(out, cur)
-			continue
-		}
-		if cur.Lo < iv.Lo {
-			out = append(out, Interval{Lo: cur.Lo, Hi: iv.Lo})
-		}
-		if cur.Hi > iv.Hi {
-			out = append(out, Interval{Lo: iv.Hi, Hi: cur.Hi})
-		}
+	// The intervals overlapping iv are the run [i, j); only the first
+	// and last can keep a remainder outside iv.
+	i := sort.Search(len(s.ivs), func(i int) bool { return s.ivs[i].Hi > iv.Lo })
+	j := i
+	for j < len(s.ivs) && s.ivs[j].Lo < iv.Hi {
+		j++
 	}
-	s.ivs = out
+	if i == j {
+		return
+	}
+	var keep [2]Interval
+	n := 0
+	if s.ivs[i].Lo < iv.Lo {
+		keep[n] = Interval{Lo: s.ivs[i].Lo, Hi: iv.Lo}
+		n++
+	}
+	if s.ivs[j-1].Hi > iv.Hi {
+		keep[n] = Interval{Lo: iv.Hi, Hi: s.ivs[j-1].Hi}
+		n++
+	}
+	s.ivs = slices.Replace(s.ivs, i, j, keep[:n]...)
 }
 
 // Contains reports whether every element of iv is in the set.
@@ -153,6 +163,19 @@ func (s Set) Contains(iv Interval) bool {
 	}
 	i := sort.Search(len(s.ivs), func(i int) bool { return s.ivs[i].Hi > iv.Lo })
 	return i < len(s.ivs) && s.ivs[i].Lo <= iv.Lo && s.ivs[i].Hi >= iv.Hi
+}
+
+// prefix returns the leading part of iv the set holds: [iv.Lo, h) for
+// the largest h covered, and false when iv.Lo itself is absent.
+func (s Set) prefix(iv Interval) (Interval, bool) {
+	if iv.Empty() {
+		return Interval{}, false
+	}
+	i := sort.Search(len(s.ivs), func(i int) bool { return s.ivs[i].Hi > iv.Lo })
+	if i == len(s.ivs) || s.ivs[i].Lo > iv.Lo {
+		return Interval{}, false
+	}
+	return Interval{Lo: iv.Lo, Hi: min64(s.ivs[i].Hi, iv.Hi)}, true
 }
 
 // ContainsPoint reports whether element p is in the set.
@@ -182,29 +205,32 @@ func (s Set) IntersectInterval(iv Interval) Set {
 // order.
 func (s Set) Missing(iv Interval) []Interval {
 	var out []Interval
-	if iv.Empty() {
-		return out
-	}
-	lo := iv.Lo
-	for _, cur := range s.ivs {
-		if cur.Hi <= lo {
-			continue
-		}
-		if cur.Lo >= iv.Hi {
-			break
-		}
-		if cur.Lo > lo {
-			out = append(out, Interval{Lo: lo, Hi: min64(cur.Lo, iv.Hi)})
-		}
-		lo = max64(lo, cur.Hi)
-		if lo >= iv.Hi {
-			return out
-		}
-	}
-	if lo < iv.Hi {
-		out = append(out, Interval{Lo: lo, Hi: iv.Hi})
+	for g := s.gap(iv); !g.Empty(); g = s.gap(Interval{Lo: g.Hi, Hi: iv.Hi}) {
+		out = append(out, g)
 	}
 	return out
+}
+
+// gap returns the first maximal sub-interval of iv absent from the
+// set, or an empty interval when the set holds all of iv.
+func (s Set) gap(iv Interval) Interval {
+	if iv.Empty() {
+		return Interval{}
+	}
+	lo := iv.Lo
+	i := sort.Search(len(s.ivs), func(i int) bool { return s.ivs[i].Hi > lo })
+	if i < len(s.ivs) && s.ivs[i].Lo <= lo {
+		lo = s.ivs[i].Hi
+		i++
+	}
+	if lo >= iv.Hi {
+		return Interval{}
+	}
+	hi := iv.Hi
+	if i < len(s.ivs) && s.ivs[i].Lo < hi {
+		hi = s.ivs[i].Lo
+	}
+	return Interval{Lo: lo, Hi: hi}
 }
 
 // Union returns the set union with o.

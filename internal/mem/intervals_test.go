@@ -2,6 +2,7 @@ package mem
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -67,6 +68,53 @@ func TestSetRemoveSplits(t *testing.T) {
 	want := NewSet(iv(0, 40), iv(60, 100))
 	if !s.Equal(want) {
 		t.Fatalf("got %v, want %v", s.String(), want.String())
+	}
+}
+
+// TestSetRemoveSplitsInsideLongSet splits one interval in the middle
+// of a long set, growing it by one in place, then removes a span that
+// trims one interval, swallows two and trims a third.
+func TestSetRemoveSplitsInsideLongSet(t *testing.T) {
+	var s Set
+	for lo := int64(0); lo < 200; lo += 20 {
+		s.Add(iv(lo, lo+10))
+	}
+	s.Remove(iv(103, 107))
+	want := []Interval{iv(0, 10), iv(20, 30), iv(40, 50), iv(60, 70), iv(80, 90),
+		iv(100, 103), iv(107, 110), iv(120, 130), iv(140, 150), iv(160, 170), iv(180, 190)}
+	if got := s.Intervals(); !slices.Equal(got, want) {
+		t.Fatalf("split: got %v, want %v", got, want)
+	}
+	s.Remove(iv(25, 85))
+	want = []Interval{iv(0, 10), iv(20, 25), iv(85, 90),
+		iv(100, 103), iv(107, 110), iv(120, 130), iv(140, 150), iv(160, 170), iv(180, 190)}
+	if got := s.Intervals(); !slices.Equal(got, want) {
+		t.Fatalf("span: got %v, want %v", got, want)
+	}
+}
+
+// TestSetCopiesSurviveMutation pins the in-place Set: Clone, Union and
+// Subtract return copies that later Add and Remove calls on the
+// original (merges, splits, inserts, clears) must not reach.
+func TestSetCopiesSurviveMutation(t *testing.T) {
+	s := NewSet(iv(0, 10), iv(20, 30), iv(40, 50), iv(60, 70))
+	c := s.Clone()
+	u := s.Union(NewSet(iv(80, 90)))
+	d := s.Subtract(NewSet(iv(22, 24)))
+	want := map[string]string{"clone": c.String(), "union": u.String(), "subtract": d.String()}
+
+	s.Add(iv(10, 20))    // merge
+	s.Remove(iv(44, 46)) // split in place
+	s.Add(iv(5, 65))     // swallow
+	s.Remove(iv(0, 1))
+	s.Add(iv(100, 110)) // append
+	s.Clear()
+	s.Add(iv(3, 4))
+
+	for name, got := range map[string]Set{"clone": c, "union": u, "subtract": d} {
+		if got.String() != want[name] {
+			t.Errorf("%s changed with the original: %s, want %s", name, got.String(), want[name])
+		}
 	}
 }
 

@@ -13,10 +13,15 @@ import (
 // a fully loaded one, unlike a static peak/m split. The slot counter in
 // the engine still caps concurrency at the thread count m.
 type psExec struct {
-	eng   *sim.Engine
-	jobs  []*psJob
+	eng  *sim.Engine
+	jobs []psJob
+	// done is fire's scratch list of drained jobs.
+	done  []psJob
 	last  sim.Time
-	timer *sim.Event
+	timer sim.Event
+	// fireFn is the fire method value, bound once so arming the timer
+	// allocates nothing.
+	fireFn func()
 	// hook receives the completed instance, its start time and its
 	// full-speed service demand (the dedicated-equivalent duration).
 	hook func(in *task.Instance, started sim.Time, demand sim.Duration)
@@ -36,7 +41,9 @@ type psJob struct {
 }
 
 func newPSExec(eng *sim.Engine, hook func(in *task.Instance, started sim.Time, demand sim.Duration), batchEnd func()) *psExec {
-	return &psExec{eng: eng, hook: hook, batchEnd: batchEnd}
+	p := &psExec{eng: eng, hook: hook, batchEnd: batchEnd}
+	p.fireFn = p.fire
+	return p
 }
 
 // Add admits an instance with the given full-speed service demand.
@@ -44,7 +51,7 @@ func newPSExec(eng *sim.Engine, hook func(in *task.Instance, started sim.Time, d
 // and completion tie resolves identically across runs.
 func (p *psExec) Add(in *task.Instance, demand sim.Duration) {
 	p.advance()
-	p.jobs = append(p.jobs, &psJob{in: in, remaining: float64(demand), demand: demand, started: p.eng.Now()})
+	p.jobs = append(p.jobs, psJob{in: in, remaining: float64(demand), demand: demand, started: p.eng.Now()})
 	p.reschedule()
 }
 
@@ -59,17 +66,14 @@ func (p *psExec) advance() {
 		return
 	}
 	each := elapsed / float64(k)
-	for _, j := range p.jobs {
-		j.remaining -= each
+	for i := range p.jobs {
+		p.jobs[i].remaining -= each
 	}
 }
 
 // reschedule arms the timer for the earliest completion.
 func (p *psExec) reschedule() {
-	if p.timer != nil {
-		p.timer.Cancel()
-		p.timer = nil
-	}
+	p.timer.Cancel()
 	k := len(p.jobs)
 	if k == 0 {
 		return
@@ -84,15 +88,14 @@ func (p *psExec) reschedule() {
 		minRem = 0
 	}
 	wait := sim.Duration(minRem*float64(k) + 0.999)
-	p.timer = p.eng.After(wait, p.fire)
+	p.timer = p.eng.After(wait, p.fireFn)
 }
 
 // fire completes every job whose demand has drained.
 func (p *psExec) fire() {
-	p.timer = nil
 	p.advance()
-	var done []*psJob
-	var live []*psJob
+	done := p.done[:0]
+	live := p.jobs[:0]
 	for _, j := range p.jobs {
 		if j.remaining <= 0.5 {
 			done = append(done, j)
@@ -100,6 +103,7 @@ func (p *psExec) fire() {
 			live = append(live, j)
 		}
 	}
+	clear(p.jobs[len(live):])
 	p.jobs = live
 	// Complete in instance-ID order (admission order can interleave
 	// with completion order; ID order matches the dependence graph).
@@ -111,6 +115,8 @@ func (p *psExec) fire() {
 	for _, j := range done {
 		p.hook(j.in, j.started, j.demand)
 	}
+	clear(done)
+	p.done = done[:0]
 	if len(done) > 0 && p.batchEnd != nil {
 		p.batchEnd()
 	}

@@ -20,6 +20,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 
 	"heteropart/internal/apierr"
@@ -156,35 +157,51 @@ func (l *linkRes) res(toDev bool) *sim.Resource {
 	return l.dtoh
 }
 
+// Device IDs run 0..N and instance IDs are dense from Plan.Submit, so
+// the engine's per-device and per-instance state lives in slices
+// indexed by ID.
 type engine struct {
 	cfg  Config
 	eng  *sim.Engine
 	dir  *mem.Directory
 	plan *task.Plan
+	// clock is the scheduler's SyncClock hook, nil when it has none.
+	clock clockSyncer
 
-	links map[int]*linkRes
+	// devs is the platform's device list, host first, built once per
+	// Execute and served read-only through View.Devices.
+	devs []*device.Device
+	// links holds each accelerator's attachment (index 0, the host,
+	// is nil).
+	links []*linkRes
 	// p2p maps ordered accel pairs (edge direction as declared) to
 	// their link resources; lookup tries both orientations.
 	p2p map[[2]int]*linkRes
+	// sources memoizes sourceOrder per destination space.
+	sources [][]mem.Space
 	// devQ are per-device FIFO queues of bound instances.
-	devQ map[int][]*task.Instance
+	devQ [][]*task.Instance
 	// central is the ready queue for pull policies.
 	central []*task.Instance
 	// idle counts free executor slots per device.
-	idle map[int]int
+	idle []int
 	// slots is the configured executor width per device.
-	slots map[int]int
+	slots []int
 
-	pendingDeps map[int]int
+	pendingDeps []int
 	// dispatchAt records when each running instance left its queue,
 	// for wall-time reporting to the scheduler.
-	dispatchAt map[int]sim.Time
+	dispatchAt []sim.Time
 	// ps is the host's processor-sharing executor.
 	ps *psExec
-	// inflight records transfers on the wire per destination.
+	// inflight records transfers on the wire per destination; spare
+	// holds landed records for reuse.
 	inflight map[xferKey][]*inflightXfer
+	spare    []*inflightXfer
+	// reads is startTransfers' scratch list of input transfers.
+	reads []mem.Transfer
 	// eagerBusy/eagerCount track final-region proactive writebacks.
-	eagerBusy  map[int]bool
+	eagerBusy  []bool
 	eagerCount int
 	// inBatch suppresses per-completion dispatch while a processor-
 	// sharing batch drains; the batch dispatches once at the end.
@@ -204,9 +221,16 @@ type engine struct {
 
 // View implementation for schedulers.
 func (e *engine) Now() sim.Time              { return e.eng.Now() }
-func (e *engine) Devices() []*device.Device  { return e.cfg.Platform.Devices() }
+func (e *engine) Devices() []*device.Device  { return e.devs }
 func (e *engine) QueuedOn(dev int) int       { return len(e.devQ[dev]) }
 func (e *engine) LinkOf(dev int) device.Link { return e.cfg.Platform.LinkOf(dev) }
+
+// syncClock clamps a busy-horizon scheduler to the current time.
+func (e *engine) syncClock() {
+	if e.clock != nil {
+		e.clock.SyncClock(e.eng.Now())
+	}
+}
 
 // Execute runs the plan to completion and returns the result. The
 // directory must hold every buffer the plan's accesses reference; it is
@@ -233,19 +257,22 @@ func Execute(cfg Config, plan *task.Plan, dir *mem.Directory) (*Result, error) {
 
 	task.BuildDeps(plan)
 
+	devs := cfg.Platform.Devices()
 	e := &engine{
 		cfg:         cfg,
 		eng:         sim.NewEngine(),
 		dir:         dir,
 		plan:        plan,
-		links:       make(map[int]*linkRes),
-		devQ:        make(map[int][]*task.Instance),
-		idle:        make(map[int]int),
-		slots:       make(map[int]int),
-		pendingDeps: make(map[int]int),
-		dispatchAt:  make(map[int]sim.Time),
+		devs:        devs,
+		links:       make([]*linkRes, len(devs)),
+		sources:     make([][]mem.Space, len(devs)),
+		devQ:        make([][]*task.Instance, len(devs)),
+		idle:        make([]int, len(devs)),
+		slots:       make([]int, len(devs)),
+		pendingDeps: make([]int, plan.IDBound()),
+		dispatchAt:  make([]sim.Time, plan.IDBound()),
 		inflight:    make(map[xferKey][]*inflightXfer),
-		eagerBusy:   make(map[int]bool),
+		eagerBusy:   make([]bool, len(devs)),
 		res: &Result{
 			ElemsByDevice:     make(map[int]int64),
 			ElemsByKernel:     make(map[string]map[int]int64),
@@ -253,6 +280,7 @@ func Execute(cfg Config, plan *task.Plan, dir *mem.Directory) (*Result, error) {
 			DeviceBusy:        make(map[int]sim.Duration),
 		},
 	}
+	e.clock, _ = cfg.Scheduler.(clockSyncer)
 	e.mx = newRTMetrics(cfg.Metrics, cfg.Platform, cfg.Faults != nil)
 	if cfg.Metrics != nil {
 		if ms, ok := cfg.Scheduler.(sched.MetricsSetter); ok {
@@ -343,7 +371,7 @@ func Execute(cfg Config, plan *task.Plan, dir *mem.Directory) (*Result, error) {
 			}
 		} else {
 			supported := false
-			for _, d := range cfg.Platform.Devices() {
+			for _, d := range devs {
 				if in.Kernel.RunsOn(d.Kind) {
 					supported = true
 					break
@@ -536,8 +564,21 @@ func (e *engine) flushThen(cont func()) {
 // stage through the host) in ascending ID order. Host-destined reads
 // keep the host-first default. The ordering is a pure function of the
 // immutable platform, so runs stay deterministic.
+//
+// Each destination's order is computed once per Execute and shared:
+// the directory only reads it.
 func (e *engine) sourceOrder(to mem.Space) []mem.Space {
-	n := 1 + len(e.cfg.Platform.Accels)
+	if order := e.sources[to]; order != nil {
+		return order
+	}
+	order := e.rankSources(to)
+	e.sources[to] = order
+	return order
+}
+
+// rankSources computes sourceOrder's ranking for one destination.
+func (e *engine) rankSources(to mem.Space) []mem.Space {
+	n := len(e.devs)
 	order := make([]mem.Space, 0, n)
 	if to == mem.HostSpace {
 		for i := 0; i < n; i++ {
@@ -602,10 +643,23 @@ type xferKey struct {
 }
 
 // inflightXfer is one transfer on the wire; later requests for
-// overlapping data subscribe instead of re-issuing it.
+// overlapping data subscribe instead of re-issuing it. Records are
+// recycled through engine.spare once the transfer lands, so land is
+// bound once per record rather than once per transfer.
 type inflightXfer struct {
-	iv   mem.Interval
-	subs []func()
+	e   *engine
+	tr  mem.Transfer
+	key xferKey
+	// dev is the device the transfer is reported against: the
+	// accelerator of a host transfer, the destination of a P2P one.
+	dev   int
+	toDev bool
+	p2p   bool
+	start sim.Time
+	done  func()
+	subs  []func()
+	// landFn is the bound land method.
+	landFn func()
 }
 
 // ensure makes the data named by the transfer list present at its
@@ -622,15 +676,24 @@ func (e *engine) ensure(transfers []mem.Transfer, done func()) {
 		}
 	}
 	for _, tr := range transfers {
+		if tr.Interval.Empty() {
+			continue
+		}
 		key := xferKey{tr.Buf.ID, tr.To}
+		flights := e.inflight[key]
+		if len(flights) == 0 {
+			left++
+			e.runTransfer(tr, fire)
+			continue
+		}
 		remaining := mem.NewSet(tr.Interval)
-		for _, fl := range e.inflight[key] {
-			if remaining.IntersectInterval(fl.iv).Empty() {
+		for _, fl := range flights {
+			if remaining.IntersectInterval(fl.tr.Interval).Empty() {
 				continue
 			}
 			left++
 			fl.subs = append(fl.subs, fire)
-			remaining.Remove(fl.iv)
+			remaining.Remove(fl.tr.Interval)
 		}
 		for _, iv := range remaining.Intervals() {
 			left++
@@ -674,47 +737,13 @@ func (e *engine) runTransfer(tr mem.Transfer, done func()) {
 		e.faultFired(ferr, tr.Buf.Name)
 		return
 	}
-	key := xferKey{tr.Buf.ID, tr.To}
-	fl := &inflightXfer{iv: tr.Interval}
-	e.inflight[key] = append(e.inflight[key], fl)
 	lr := e.links[accel]
 	dur := lr.link.TransferTime(tr.Bytes(), toDev)
 	if extra > 0 {
 		dur += sim.Duration(extra)
 		e.mx.faultStalled(extra)
 	}
-	var startAt sim.Time
-	lr.res(toDev).Acquire(dur,
-		func() { startAt = e.eng.Now() },
-		func() {
-			if err := e.dir.Commit(tr); err != nil {
-				e.fail(err)
-				return
-			}
-			list := e.inflight[key]
-			for i, x := range list {
-				if x == fl {
-					e.inflight[key] = append(list[:i:i], list[i+1:]...)
-					break
-				}
-			}
-			e.res.TransferCount++
-			if toDev {
-				e.res.HtoDBytes += tr.Bytes()
-			} else {
-				e.res.DtoHBytes += tr.Bytes()
-			}
-			e.cfg.Trace.Add(trace.Record{
-				Kind: trace.Transfer, Start: startAt, End: e.eng.Now(),
-				Device: accel, Label: tr.Buf.Name, Bytes: tr.Bytes(), ToDev: toDev,
-			})
-			e.mx.transferDone(toDev, tr.Bytes(), e.eng.Now()-startAt)
-			e.sp.transferDone(tr.Buf.Name, accel, toDev, tr.Bytes(), startAt, e.eng.Now())
-			done()
-			for _, s := range fl.subs {
-				s()
-			}
-		})
+	e.issue(tr, accel, toDev, false, lr.res(toDev), dur, done)
 }
 
 // runP2P performs one direct device↔device transfer over a peer
@@ -723,49 +752,85 @@ func (e *engine) runTransfer(tr mem.Transfer, done func()) {
 // exactly as for host transfers; the fault draw targets the source
 // device (the one streaming the data out).
 func (e *engine) runP2P(tr mem.Transfer, lr *linkRes, fwd bool, done func()) {
-	from, to := int(tr.From), int(tr.To)
-	extra, ferr := e.cfg.Faults.TransferStart(int64(e.eng.Now()), from)
+	extra, ferr := e.cfg.Faults.TransferStart(int64(e.eng.Now()), int(tr.From))
 	if ferr != nil {
 		e.faultFired(ferr, tr.Buf.Name)
 		return
 	}
-	key := xferKey{tr.Buf.ID, tr.To}
-	fl := &inflightXfer{iv: tr.Interval}
-	e.inflight[key] = append(e.inflight[key], fl)
 	dur := lr.link.TransferTime(tr.Bytes(), fwd)
 	if extra > 0 {
 		dur += sim.Duration(extra)
 		e.mx.faultStalled(extra)
 	}
-	var startAt sim.Time
-	lr.res(fwd).Acquire(dur,
-		func() { startAt = e.eng.Now() },
-		func() {
-			if err := e.dir.Commit(tr); err != nil {
-				e.fail(err)
-				return
-			}
-			list := e.inflight[key]
-			for i, x := range list {
-				if x == fl {
-					e.inflight[key] = append(list[:i:i], list[i+1:]...)
-					break
-				}
-			}
-			e.res.TransferCount++
-			e.res.P2PBytes += tr.Bytes()
-			e.cfg.Trace.Add(trace.Record{
-				Kind: trace.Transfer, Start: startAt, End: e.eng.Now(),
-				Device: to, Label: fmt.Sprintf("%s(p2p %d->%d)", tr.Buf.Name, from, to),
-				Bytes: tr.Bytes(), ToDev: true,
-			})
-			e.mx.p2pDone(tr.Bytes(), e.eng.Now()-startAt)
-			e.sp.transferDone(tr.Buf.Name, to, true, tr.Bytes(), startAt, e.eng.Now())
-			done()
-			for _, s := range fl.subs {
-				s()
-			}
+	e.issue(tr, int(tr.To), true, true, lr.res(fwd), dur, done)
+}
+
+// issue registers an in-flight record for tr and holds the link for
+// dur; the record lands when the hold ends.
+func (e *engine) issue(tr mem.Transfer, dev int, toDev, p2p bool, link *sim.Resource, dur sim.Duration, done func()) {
+	var fl *inflightXfer
+	if n := len(e.spare); n > 0 {
+		fl = e.spare[n-1]
+		e.spare = e.spare[:n-1]
+	} else {
+		fl = &inflightXfer{e: e}
+		fl.landFn = fl.land
+	}
+	// The link serves holds FIFO: this one starts when it frees.
+	fl.tr, fl.key, fl.dev, fl.toDev, fl.p2p = tr, xferKey{tr.Buf.ID, tr.To}, dev, toDev, p2p
+	fl.start, fl.done = link.FreeAt(), done
+	e.inflight[fl.key] = append(e.inflight[fl.key], fl)
+	link.Acquire(dur, nil, fl.landFn)
+}
+
+// land commits a finished transfer, accounts for it, and releases its
+// requester and subscribers before recycling the record.
+func (fl *inflightXfer) land() {
+	e, tr := fl.e, fl.tr
+	if err := e.dir.Commit(tr); err != nil {
+		e.fail(err)
+		return
+	}
+	list := e.inflight[fl.key]
+	for i, x := range list {
+		if x == fl {
+			e.inflight[fl.key] = slices.Delete(list, i, i+1)
+			break
+		}
+	}
+	now, bytes := e.eng.Now(), tr.Bytes()
+	e.res.TransferCount++
+	switch {
+	case fl.p2p:
+		e.res.P2PBytes += bytes
+	case fl.toDev:
+		e.res.HtoDBytes += bytes
+	default:
+		e.res.DtoHBytes += bytes
+	}
+	if e.cfg.Trace != nil {
+		label := tr.Buf.Name
+		if fl.p2p {
+			label = fmt.Sprintf("%s(p2p %d->%d)", tr.Buf.Name, int(tr.From), int(tr.To))
+		}
+		e.cfg.Trace.Add(trace.Record{
+			Kind: trace.Transfer, Start: fl.start, End: now,
+			Device: fl.dev, Label: label, Bytes: bytes, ToDev: fl.toDev,
 		})
+	}
+	if fl.p2p {
+		e.mx.p2pDone(bytes, now-fl.start)
+	} else {
+		e.mx.transferDone(fl.toDev, bytes, now-fl.start)
+	}
+	e.sp.transferDone(tr.Buf.Name, fl.dev, fl.toDev, bytes, fl.start, now)
+	fl.done()
+	for _, s := range fl.subs {
+		s()
+	}
+	clear(fl.subs)
+	fl.subs, fl.done = fl.subs[:0], nil
+	e.spare = append(e.spare, fl)
 }
 
 // route places a ready instance: pinned instances go straight to their
@@ -773,22 +838,28 @@ func (e *engine) runP2P(tr mem.Transfer, lr *linkRes, fwd bool, done func()) {
 // queue holds it (pull). Callers dispatch afterwards.
 func (e *engine) route(in *task.Instance) {
 	if in.Pin != task.Unpinned {
-		e.devQ[in.Pin] = append(e.devQ[in.Pin], in)
-		e.mx.noteQueueDepth(in.Pin, len(e.devQ[in.Pin]))
-		e.cfg.Scheduler.Placed(in, in.Pin)
+		e.bind(in, in.Pin)
 		return
 	}
-	if cs, ok := e.cfg.Scheduler.(clockSyncer); ok {
-		cs.SyncClock(e.eng.Now())
-	}
+	e.syncClock()
 	if dev, ok := e.cfg.Scheduler.OnReady(in, e); ok {
-		e.devQ[dev] = append(e.devQ[dev], in)
-		e.mx.noteQueueDepth(dev, len(e.devQ[dev]))
-		e.cfg.Scheduler.Placed(in, dev)
+		e.bind(in, dev)
 		return
 	}
 	e.central = append(e.central, in)
 	e.mx.noteCentralDepth(len(e.central))
+}
+
+// bind queues an instance on the device its pin or the scheduler chose.
+func (e *engine) bind(in *task.Instance, dev int) {
+	if dev < 0 || dev >= len(e.devQ) {
+		e.fail(fmt.Errorf("rt: scheduler %s placed %v on unknown device %d",
+			e.cfg.Scheduler.Name(), in, dev))
+		return
+	}
+	e.devQ[dev] = append(e.devQ[dev], in)
+	e.mx.noteQueueDepth(dev, len(e.devQ[dev]))
+	e.cfg.Scheduler.Placed(in, dev)
 }
 
 // reofferCentral gives a push scheduler that deferred instances (e.g.
@@ -799,20 +870,17 @@ func (e *engine) reofferCentral() {
 	if len(e.central) == 0 {
 		return
 	}
-	if cs, ok := e.cfg.Scheduler.(clockSyncer); ok {
-		cs.SyncClock(e.eng.Now())
-	}
-	var remaining []*task.Instance
+	e.syncClock()
+	kept := e.central[:0]
 	for _, in := range e.central {
 		if dev, ok := e.cfg.Scheduler.OnReady(in, e); ok {
-			e.devQ[dev] = append(e.devQ[dev], in)
-			e.mx.noteQueueDepth(dev, len(e.devQ[dev]))
-			e.cfg.Scheduler.Placed(in, dev)
+			e.bind(in, dev)
 			continue
 		}
-		remaining = append(remaining, in)
+		kept = append(kept, in)
 	}
-	e.central = remaining
+	clear(e.central[len(kept):])
+	e.central = kept
 }
 
 // dispatchAll offers work to idle executors in breadth-first rounds:
@@ -823,7 +891,7 @@ func (e *engine) reofferCentral() {
 func (e *engine) dispatchAll() {
 	for {
 		progress := false
-		for _, d := range e.cfg.Platform.Devices() {
+		for _, d := range e.devs {
 			if e.idle[d.ID] > 0 && e.dispatchOne(d) {
 				progress = true
 			}
@@ -841,9 +909,7 @@ func (e *engine) dispatchOne(d *device.Device) bool {
 		in = q[0]
 		e.devQ[d.ID] = q[1:]
 	} else if len(e.central) > 0 {
-		if cs, ok := e.cfg.Scheduler.(clockSyncer); ok {
-			cs.SyncClock(e.eng.Now())
-		}
+		e.syncClock()
 		pick := e.cfg.Scheduler.OnIdle(d.ID, e.central, e)
 		if pick == nil {
 			return false
@@ -851,7 +917,7 @@ func (e *engine) dispatchOne(d *device.Device) bool {
 		found := false
 		for i, c := range e.central {
 			if c == pick {
-				e.central = append(e.central[:i:i], e.central[i+1:]...)
+				e.central = slices.Delete(e.central, i, i+1)
 				found = true
 				break
 			}
@@ -876,27 +942,31 @@ func (e *engine) dispatchOne(d *device.Device) bool {
 // (dynamic only), input transfers, kernel execution, completion.
 func (e *engine) start(in *task.Instance, d *device.Device) {
 	e.dispatchAt[in.ID] = e.eng.Now()
-	begin := func() { e.startTransfers(in, d) }
 	if in.Pin == task.Unpinned {
 		oh := e.cfg.Scheduler.Overhead()
 		e.res.Decisions++
 		e.mx.decisionTaken(oh)
 		if oh > 0 {
 			s := e.eng.Now()
-			e.cfg.Trace.Add(trace.Record{
-				Kind: trace.Decision, Start: s, End: s + oh,
-				Device: d.ID, Label: in.String(),
-			})
+			if e.cfg.Trace != nil {
+				e.cfg.Trace.Add(trace.Record{
+					Kind: trace.Decision, Start: s, End: s + oh,
+					Device: d.ID, Label: in.String(),
+				})
+			}
 			e.sp.decision(in, d.ID, s, s+oh)
-			e.eng.After(oh, begin)
+			e.eng.After(oh, func() { e.startTransfers(in, d) })
 			return
 		}
 	}
-	begin()
+	e.startTransfers(in, d)
 }
 
 func (e *engine) startTransfers(in *task.Instance, d *device.Device) {
-	var transfers []mem.Transfer
+	// ensure reads the list before returning, so one scratch slice
+	// serves every instance.
+	transfers := e.reads[:0]
+	defer func() { e.reads = transfers[:0] }()
 	space := mem.Space(d.ID)
 	for _, a := range in.Accesses {
 		if !a.Mode.Reads() {
@@ -990,10 +1060,12 @@ func (e *engine) complete(in *task.Instance, d *device.Device, startAt sim.Time,
 		}
 	}
 
-	e.cfg.Trace.Add(trace.Record{
-		Kind: trace.TaskRun, Start: startAt, End: e.eng.Now(),
-		Device: d.ID, Label: in.String(), Kernel: in.Kernel.Name, Elems: in.Elems(),
-	})
+	if e.cfg.Trace != nil {
+		e.cfg.Trace.Add(trace.Record{
+			Kind: trace.TaskRun, Start: startAt, End: e.eng.Now(),
+			Device: d.ID, Label: in.String(), Kernel: in.Kernel.Name, Elems: in.Elems(),
+		})
+	}
 	e.res.ElemsByDevice[d.ID] += in.Elems()
 	km := e.res.ElemsByKernel[in.Kernel.Name]
 	if km == nil {
@@ -1015,11 +1087,8 @@ func (e *engine) complete(in *task.Instance, d *device.Device, startAt sim.Time,
 	if d.ID == 0 && d.Share > 1 {
 		reported = dur
 	}
-	delete(e.dispatchAt, in.ID)
 	e.cfg.Scheduler.Completed(in, d.ID, reported)
-	if cs, ok := e.cfg.Scheduler.(clockSyncer); ok {
-		cs.SyncClock(e.eng.Now())
-	}
+	e.syncClock()
 
 	// Release successors. Dependencies never cross barriers and all
 	// submissions in a barrier window happen synchronously before any

@@ -118,7 +118,7 @@ func TestCalibratedSpecNeverAliasesUncalibrated(t *testing.T) {
 	// The resolved platform actually carries the calibration (and the
 	// spec's fingerprint shows it), replacing any pre-existing one.
 	pre := Spec{App: "BlackScholes", Strategy: "SP-Single",
-		Plat: device.PaperPlatform(0).WithCost(&device.Calibrated{Scales: []device.Scale{{Device: 0, Factor: 2}}}),
+		Plat:  device.PaperPlatform(0).WithCost(&device.Calibrated{Scales: []device.Scale{{Device: 0, Factor: 2}}}),
 		Calib: []device.Scale{{Device: 1, Factor: 1.6}}}
 	cal, ok := pre.platform().Cost.(*device.Calibrated)
 	if !ok {

@@ -63,21 +63,24 @@ func (d *Dep) OnIdle(dev int, ready []*task.Instance, v View) *task.Instance {
 	if len(ready) == 0 {
 		return nil
 	}
+	// Only instances whose kernel runs on this device's kind are
+	// candidates; the scans below skip the rest in place.
 	kind := kindOf(v, dev)
-	runnable := ready[:0:0]
+	var oldest *task.Instance
 	for _, in := range ready {
 		if in.Kernel.RunsOn(kind) {
-			runnable = append(runnable, in)
+			oldest = in
+			break
 		}
 	}
-	if len(runnable) == 0 {
+	if oldest == nil {
 		return nil
 	}
 	if d.noAffinity {
-		return runnable[0]
+		return oldest
 	}
-	for _, in := range runnable {
-		if in.Chain >= 0 {
+	for _, in := range ready {
+		if in.Chain >= 0 && in.Kernel.RunsOn(kind) {
 			if home, ok := d.chainHome[in.Chain]; ok && home == dev {
 				d.mAffinityHits.Inc()
 				return in
@@ -87,7 +90,10 @@ func (d *Dep) OnIdle(dev int, ready []*task.Instance, v View) *task.Instance {
 	// Breadth-first fallback: oldest ready instance whose chain is not
 	// claimed by another device; failing that, simply the oldest.
 	d.mAffinityMiss.Inc()
-	for _, in := range runnable {
+	for _, in := range ready {
+		if !in.Kernel.RunsOn(kind) {
+			continue
+		}
 		if in.Chain < 0 {
 			return in
 		}
@@ -95,7 +101,7 @@ func (d *Dep) OnIdle(dev int, ready []*task.Instance, v View) *task.Instance {
 			return in
 		}
 	}
-	return runnable[0]
+	return oldest
 }
 
 // kindOf resolves a device ID's kind through the view.

@@ -50,6 +50,9 @@ type Perf struct {
 	blind bool
 	// rr rotates warm-up placements deterministically.
 	rr int
+	// devs and starving are OnReady's scratch, reused across calls.
+	devs     []*device.Device
+	starving []int
 
 	// Telemetry handles (nil-safe; bound by SetMetrics).
 	mWarmup   *metrics.Counter
@@ -116,23 +119,25 @@ func (p *Perf) OnReady(in *task.Instance, v View) (int, bool) {
 	}
 	// Only devices whose kind implements the kernel are candidates
 	// (the OmpSs "implements" clause).
-	var devs []*device.Device
+	devs := p.devs[:0]
 	for _, d := range v.Devices() {
 		if in.Kernel.RunsOn(d.Kind) {
 			devs = append(devs, d)
 		}
 	}
+	p.devs = devs
 	if len(devs) == 0 {
 		return 0, false // nothing can run it; the runtime reports the plan bug
 	}
 	// Warm-up: any device short of profile samples for this kernel
 	// gets the instance (round-robin across the starved devices).
-	var starving []int
+	starving := p.starving[:0]
 	for _, d := range devs {
 		if p.assigned[kernelDev{in.Kernel.Name, d.ID}] < WarmupInstances {
 			starving = append(starving, d.ID)
 		}
 	}
+	p.starving = starving
 	if len(starving) > 0 {
 		dev := starving[p.rr%len(starving)]
 		p.rr++

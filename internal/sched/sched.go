@@ -26,7 +26,9 @@ import (
 type View interface {
 	// Now is the current virtual time.
 	Now() sim.Time
-	// Devices lists the platform devices, host first.
+	// Devices lists the platform devices, host first. The slice is
+	// shared for the whole execution: policies read it and must not
+	// modify it.
 	Devices() []*device.Device
 	// QueuedOn reports how many instances are queued on (assigned to
 	// but not started on) a device.

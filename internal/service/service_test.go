@@ -270,6 +270,29 @@ func TestParityWithLibrary(t *testing.T) {
 	}
 }
 
+// TestMatchmakeAtomicPhasesSkipsRatioSplit posts an atomic-phase
+// problem whose class ranks SP-Varied first (Cholesky at n=1024, a
+// 2x2-tile chain): the analyzer must pick a strategy that can run it,
+// so the request succeeds instead of failing with a 500.
+func TestMatchmakeAtomicPhasesSkipsRatioSplit(t *testing.T) {
+	_, ts := newTestService(t, Config{Workers: 1})
+	status, resp, eb := postJSON(t, ts.URL+"/v1/matchmake", `{"app":"Cholesky","n":1024}`)
+	if status != http.StatusOK {
+		t.Fatalf("status %d (%+v), want 200", status, eb)
+	}
+	if resp.Report == nil || resp.Report.Best != "DP-Perf" {
+		t.Fatalf("report = %+v, want best DP-Perf", resp.Report)
+	}
+	for _, name := range resp.Report.Ranked {
+		if name == "SP-Varied" || name == "SP-Unified" {
+			t.Errorf("ranked %v offers %s for atomic phases", resp.Report.Ranked, name)
+		}
+	}
+	if resp.Outcome == nil || resp.Outcome.Strategy != "DP-Perf" {
+		t.Fatalf("outcome = %+v, want a DP-Perf execution", resp.Outcome)
+	}
+}
+
 // TestStructureOnlyMatchmake exercises the pure analysis path.
 func TestStructureOnlyMatchmake(t *testing.T) {
 	_, ts := newTestService(t, Config{Workers: 1})

@@ -7,7 +7,6 @@
 package sim
 
 import (
-	"container/heap"
 	"fmt"
 	"math"
 	"time"
@@ -66,60 +65,93 @@ func DurationOf(seconds float64) Duration {
 	return Duration(ns + 0.5)
 }
 
-// Event is a scheduled callback.
-type Event struct {
+// event is one scheduled callback. The engine recycles records once
+// they fire or are reaped, bumping gen, so a handle issued for an
+// earlier use of the record no longer matches it.
+type event struct {
 	at   Time
 	seq  uint64
 	fn   func()
+	gen  uint64
 	dead bool
-	idx  int // heap index, -1 when not queued
+}
+
+// Event is a handle to a scheduled callback. Handles are values: the
+// zero Event refers to nothing, and a handle whose callback already
+// fired or was canceled stays safe to use.
+type Event struct {
+	ev  *event
+	gen uint64
+	at  Time
 }
 
 // Cancel prevents a pending event from firing. Canceling an already-fired
 // or already-canceled event is a no-op.
-func (e *Event) Cancel() {
-	if e != nil {
-		e.dead = true
+func (h Event) Cancel() {
+	if h.ev != nil && h.ev.gen == h.gen {
+		h.ev.dead = true
 	}
 }
 
 // Time reports when the event is scheduled to fire.
-func (e *Event) Time() Time { return e.at }
+func (h Event) Time() Time { return h.at }
 
-type eventHeap []*Event
-
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
+// before orders events by (time, sequence).
+func (a *event) before(b *event) bool {
+	if a.at != b.at {
+		return a.at < b.at
 	}
-	return h[i].seq < h[j].seq
+	return a.seq < b.seq
 }
-func (h eventHeap) Swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].idx = i
-	h[j].idx = j
+
+// eventHeap is a binary min-heap of pending events.
+type eventHeap []*event
+
+func (h *eventHeap) push(ev *event) {
+	q := append(*h, ev)
+	for i := len(q) - 1; i > 0; {
+		parent := (i - 1) / 2
+		if !q[i].before(q[parent]) {
+			break
+		}
+		q[i], q[parent] = q[parent], q[i]
+		i = parent
+	}
+	*h = q
 }
-func (h *eventHeap) Push(x any) {
-	e := x.(*Event)
-	e.idx = len(*h)
-	*h = append(*h, e)
-}
-func (h *eventHeap) Pop() any {
-	old := *h
-	n := len(old)
-	e := old[n-1]
-	old[n-1] = nil
-	e.idx = -1
-	*h = old[:n-1]
-	return e
+
+func (h *eventHeap) pop() *event {
+	q := *h
+	top := q[0]
+	n := len(q) - 1
+	q[0] = q[n]
+	q[n] = nil
+	q = q[:n]
+	for i := 0; ; {
+		least := i
+		if l := 2*i + 1; l < n && q[l].before(q[least]) {
+			least = l
+		}
+		if r := 2*i + 2; r < n && q[r].before(q[least]) {
+			least = r
+		}
+		if least == i {
+			break
+		}
+		q[i], q[least] = q[least], q[i]
+		i = least
+	}
+	*h = q
+	return top
 }
 
 // Engine is the discrete-event simulation core.
 type Engine struct {
-	now    Time
-	seq    uint64
-	queue  eventHeap
+	now   Time
+	seq   uint64
+	queue eventHeap
+	// free holds recycled event records for reuse by At.
+	free   []*event
 	fired  uint64
 	halted bool
 	// err records the first scheduling fault (an event scheduled in the
@@ -147,20 +179,34 @@ func (e *Engine) Pending() int { return len(e.queue) }
 // At schedules fn to run at absolute virtual time t. Scheduling in the
 // past is always a logic error in a discrete-event model: the engine
 // records the fault (visible through Err), halts the run loop, and
-// returns an already-canceled event so the caller's handle stays safe
-// to use.
-func (e *Engine) At(t Time, fn func()) *Event {
+// returns a handle to nothing, which stays safe to use.
+func (e *Engine) At(t Time, fn func()) Event {
 	if t < e.now {
 		if e.err == nil {
 			e.err = fmt.Errorf("sim: scheduling at %v before now %v", t, e.now)
 		}
 		e.Halt()
-		return &Event{at: t, dead: true, idx: -1}
+		return Event{at: t}
 	}
-	ev := &Event{at: t, seq: e.seq, fn: fn, idx: -1}
+	var ev *event
+	if n := len(e.free); n > 0 {
+		ev = e.free[n-1]
+		e.free = e.free[:n-1]
+	} else {
+		ev = &event{}
+	}
+	ev.at, ev.seq, ev.fn, ev.dead = t, e.seq, fn, false
 	e.seq++
-	heap.Push(&e.queue, ev)
-	return ev
+	e.queue.push(ev)
+	return Event{ev: ev, gen: ev.gen, at: t}
+}
+
+// recycle retires a record taken off the queue: its handles go stale
+// and the record becomes available to At.
+func (e *Engine) recycle(ev *event) {
+	ev.fn = nil
+	ev.gen++
+	e.free = append(e.free, ev)
 }
 
 // Err reports the first scheduling fault, or nil. A non-nil error means
@@ -168,7 +214,7 @@ func (e *Engine) At(t Time, fn func()) *Event {
 func (e *Engine) Err() error { return e.err }
 
 // After schedules fn to run d nanoseconds from now.
-func (e *Engine) After(d Duration, fn func()) *Event {
+func (e *Engine) After(d Duration, fn func()) Event {
 	if d < 0 {
 		d = 0
 	}
@@ -185,13 +231,15 @@ func (e *Engine) Halt() { e.halted = true }
 // the queue is empty.
 func (e *Engine) Step() bool {
 	for len(e.queue) > 0 {
-		ev := heap.Pop(&e.queue).(*Event)
-		if ev.dead {
+		ev := e.queue.pop()
+		at, fn, dead := ev.at, ev.fn, ev.dead
+		e.recycle(ev)
+		if dead {
 			continue
 		}
-		e.now = ev.at
+		e.now = at
 		e.fired++
-		ev.fn()
+		fn()
 		return true
 	}
 	return false
@@ -222,15 +270,10 @@ func (e *Engine) RunUntil(deadline Time) Time {
 	e.halted = false
 	for !e.halted && e.err == nil {
 		// Peek.
-		var next *Event
 		for len(e.queue) > 0 && e.queue[0].dead {
-			heap.Pop(&e.queue)
+			e.recycle(e.queue.pop())
 		}
-		if len(e.queue) == 0 {
-			break
-		}
-		next = e.queue[0]
-		if next.at > deadline {
+		if len(e.queue) == 0 || e.queue[0].at > deadline {
 			break
 		}
 		e.Step()

@@ -65,13 +65,43 @@ func TestEngineCancel(t *testing.T) {
 	}
 }
 
+// TestEngineStaleCancelIsNoOp pins the pooled event records: once an
+// event has fired (or been canceled and reaped), its record is reused
+// for later events, and canceling through the old handle must not
+// touch the event that now occupies the record.
+func TestEngineStaleCancelIsNoOp(t *testing.T) {
+	e := NewEngine()
+	first := e.At(10, func() {})
+	e.Run()
+	fired := false
+	second := e.At(20, func() { fired = true })
+	first.Cancel()
+	e.Run()
+	if !fired {
+		t.Fatal("stale Cancel of a fired event canceled its successor")
+	}
+
+	canceled := e.At(30, func() { t.Error("canceled event fired") })
+	canceled.Cancel()
+	e.Run() // reaps the canceled record
+	fired = false
+	e.At(40, func() { fired = true })
+	canceled.Cancel()
+	second.Cancel()
+	e.Run()
+	if !fired {
+		t.Fatal("stale Cancel of a reaped event canceled its successor")
+	}
+}
+
 func TestEnginePastSchedulingErrors(t *testing.T) {
 	e := NewEngine()
 	reached := false
 	e.At(100, func() {
 		ev := e.At(50, func() { t.Error("past event fired") })
-		if ev == nil {
-			t.Error("At returned a nil event handle")
+		ev.Cancel() // the returned handle must stay safe to use
+		if ev.Time() != 50 {
+			t.Errorf("past-event handle time = %v, want 50", ev.Time())
 		}
 	})
 	e.At(200, func() { reached = true })

@@ -10,30 +10,42 @@ import "heteropart/internal/mem"
 // tracking restarts at each barrier (the runtime enforces the barrier
 // itself).
 //
-// Edges are deduplicated; Deps and Succs lists are in submission order.
+// Edges are deduplicated. Each Deps list is in discovery order (by
+// access, then by the buffer's access history); Succs lists are in
+// submission order, which is ascending ID.
 func BuildDeps(p *Plan) {
 	type past struct {
 		inst *Instance
 		acc  Access
 	}
-	// Per-buffer access history since the last barrier.
-	hist := make(map[int][]past)
-
-	for _, in := range p.Instances() {
-		in.Deps = nil
-		in.Succs = nil
-	}
+	// Instance IDs are dense from Submit, and buffer IDs from Register,
+	// so the analysis state is slices indexed by ID.
+	// seen[id] == in.ID+1 marks id as already a dependency of in;
+	// nsucc[id] counts id's successors.
+	seen := make([]int, p.IDBound())
+	nsucc := make([]int, p.IDBound())
+	// hist[buf] is the access history on buffer buf since the last
+	// barrier; barriers truncate it, keeping the capacity.
+	var hist [][]past
+	// Every Deps list is a capped window of one shared slab.
+	var slab []*Instance
 
 	for _, op := range p.Ops {
 		if op.Kind == OpBarrier {
-			hist = make(map[int][]past)
+			for b := range hist {
+				hist[b] = hist[b][:0]
+			}
 			continue
 		}
 		in := op.Inst
-		depSet := make(map[int]bool)
+		stamp := in.ID + 1
+		first := len(slab)
 		for _, a := range in.Accesses {
+			if a.Buf.ID >= len(hist) {
+				continue
+			}
 			for _, h := range hist[a.Buf.ID] {
-				if h.inst == in || depSet[h.inst.ID] {
+				if h.inst == in || seen[h.inst.ID] == stamp {
 					continue
 				}
 				if !a.Interval.Overlaps(h.acc.Interval) {
@@ -45,14 +57,39 @@ func BuildDeps(p *Plan) {
 					(a.Mode.Writes() && h.acc.Mode.Writes()) ||
 					(a.Mode.Writes() && h.acc.Mode.Reads())
 				if conflict {
-					depSet[h.inst.ID] = true
-					in.Deps = append(in.Deps, h.inst)
-					h.inst.Succs = append(h.inst.Succs, in)
+					seen[h.inst.ID] = stamp
+					slab = append(slab, h.inst)
+					nsucc[h.inst.ID]++
 				}
 			}
 		}
+		in.Deps = nil
+		if len(slab) > first {
+			in.Deps = slab[first:len(slab):len(slab)]
+		}
 		for _, a := range in.Accesses {
+			if a.Buf.ID >= len(hist) {
+				hist = append(hist, make([][]past, a.Buf.ID+1-len(hist))...)
+			}
 			hist[a.Buf.ID] = append(hist[a.Buf.ID], past{inst: in, acc: a})
+		}
+	}
+
+	// Succs mirror Deps and share one exactly sized slab. A Deps entry
+	// always precedes its dependent, so walking in submission order
+	// sizes each list before it is filled, in ascending ID order.
+	succs := make([]*Instance, len(slab))
+	for _, op := range p.Ops {
+		if op.Kind != OpSubmit {
+			continue
+		}
+		in := op.Inst
+		in.Succs = nil
+		if c := nsucc[in.ID]; c > 0 {
+			in.Succs, succs = succs[:0:c], succs[c:]
+		}
+		for _, d := range in.Deps {
+			d.Succs = append(d.Succs, in)
 		}
 	}
 }

@@ -2,6 +2,8 @@ package task
 
 import (
 	"math/rand"
+	"slices"
+	"sort"
 	"testing"
 
 	"heteropart/internal/mem"
@@ -44,8 +46,62 @@ func oracleDeps(p *Plan) map[[2]int]bool {
 	return edges
 }
 
+// referenceDeps is the map-based dependence analysis BuildDeps was
+// first written as, kept to pin its list order: it returns each
+// instance's Deps and Succs as ID lists without touching the plan.
+func referenceDeps(p *Plan) (deps, succs map[int][]int) {
+	type past struct {
+		inst *Instance
+		acc  Access
+	}
+	deps, succs = make(map[int][]int), make(map[int][]int)
+	hist := make(map[int][]past)
+	for _, op := range p.Ops {
+		if op.Kind == OpBarrier {
+			hist = make(map[int][]past)
+			continue
+		}
+		in := op.Inst
+		depSet := make(map[int]bool)
+		for _, a := range in.Accesses {
+			for _, h := range hist[a.Buf.ID] {
+				if h.inst == in || depSet[h.inst.ID] {
+					continue
+				}
+				if !a.Interval.Overlaps(h.acc.Interval) {
+					continue
+				}
+				conflict := (a.Mode.Reads() && h.acc.Mode.Writes()) ||
+					(a.Mode.Writes() && h.acc.Mode.Writes()) ||
+					(a.Mode.Writes() && h.acc.Mode.Reads())
+				if conflict {
+					depSet[h.inst.ID] = true
+					deps[in.ID] = append(deps[in.ID], h.inst.ID)
+					succs[h.inst.ID] = append(succs[h.inst.ID], in.ID)
+				}
+			}
+		}
+		for _, a := range in.Accesses {
+			hist[a.Buf.ID] = append(hist[a.Buf.ID], past{inst: in, acc: a})
+		}
+	}
+	return deps, succs
+}
+
+// ids lists instance IDs in list order.
+func ids(list []*Instance) []int {
+	out := make([]int, 0, len(list))
+	for _, in := range list {
+		out = append(out, in.ID)
+	}
+	return out
+}
+
 // TestQuickBuildDepsMatchesOracle pits BuildDeps against the brute-
-// force oracle over randomized plans.
+// force oracle over randomized plans, and pins the order of every
+// list: no duplicates, Succs ascending by ID (the order complete
+// releases successors in), and Deps element for element as the
+// map-based reference discovers them.
 func TestQuickBuildDepsMatchesOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(4242))
 	for trial := 0; trial < 200; trial++ {
@@ -111,6 +167,29 @@ func TestQuickBuildDepsMatchesOracle(t *testing.T) {
 		}
 		if !IsDAGAcyclic(&p) {
 			t.Fatalf("trial %d: cycle", trial)
+		}
+
+		refDeps, refSuccs := referenceDeps(&p)
+		for _, in := range p.Instances() {
+			d, s := ids(in.Deps), ids(in.Succs)
+			for name, list := range map[string][]int{"deps": d, "succs": s} {
+				seen := make(map[int]bool)
+				for _, id := range list {
+					if seen[id] {
+						t.Fatalf("trial %d: %v %s %v repeat %d", trial, in.ID, name, list, id)
+					}
+					seen[id] = true
+				}
+			}
+			if !sort.IntsAreSorted(s) {
+				t.Fatalf("trial %d: %v succs %v not ascending", trial, in.ID, s)
+			}
+			if !slices.Equal(d, refDeps[in.ID]) {
+				t.Fatalf("trial %d: %v deps %v, reference order %v", trial, in.ID, d, refDeps[in.ID])
+			}
+			if !slices.Equal(s, refSuccs[in.ID]) {
+				t.Fatalf("trial %d: %v succs %v, reference order %v", trial, in.ID, s, refSuccs[in.ID])
+			}
 		}
 	}
 }

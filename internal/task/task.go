@@ -243,6 +243,11 @@ func (p *Plan) Barrier() {
 	p.Ops = append(p.Ops, Op{Kind: OpBarrier})
 }
 
+// IDBound returns one more than the largest instance ID Submit has
+// issued. IDs are dense from 0, so per-instance state fits a slice of
+// this length.
+func (p *Plan) IDBound() int { return p.nextID }
+
 // Instances returns all submitted instances in submission order.
 func (p *Plan) Instances() []*Instance {
 	out := make([]*Instance, 0, len(p.Ops))
