@@ -61,6 +61,8 @@ FUZZTIME ?= 10s
 fuzz:
 	$(GO) test -fuzz FuzzPlanFromJSON -fuzztime $(FUZZTIME) -run '^$$' ./internal/plan
 	$(GO) test -fuzz FuzzServiceRequest -fuzztime $(FUZZTIME) -run '^$$' ./internal/service
+	$(GO) test -fuzz FuzzBundleParse -fuzztime $(FUZZTIME) -run '^$$' ./internal/telemetry/flight
+	$(GO) test -fuzz FuzzParse -fuzztime $(FUZZTIME) -run '^$$' ./internal/classify
 
 # The chaos/property harness: fault-injection determinism matrix,
 # monotonic degradation, cache isolation, device-loss replan, the

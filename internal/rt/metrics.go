@@ -2,10 +2,12 @@ package rt
 
 import (
 	"strconv"
+	"strings"
 
 	"heteropart/internal/device"
 	"heteropart/internal/metrics"
 	"heteropart/internal/sim"
+	"heteropart/internal/trace"
 )
 
 // rtMetrics is the runtime's instrumentation bundle: every handle is
@@ -39,9 +41,12 @@ type rtMetrics struct {
 	busy   []*metrics.Counter
 	pulled []*metrics.Counter
 
-	xferCount [2]*metrics.Counter // indexed by direction: 0 = DtoH, 1 = HtoD
-	xferBytes [2]*metrics.Counter
-	xferNs    [2]*metrics.Counter
+	// Per-direction transfer series, indexed by event.dir. The p2p
+	// slot is bound only on platforms with peer edges, so the default
+	// topology's exposition is unchanged.
+	xferCount [3]*metrics.Counter
+	xferBytes [3]*metrics.Counter
+	xferNs    [3]*metrics.Counter
 
 	taskwaits  *metrics.Counter
 	drainNs    *metrics.Histogram
@@ -72,27 +77,7 @@ type rtMetrics struct {
 	faultStalledC   *metrics.Counter
 	faultStallNs    *metrics.Counter
 	faultFired      map[string]*metrics.Counter
-
-	// P2P series, bound only on platforms with peer edges so the
-	// default topology's exposition is unchanged:
-	//
-	//	rt_transfers_total{dir="p2p"}      direct peer transfers
-	//	rt_transfer_bytes_total{dir="p2p"} direct peer payload bytes
-	//	rt_transfer_ns_total{dir="p2p"}    peer-link occupancy
-	p2pCount *metrics.Counter
-	p2pBytes *metrics.Counter
-	p2pNs    *metrics.Counter
 }
-
-// dirIndex maps a transfer direction to its series slot.
-func dirIndex(toDev bool) int {
-	if toDev {
-		return 1
-	}
-	return 0
-}
-
-var dirName = [2]string{"dtoh", "htod"}
 
 // newRTMetrics binds every instrument for the given platform. Returns
 // nil (fully inert) when the registry is nil. The fault_* series exist
@@ -125,7 +110,8 @@ func newRTMetrics(r *metrics.Registry, plat *device.Platform, faulted bool) *rtM
 		m.queueMax[d.ID] = r.Gauge(metrics.Label("rt_queue_depth_max", "dev", id),
 			"high-water bound-queue depth per device")
 	}
-	for i, dir := range dirName {
+	for i, name := range dirName[:dirP2P] {
+		dir := strings.ToLower(name)
 		m.xferCount[i] = r.Counter(metrics.Label("rt_transfers_total", "dir", dir),
 			"host<->device transfers per direction")
 		m.xferBytes[i] = r.Counter(metrics.Label("rt_transfer_bytes_total", "dir", dir),
@@ -144,11 +130,11 @@ func newRTMetrics(r *metrics.Registry, plat *device.Platform, faulted bool) *rtM
 	m.simWallNs = r.Gauge("sim_wall_ns", "real time spent inside the event loop")
 	m.simRatio = r.Gauge("sim_virtual_wall_ratio", "virtual time per unit of wall time")
 	if len(plat.P2P) > 0 {
-		m.p2pCount = r.Counter(metrics.Label("rt_transfers_total", "dir", "p2p"),
+		m.xferCount[dirP2P] = r.Counter(metrics.Label("rt_transfers_total", "dir", "p2p"),
 			"direct device<->device transfers over peer links")
-		m.p2pBytes = r.Counter(metrics.Label("rt_transfer_bytes_total", "dir", "p2p"),
+		m.xferBytes[dirP2P] = r.Counter(metrics.Label("rt_transfer_bytes_total", "dir", "p2p"),
 			"payload bytes moved over peer links")
-		m.p2pNs = r.Counter(metrics.Label("rt_transfer_ns_total", "dir", "p2p"),
+		m.xferNs[dirP2P] = r.Counter(metrics.Label("rt_transfer_ns_total", "dir", "p2p"),
 			"peer-link occupancy virtual nanoseconds")
 	}
 	if faulted {
@@ -191,48 +177,30 @@ func (m *rtMetrics) faultInjected(kind string) {
 	}
 }
 
-func (m *rtMetrics) taskDone(dev int, elems int64, dur sim.Duration) {
+// add is the metrics consumer of emit: it counts every event, drawn
+// or not, so an untimed decision or a taskwait that moved nothing still
+// shows up in its series.
+func (m *rtMetrics) add(ev *event) {
 	if m == nil {
 		return
 	}
-	m.tasks[dev].Inc()
-	m.elems[dev].Add(elems)
-	m.busy[dev].Add(int64(dur))
-}
-
-func (m *rtMetrics) transferDone(toDev bool, bytes int64, span sim.Duration) {
-	if m == nil {
-		return
+	switch ev.kind {
+	case trace.TaskRun:
+		m.tasks[ev.dev].Inc()
+		m.elems[ev.dev].Add(ev.in.Elems())
+		m.busy[ev.dev].Add(int64(ev.busy))
+	case trace.Transfer:
+		i := ev.dir()
+		m.xferCount[i].Inc()
+		m.xferBytes[i].Add(ev.tr.Bytes())
+		m.xferNs[i].Add(int64(ev.end - ev.start))
+	case trace.Decision:
+		m.decisions.Inc()
+		m.overheadNs.Add(int64(ev.busy))
+	case trace.Barrier:
+		m.taskwaits.Inc()
+		m.drainNs.ObserveDuration(ev.end - ev.start)
 	}
-	i := dirIndex(toDev)
-	m.xferCount[i].Inc()
-	m.xferBytes[i].Add(bytes)
-	m.xferNs[i].Add(int64(span))
-}
-
-func (m *rtMetrics) p2pDone(bytes int64, span sim.Duration) {
-	if m == nil || m.p2pCount == nil {
-		return
-	}
-	m.p2pCount.Inc()
-	m.p2pBytes.Add(bytes)
-	m.p2pNs.Add(int64(span))
-}
-
-func (m *rtMetrics) taskwaitDone(drain sim.Duration) {
-	if m == nil {
-		return
-	}
-	m.taskwaits.Inc()
-	m.drainNs.ObserveDuration(drain)
-}
-
-func (m *rtMetrics) decisionTaken(overhead sim.Duration) {
-	if m == nil {
-		return
-	}
-	m.decisions.Inc()
-	m.overheadNs.Add(int64(overhead))
 }
 
 func (m *rtMetrics) pulledFromCentral(dev int) {

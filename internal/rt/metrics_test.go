@@ -158,17 +158,3 @@ func BenchmarkRTHotPathMetrics(b *testing.B) {
 		}
 	}
 }
-
-// BenchmarkRTMetricHooksDisabled isolates the disabled instrumentation
-// hooks themselves: with a nil *rtMetrics every call must be a
-// zero-allocation no-op.
-func BenchmarkRTMetricHooksDisabled(b *testing.B) {
-	var m *rtMetrics
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		m.taskDone(1, 1000, 50)
-		m.transferDone(true, 8000, 10)
-		m.decisionTaken(5)
-		m.noteQueueDepth(1, 3)
-	}
-}

@@ -536,7 +536,8 @@ func (e *engine) flushThen(cont func()) {
 			e.fail(err)
 			return
 		}
-		e.mx.taskwaitDone(0)
+		now := e.eng.Now()
+		e.emit(&event{kind: trace.Barrier, start: now, end: now, dev: -1})
 		cont()
 		return
 	}
@@ -546,12 +547,7 @@ func (e *engine) flushThen(cont func()) {
 			e.fail(err)
 			return
 		}
-		e.cfg.Trace.Add(trace.Record{
-			Kind: trace.Barrier, Start: start, End: e.eng.Now(),
-			Device: -1, Label: "taskwait-flush",
-		})
-		e.mx.taskwaitDone(e.eng.Now() - start)
-		e.sp.barrier("taskwait-flush", start, e.eng.Now())
+		e.emit(&event{kind: trace.Barrier, start: start, end: e.eng.Now(), dev: -1, flushed: true})
 		cont()
 	})
 }
@@ -798,32 +794,8 @@ func (fl *inflightXfer) land() {
 			break
 		}
 	}
-	now, bytes := e.eng.Now(), tr.Bytes()
-	e.res.TransferCount++
-	switch {
-	case fl.p2p:
-		e.res.P2PBytes += bytes
-	case fl.toDev:
-		e.res.HtoDBytes += bytes
-	default:
-		e.res.DtoHBytes += bytes
-	}
-	if e.cfg.Trace != nil {
-		label := tr.Buf.Name
-		if fl.p2p {
-			label = fmt.Sprintf("%s(p2p %d->%d)", tr.Buf.Name, int(tr.From), int(tr.To))
-		}
-		e.cfg.Trace.Add(trace.Record{
-			Kind: trace.Transfer, Start: fl.start, End: now,
-			Device: fl.dev, Label: label, Bytes: bytes, ToDev: fl.toDev,
-		})
-	}
-	if fl.p2p {
-		e.mx.p2pDone(bytes, now-fl.start)
-	} else {
-		e.mx.transferDone(fl.toDev, bytes, now-fl.start)
-	}
-	e.sp.transferDone(tr.Buf.Name, fl.dev, fl.toDev, bytes, fl.start, now)
+	e.emit(&event{kind: trace.Transfer, start: fl.start, end: e.eng.Now(), dev: fl.dev,
+		tr: tr, toDev: fl.toDev, p2p: fl.p2p})
 	fl.done()
 	for _, s := range fl.subs {
 		s()
@@ -944,17 +916,9 @@ func (e *engine) start(in *task.Instance, d *device.Device) {
 	e.dispatchAt[in.ID] = e.eng.Now()
 	if in.Pin == task.Unpinned {
 		oh := e.cfg.Scheduler.Overhead()
-		e.res.Decisions++
-		e.mx.decisionTaken(oh)
+		now := e.eng.Now()
+		e.emit(&event{kind: trace.Decision, start: now, end: now + oh, dev: d.ID, in: in, busy: oh})
 		if oh > 0 {
-			s := e.eng.Now()
-			if e.cfg.Trace != nil {
-				e.cfg.Trace.Add(trace.Record{
-					Kind: trace.Decision, Start: s, End: s + oh,
-					Device: d.ID, Label: in.String(),
-				})
-			}
-			e.sp.decision(in, d.ID, s, s+oh)
 			e.eng.After(oh, func() { e.startTransfers(in, d) })
 			return
 		}
@@ -1060,23 +1024,7 @@ func (e *engine) complete(in *task.Instance, d *device.Device, startAt sim.Time,
 		}
 	}
 
-	if e.cfg.Trace != nil {
-		e.cfg.Trace.Add(trace.Record{
-			Kind: trace.TaskRun, Start: startAt, End: e.eng.Now(),
-			Device: d.ID, Label: in.String(), Kernel: in.Kernel.Name, Elems: in.Elems(),
-		})
-	}
-	e.res.ElemsByDevice[d.ID] += in.Elems()
-	km := e.res.ElemsByKernel[in.Kernel.Name]
-	if km == nil {
-		km = make(map[int]int64)
-		e.res.ElemsByKernel[in.Kernel.Name] = km
-	}
-	km[d.ID] += in.Elems()
-	e.res.InstancesByDevice[d.ID]++
-	e.res.DeviceBusy[d.ID] += dur
-	e.mx.taskDone(d.ID, in.Elems(), dur)
-	e.sp.chunkDone(in, d.ID, startAt, e.eng.Now())
+	e.emit(&event{kind: trace.TaskRun, start: startAt, end: e.eng.Now(), dev: d.ID, in: in, busy: dur})
 
 	// Report to the scheduler: dispatch-to-completion wall time on an
 	// accelerator (its transfers ride on its own pipeline), dedicated-

@@ -240,16 +240,19 @@ func TestTraceRecords(t *testing.T) {
 	p.Submit(k, 0, 1000, 1, -1)
 	p.Barrier()
 	tr := &trace.Trace{}
-	mustExecute(t, Config{Platform: plat, Scheduler: sched.NewStatic(), Trace: tr}, &p, dir)
+	res := mustExecute(t, Config{Platform: plat, Scheduler: sched.NewStatic(), Trace: tr}, &p, dir)
 	if len(tr.TasksOn(1)) != 1 {
 		t.Fatalf("GPU task records = %d, want 1", len(tr.TasksOn(1)))
 	}
-	h, d, n := tr.TransferStats()
-	if h != 8000 || d != 8000 || n != 2 {
-		t.Fatalf("transfer stats = %d/%d/%d", h, d, n)
+	if res.HtoDBytes != 8000 || res.DtoHBytes != 8000 || res.TransferCount != 2 {
+		t.Fatalf("transfers = %d/%d/%d", res.HtoDBytes, res.DtoHBytes, res.TransferCount)
 	}
-	if tr.ElemsByDevice("")[1] != 1000 {
-		t.Fatalf("trace elems = %v", tr.ElemsByDevice(""))
+	us := tr.Utilization(res.Makespan)
+	if len(us) != 1 || us[0].Device != 1 || us[0].Elems != 1000 || us[0].Transfers != 2 {
+		t.Fatalf("trace utilization = %+v", us)
+	}
+	if h, d := tr.LinkOccupancy(); h <= 0 || d <= 0 {
+		t.Fatalf("link occupancy = %v/%v, want both directions busy", h, d)
 	}
 	if tr.Gantt() == "" {
 		t.Fatal("empty gantt")

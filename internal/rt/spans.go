@@ -5,8 +5,8 @@ import (
 	"strconv"
 
 	"heteropart/internal/sim"
-	"heteropart/internal/task"
 	"heteropart/internal/telemetry"
+	"heteropart/internal/trace"
 )
 
 // SpanPhase describes one kernel invocation of the submitted plan for
@@ -89,38 +89,28 @@ func (s *rtSpans) under(instID int, start, end sim.Time) telemetry.SpanID {
 	return s.span[i]
 }
 
-// chunkDone records one task-instance execution.
-func (s *rtSpans) chunkDone(in *task.Instance, dev int, start, end sim.Time) {
+// add is the span consumer of emit; it sees only drawn events.
+func (s *rtSpans) add(ev *event) {
 	if s == nil {
 		return
 	}
-	id := s.tr.Emit(s.under(in.ID, start, end), telemetry.KindChunk, in.String(), start, end)
-	s.tr.Annotate(id, "dev", strconv.Itoa(dev))
-	s.tr.Annotate(id, "kernel", in.Kernel.Name)
-	s.tr.Annotate(id, "elems", strconv.FormatInt(in.Elems(), 10))
-}
-
-// transferDone records one host<->device movement.
-func (s *rtSpans) transferDone(buf string, dev int, toDev bool, bytes int64, start, end sim.Time) {
-	if s == nil {
-		return
+	switch ev.kind {
+	case trace.TaskRun:
+		in := ev.in
+		id := s.tr.Emit(s.under(in.ID, ev.start, ev.end), telemetry.KindChunk, in.String(), ev.start, ev.end)
+		s.tr.Annotate(id, "dev", strconv.Itoa(ev.dev))
+		s.tr.Annotate(id, "kernel", in.Kernel.Name)
+		s.tr.Annotate(id, "elems", strconv.FormatInt(in.Elems(), 10))
+	case trace.Transfer:
+		id := s.tr.Emit(s.parent, telemetry.KindTransfer, dirName[ev.dir()]+" "+ev.tr.Buf.Name, ev.start, ev.end)
+		s.tr.Annotate(id, "dev", strconv.Itoa(ev.dev))
+		s.tr.Annotate(id, "bytes", strconv.FormatInt(ev.tr.Bytes(), 10))
+	case trace.Decision:
+		id := s.tr.Emit(s.under(ev.in.ID, ev.start, ev.end), telemetry.KindDecide, "decide "+ev.in.String(), ev.start, ev.end)
+		s.tr.Annotate(id, "dev", strconv.Itoa(ev.dev))
+	case trace.Barrier:
+		s.tr.Emit(s.parent, telemetry.KindBarrier, "taskwait-flush", ev.start, ev.end)
 	}
-	dir := "DtoH"
-	if toDev {
-		dir = "HtoD"
-	}
-	id := s.tr.Emit(s.parent, telemetry.KindTransfer, dir+" "+buf, start, end)
-	s.tr.Annotate(id, "dev", strconv.Itoa(dev))
-	s.tr.Annotate(id, "bytes", strconv.FormatInt(bytes, 10))
-}
-
-// decision records one modeled scheduling-decision overhead.
-func (s *rtSpans) decision(in *task.Instance, dev int, start, end sim.Time) {
-	if s == nil {
-		return
-	}
-	id := s.tr.Emit(s.under(in.ID, start, end), telemetry.KindDecide, "decide "+in.String(), start, end)
-	s.tr.Annotate(id, "dev", strconv.Itoa(dev))
 }
 
 // fault records one injected failure as a point event at its virtual
@@ -131,14 +121,6 @@ func (s *rtSpans) fault(kind, label string, at sim.Time) {
 	}
 	id := s.tr.Emit(s.parent, telemetry.KindFault, kind+" "+label, at, at)
 	s.tr.Annotate(id, "fault", kind)
-}
-
-// barrier records one taskwait drain+flush.
-func (s *rtSpans) barrier(label string, start, end sim.Time) {
-	if s == nil {
-		return
-	}
-	s.tr.Emit(s.parent, telemetry.KindBarrier, label, start, end)
 }
 
 // finish closes the phase spans with their observed virtual extents.

@@ -79,17 +79,6 @@ func (s Spec) platform() *device.Platform {
 	return p
 }
 
-// calibCanonical renders the spec's calibration scales for the cache
-// keys: empty when the spec carries none, so calibration-free specs
-// encode exactly as they did before the field existed.
-func (s Spec) calibCanonical() string {
-	if len(s.Calib) == 0 {
-		return ""
-	}
-	c := device.Calibrated{Scales: s.Calib}
-	return "|calib=" + c.Canonical()
-}
-
 // PlatformFingerprint renders the identity of a platform from its
 // contents: device models, thread count, and link characteristics.
 // Two platforms with equal fingerprints model the same hardware, so
@@ -107,10 +96,8 @@ func (s Spec) Canonical() string {
 	if strat == "" {
 		strat = "(matchmake)"
 	}
-	return fmt.Sprintf("app=%s|strategy=%s|sync=%d|n=%d|iters=%d|plat=%s|chunks=%d|noseed=%t|compute=%t|trace=%t|metrics=%t|seed=%d|fault=%s%s",
-		s.App, strat, int(s.Sync), s.N, s.Iters,
-		PlatformFingerprint(s.platform()), s.Chunks, s.NoSeed, s.Compute,
-		s.CollectTrace, s.WithMetrics, s.Seed, s.Fault.Canonical(), s.calibCanonical())
+	obs := fmt.Sprintf("compute=%t|trace=%t|metrics=%t|", s.Compute, s.CollectTrace, s.WithMetrics)
+	return s.canonical("", strat, obs)
 }
 
 // Key is the content address of the spec: a SHA-256 over the canonical
@@ -129,9 +116,24 @@ func (s Spec) Key() string {
 // analyzer's pick), so "(matchmake)" and an explicit best-strategy
 // spec alias to the same plan.
 func (s Spec) PlanCanonical(resolved string) string {
-	return fmt.Sprintf("plan|app=%s|strategy=%s|sync=%d|n=%d|iters=%d|plat=%s|chunks=%d|noseed=%t|seed=%d|fault=%s%s",
-		s.App, resolved, int(s.Sync), s.N, s.Iters,
-		PlatformFingerprint(s.platform()), s.Chunks, s.NoSeed, s.Seed, s.Fault.Canonical(), s.calibCanonical())
+	return s.canonical("plan|", resolved, "")
+}
+
+// canonical renders both cache keys from one list of the decision
+// fields, in a fixed order after prefix. obs carries the observation
+// fields (compute, trace, metrics), which only Canonical renders; they
+// sit before seed. A new decision field is added here, once.
+func (s Spec) canonical(prefix, strategy, obs string) string {
+	enc := fmt.Sprintf("%sapp=%s|strategy=%s|sync=%d|n=%d|iters=%d|plat=%s|chunks=%d|noseed=%t|%sseed=%d|fault=%s",
+		prefix, s.App, strategy, int(s.Sync), s.N, s.Iters,
+		PlatformFingerprint(s.platform()), s.Chunks, s.NoSeed, obs, s.Seed, s.Fault.Canonical())
+	// Calibration-free specs encode exactly as they did before the
+	// field existed: no empty calib segment.
+	if len(s.Calib) > 0 {
+		c := device.Calibrated{Scales: s.Calib}
+		enc += "|calib=" + c.Canonical()
+	}
+	return enc
 }
 
 // PlanKey is the content address of the decision inputs; the plan

@@ -6,6 +6,7 @@ import (
 
 	"heteropart/internal/apps"
 	"heteropart/internal/device"
+	"heteropart/internal/fault"
 )
 
 func TestSpecKeyStable(t *testing.T) {
@@ -136,5 +137,78 @@ func TestSpecCanonicalMatchmakeSentinel(t *testing.T) {
 	}
 	if s.String() != "HotSpot/(matchmake)" {
 		t.Fatalf("String = %q", s.String())
+	}
+}
+
+// TestSpecCanonicalPinned pins both cache-key encodings byte for byte
+// for a spec with every field set: the result and plan caches are keyed
+// on them and the regress golden embeds Canonical in every bundle, so
+// neither may drift. Every decision field must move PlanKey; the
+// observation fields must move Key but never PlanKey.
+func TestSpecCanonicalPinned(t *testing.T) {
+	full := Spec{
+		App: "MatrixMul", Strategy: "DP-Perf", Sync: apps.SyncForced, N: 4096, Iters: 3,
+		Plat: device.PaperPlatform(6), Chunks: 24, NoSeed: true,
+		Compute: true, CollectTrace: true, WithMetrics: true, Seed: 7,
+		Fault: &fault.Schedule{Version: fault.ScheduleVersion, Seed: 11,
+			Faults: []fault.Fault{{Kind: fault.KindSlowdown, Device: fault.AnyDevice, Factor: 2}}},
+		Calib: []device.Scale{{Device: 1, Factor: 1.6}},
+	}
+	const plat = `plat=Intel Xeon E5-2620/m=6/384.0/42.6+Nvidia Tesla K20m/3519.3/208.0/link=6.0:6.0:10000:true+cost=calibrated[:1:1.6]`
+	const tail = `seed=7|fault={"version":1,"seed":11,"faults":[{"kind":"slowdown","device":-1,"factor":2}]}|calib=calibrated[:1:1.6]`
+	if got, want := full.Canonical(),
+		`app=MatrixMul|strategy=DP-Perf|sync=1|n=4096|iters=3|`+plat+`|chunks=24|noseed=true|compute=true|trace=true|metrics=true|`+tail; got != want {
+		t.Errorf("Canonical drifted:\n got %s\nwant %s", got, want)
+	}
+	if got, want := full.PlanCanonical("DP-Perf"),
+		`plan|app=MatrixMul|strategy=DP-Perf|sync=1|n=4096|iters=3|`+plat+`|chunks=24|noseed=true|`+tail; got != want {
+		t.Errorf("PlanCanonical drifted:\n got %s\nwant %s", got, want)
+	}
+	if got, want := (Spec{App: "HotSpot"}).Canonical(),
+		`app=HotSpot|strategy=(matchmake)|sync=0|n=0|iters=0|plat=Intel Xeon E5-2620/m=12/384.0/42.6+Nvidia Tesla K20m/3519.3/208.0/link=6.0:6.0:10000:true|chunks=0|noseed=false|compute=false|trace=false|metrics=false|seed=0|fault=-`; got != want {
+		t.Errorf("zero-spec Canonical drifted:\n got %s\nwant %s", got, want)
+	}
+	if got, want := (Spec{App: "HotSpot"}).PlanCanonical("SP-Single"),
+		`plan|app=HotSpot|strategy=SP-Single|sync=0|n=0|iters=0|plat=Intel Xeon E5-2620/m=12/384.0/42.6+Nvidia Tesla K20m/3519.3/208.0/link=6.0:6.0:10000:true|chunks=0|noseed=false|seed=0|fault=-`; got != want {
+		t.Errorf("zero-spec PlanCanonical drifted:\n got %s\nwant %s", got, want)
+	}
+
+	const resolved = "DP-Perf"
+	decision := map[string]func(*Spec){
+		"app":      func(s *Spec) { s.App = "HotSpot" },
+		"sync":     func(s *Spec) { s.Sync = apps.SyncNone },
+		"n":        func(s *Spec) { s.N = 2048 },
+		"iters":    func(s *Spec) { s.Iters = 4 },
+		"platform": func(s *Spec) { s.Plat = device.PaperPlatform(12) },
+		"chunks":   func(s *Spec) { s.Chunks = 12 },
+		"noseed":   func(s *Spec) { s.NoSeed = false },
+		"seed":     func(s *Spec) { s.Seed = 8 },
+		"fault":    func(s *Spec) { s.Fault = nil },
+		"calib":    func(s *Spec) { s.Calib = []device.Scale{{Device: 1, Factor: 1.7}} },
+	}
+	for field, mutate := range decision {
+		v := full
+		mutate(&v)
+		if v.PlanKey(resolved) == full.PlanKey(resolved) {
+			t.Errorf("decision field %s did not change PlanKey", field)
+		}
+	}
+	if full.PlanKey("SP-Single") == full.PlanKey(resolved) {
+		t.Error("the resolved strategy did not change PlanKey")
+	}
+	observation := map[string]func(*Spec){
+		"compute": func(s *Spec) { s.Compute = false },
+		"trace":   func(s *Spec) { s.CollectTrace = false },
+		"metrics": func(s *Spec) { s.WithMetrics = false },
+	}
+	for field, mutate := range observation {
+		v := full
+		mutate(&v)
+		if v.PlanKey(resolved) != full.PlanKey(resolved) {
+			t.Errorf("observation field %s changed PlanKey", field)
+		}
+		if v.Key() == full.Key() {
+			t.Errorf("observation field %s did not change Key", field)
+		}
 	}
 }

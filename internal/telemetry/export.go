@@ -4,21 +4,14 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"sort"
 )
 
-// This file holds the span exporters:
-//
-//   - a self-describing JSON span dump (versioned envelope, spans in
-//     ID order) — the format the flight recorder embeds;
-//   - Chrome trace-event JSON, loadable in chrome://tracing and
-//     Perfetto: one timeline track per root span, laid out on the
-//     tracer's wall clock (the only clock that spans sweeps and
-//     planning; spans that also have a virtual interval carry it in
-//     their args).
-//
-// Both exporters are deterministic given the same recorded spans:
+// This file holds the span exporter: a self-describing JSON span dump
+// (versioned envelope, spans in ID order), the format the flight
+// recorder embeds. It is deterministic given the same recorded spans:
 // output order is span-ID order, no map is iterated during rendering.
+// A run's virtual timeline is drawn by internal/trace's Chrome
+// exporter, one track per device.
 
 // DumpVersion is the span-dump format version.
 const DumpVersion = 1
@@ -58,105 +51,4 @@ func ParseDump(data []byte) (*Dump, error) {
 		return nil, fmt.Errorf("telemetry: span dump version %d, this build reads %d", d.Version, DumpVersion)
 	}
 	return &d, nil
-}
-
-// spanChromeEvent is one trace-event object of the span export.
-type spanChromeEvent struct {
-	Name string          `json:"name"`
-	Ph   string          `json:"ph"`
-	Cat  string          `json:"cat,omitempty"`
-	Ts   float64         `json:"ts"`
-	Dur  float64         `json:"dur"`
-	Pid  int             `json:"pid"`
-	Tid  int64           `json:"tid"`
-	Args *spanChromeArgs `json:"args,omitempty"`
-}
-
-type spanChromeArgs struct {
-	Name    string `json:"name,omitempty"`
-	Span    int64  `json:"span,omitempty"`
-	Parent  int64  `json:"parent,omitempty"`
-	VStart  int64  `json:"vstart_ns,omitempty"`
-	VEnd    int64  `json:"vend_ns,omitempty"`
-	Virtual bool   `json:"virtual,omitempty"`
-}
-
-// WriteChrome writes the spans in Chrome trace-event JSON: each root
-// span becomes one track (tid = root span ID), its descendants nest on
-// it by start/duration. Open spans are clamped to the latest recorded
-// wall timestamp. Safe on nil (writes a valid empty trace).
-func (t *Tracer) WriteChrome(w io.Writer) error {
-	spans := t.Spans()
-
-	// Resolve each span's root (track) by walking parent chains.
-	byID := make(map[SpanID]*Span, len(spans))
-	for i := range spans {
-		byID[spans[i].ID] = &spans[i]
-	}
-	rootOf := func(s *Span) SpanID {
-		for s.Parent != 0 {
-			p, ok := byID[s.Parent]
-			if !ok {
-				break
-			}
-			s = p
-		}
-		return s.ID
-	}
-
-	var latest int64
-	for i := range spans {
-		if spans[i].WallEnd > latest {
-			latest = spans[i].WallEnd
-		}
-		if spans[i].WallStart > latest {
-			latest = spans[i].WallStart
-		}
-	}
-
-	events := make([]spanChromeEvent, 0, len(spans)*2)
-	events = append(events, spanChromeEvent{
-		Name: "process_name", Ph: "M", Pid: 0, Tid: 0,
-		Args: &spanChromeArgs{Name: "heteropart spans"},
-	})
-	seenRoot := map[SpanID]bool{}
-	for i := range spans {
-		s := &spans[i]
-		root := rootOf(s)
-		if !seenRoot[root] {
-			seenRoot[root] = true
-			r := byID[root]
-			events = append(events, spanChromeEvent{
-				Name: "thread_name", Ph: "M", Pid: 0, Tid: int64(root),
-				Args: &spanChromeArgs{Name: r.Kind.String() + " " + r.Name},
-			})
-		}
-		end := s.WallEnd
-		if end == 0 {
-			end = latest
-		}
-		ev := spanChromeEvent{
-			Name: s.Name, Ph: "X", Cat: s.Kind.String(),
-			Ts:  float64(s.WallStart) / 1e3,
-			Dur: float64(end-s.WallStart) / 1e3,
-			Pid: 0, Tid: int64(root),
-			Args: &spanChromeArgs{Span: int64(s.ID), Parent: int64(s.Parent)},
-		}
-		if s.HasVirtual {
-			ev.Args.VStart, ev.Args.VEnd, ev.Args.Virtual = s.VStart, s.VEnd, true
-		}
-		events = append(events, ev)
-	}
-	sort.SliceStable(events, func(i, j int) bool {
-		if events[i].Ph != events[j].Ph {
-			return events[i].Ph == "M"
-		}
-		return events[i].Ts < events[j].Ts
-	})
-
-	doc := struct {
-		TraceEvents     []spanChromeEvent `json:"traceEvents"`
-		DisplayTimeUnit string            `json:"displayTimeUnit"`
-	}{TraceEvents: events, DisplayTimeUnit: "ms"}
-	return json.NewEncoder(w).Encode(doc)
 }

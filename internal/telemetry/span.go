@@ -24,6 +24,8 @@
 package telemetry
 
 import (
+	"encoding/json"
+	"fmt"
 	"sync"
 	"time"
 
@@ -87,30 +89,25 @@ func (k Kind) String() string {
 	return "unknown"
 }
 
-// KindFromString inverts String; unknown names map to KindRun.
-func KindFromString(s string) Kind {
-	for i, n := range kindNames {
-		if n == s {
-			return Kind(i)
-		}
-	}
-	return KindRun
-}
-
 // MarshalJSON renders the kind name, keeping span dumps
 // self-describing.
 func (k Kind) MarshalJSON() ([]byte, error) {
 	return []byte(`"` + k.String() + `"`), nil
 }
 
-// UnmarshalJSON parses a kind name.
+// UnmarshalJSON parses a kind name, rejecting any name String does not
+// produce: a corrupted dump fails to decode instead of guessing a kind.
 func (k *Kind) UnmarshalJSON(data []byte) error {
-	s := string(data)
-	if len(s) >= 2 && s[0] == '"' {
-		s = s[1 : len(s)-1]
+	var s string
+	if err := json.Unmarshal(data, &s); err == nil {
+		for i, n := range kindNames {
+			if n == s {
+				*k = Kind(i)
+				return nil
+			}
+		}
 	}
-	*k = KindFromString(s)
-	return nil
+	return fmt.Errorf("telemetry: unknown span kind %s", data)
 }
 
 // Attr is one key/value annotation on a span. A slice (not a map)

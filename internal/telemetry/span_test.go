@@ -2,7 +2,6 @@ package telemetry
 
 import (
 	"bytes"
-	"encoding/json"
 	"strings"
 	"testing"
 )
@@ -126,46 +125,32 @@ func TestDumpRoundTrip(t *testing.T) {
 	if _, err := ParseDump([]byte(`{"version":99,"spans":[]}`)); err == nil {
 		t.Fatal("unknown version accepted")
 	}
+	if _, err := ParseDump([]byte(`{"version":1,"spans":[{"id":1,"kind":"chnuk","name":"c"}]}`)); err == nil {
+		t.Fatal("unknown span kind accepted")
+	}
 }
 
 func TestKindStrings(t *testing.T) {
-	for k := KindSweep; k <= KindWarmup; k++ {
+	for k := KindSweep; k <= KindFault; k++ {
 		if k.String() == "unknown" {
 			t.Fatalf("kind %d has no name", k)
 		}
-		if KindFromString(k.String()) != k {
-			t.Fatalf("kind %v does not round-trip", k)
+		data, err := k.MarshalJSON()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var back Kind
+		if err := back.UnmarshalJSON(data); err != nil || back != k {
+			t.Fatalf("kind %v does not round-trip: got %v, %v", k, back, err)
 		}
 	}
-}
-
-func TestWriteChromeValid(t *testing.T) {
-	tr := New()
-	run := tr.Begin(0, KindRun, "r")
-	tr.Emit(run, KindChunk, "c", 0, 10)
-	tr.End(run)
-	var b bytes.Buffer
-	if err := tr.WriteChrome(&b); err != nil {
-		t.Fatal(err)
+	if (KindFault + 1).String() != "unknown" {
+		t.Fatalf("kind past KindFault is named %q; extend this test", (KindFault + 1).String())
 	}
-	var doc struct {
-		TraceEvents     []map[string]any `json:"traceEvents"`
-		DisplayTimeUnit string           `json:"displayTimeUnit"`
-	}
-	if err := json.Unmarshal(b.Bytes(), &doc); err != nil {
-		t.Fatalf("chrome export is not valid JSON: %v\n%s", err, b.String())
-	}
-	if doc.DisplayTimeUnit != "ms" || len(doc.TraceEvents) < 3 {
-		t.Fatalf("chrome export malformed: %+v", doc)
-	}
-
-	// Empty tracer still writes a valid document.
-	b.Reset()
-	var nilTr *Tracer
-	if err := nilTr.WriteChrome(&b); err != nil {
-		t.Fatal(err)
-	}
-	if err := json.Unmarshal(b.Bytes(), &doc); err != nil {
-		t.Fatalf("empty chrome export invalid: %v", err)
+	for _, bad := range []string{`"chnuk"`, `"unknown"`, `""`, `3`, `null`} {
+		var k Kind
+		if err := k.UnmarshalJSON([]byte(bad)); err == nil {
+			t.Fatalf("kind %s decoded as %v, want an error", bad, k)
+		}
 	}
 }

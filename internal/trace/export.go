@@ -142,10 +142,7 @@ func (t *Trace) ChromeTrace(w io.Writer) error {
 			ev.Tid = r.Device
 			ev.Args = &chromeEventArgs{Kernel: r.Kernel, Elems: r.Elems}
 		case Transfer:
-			dir := "DtoH"
-			if r.ToDev {
-				dir = "HtoD"
-			}
+			dir := r.direction()
 			ev.Name = dir + " " + r.Label
 			ev.Cat = "transfer"
 			ev.Tid = r.Device
@@ -189,11 +186,7 @@ func (t *Trace) WriteCSV(w io.Writer) error {
 	for _, r := range t.sortedRecords() {
 		dir := ""
 		if r.Kind == Transfer {
-			if r.ToDev {
-				dir = "HtoD"
-			} else {
-				dir = "DtoH"
-			}
+			dir = r.direction()
 		}
 		b.WriteString(r.Kind.String())
 		b.WriteByte(',')
@@ -216,6 +209,17 @@ func (t *Trace) WriteCSV(w io.Writer) error {
 	}
 	_, err := io.WriteString(w, b.String())
 	return err
+}
+
+// direction names a transfer record's direction in the exports.
+func (r Record) direction() string {
+	switch {
+	case r.P2P:
+		return "P2P"
+	case r.ToDev:
+		return "HtoD"
+	}
+	return "DtoH"
 }
 
 // csvQuote quotes a field when it contains CSV metacharacters.

@@ -192,3 +192,40 @@ func TestCSVQuote(t *testing.T) {
 		t.Fatalf("quoted = %q", csvQuote(`a,b"c`))
 	}
 }
+
+// TestP2PTransferDirection: a peer-to-peer transfer lands on a device
+// (ToDev is set), yet every view must name it P2P, never host-to-device.
+func TestP2PTransferDirection(t *testing.T) {
+	tr := &Trace{}
+	tr.Add(Record{Kind: Transfer, Start: 0, End: 40, Device: 2, Label: "a(p2p 1->2)", Bytes: 64, ToDev: true, P2P: true})
+
+	var csv bytes.Buffer
+	if err := tr.WriteCSV(&csv); err != nil {
+		t.Fatal(err)
+	}
+	if want := "xfer,0,40,2,a(p2p 1->2),,0,64,P2P\n"; !strings.HasSuffix(csv.String(), want) {
+		t.Fatalf("csv = %q, want a row ending %q", csv.String(), want)
+	}
+
+	var b bytes.Buffer
+	if err := tr.ChromeTrace(&b); err != nil {
+		t.Fatal(err)
+	}
+	var spans int
+	for _, ev := range decodeChrome(t, b.Bytes()).TraceEvents {
+		if ev.Ph != "X" {
+			continue
+		}
+		spans++
+		if ev.Name != "P2P a(p2p 1->2)" || ev.Args["direction"] != "P2P" {
+			t.Fatalf("chrome event = %q %v, want P2P name and direction", ev.Name, ev.Args)
+		}
+	}
+	if spans != 1 {
+		t.Fatalf("chrome spans = %d, want 1", spans)
+	}
+
+	if g := tr.Gantt(); !strings.Contains(g, " P2P a(p2p 1->2)") || strings.Contains(g, "H->D") {
+		t.Fatalf("gantt = %q, want the P2P direction", g)
+	}
+}

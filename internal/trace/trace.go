@@ -18,7 +18,8 @@ type Kind int
 const (
 	// TaskRun is a task-instance execution on a device.
 	TaskRun Kind = iota
-	// Transfer is a host<->device data movement.
+	// Transfer is a data movement: host<->device, or device-to-device
+	// over a peer link (Record.P2P).
 	Transfer
 	// Barrier is a taskwait (the span covers the drain + flush).
 	Barrier
@@ -53,7 +54,8 @@ type Record struct {
 	Kernel string // kernel name for TaskRun records
 	Elems  int64  // chunk length for TaskRun records
 	Bytes  int64  // payload for Transfer records
-	ToDev  bool   // transfer direction (host-to-device?)
+	ToDev  bool   // transfer lands on a device (host-to-device or P2P)
+	P2P    bool   // direct device-to-device transfer over a peer link
 }
 
 // Span returns the record's duration.
@@ -88,74 +90,6 @@ func (t *Trace) TasksOn(dev int) []Record {
 	return out
 }
 
-// ElemsByDevice sums computed elements per device, optionally filtered
-// to one kernel name ("" = all kernels). This is the paper's
-// partitioning-ratio measurement: for dynamic strategies it counts what
-// actually ran where.
-func (t *Trace) ElemsByDevice(kernel string) map[int]int64 {
-	out := make(map[int]int64)
-	if t == nil {
-		return out
-	}
-	for _, r := range t.Records {
-		if r.Kind != TaskRun {
-			continue
-		}
-		if kernel != "" && r.Kernel != kernel {
-			continue
-		}
-		out[r.Device] += r.Elems
-	}
-	return out
-}
-
-// TransferStats sums transfer bytes and counts per direction.
-func (t *Trace) TransferStats() (htodBytes, dtohBytes int64, count int) {
-	if t == nil {
-		return 0, 0, 0
-	}
-	for _, r := range t.Records {
-		if r.Kind != Transfer {
-			continue
-		}
-		count++
-		if r.ToDev {
-			htodBytes += r.Bytes
-		} else {
-			dtohBytes += r.Bytes
-		}
-	}
-	return
-}
-
-// BusyByDevice sums TaskRun spans per device.
-func (t *Trace) BusyByDevice() map[int]sim.Duration {
-	out := make(map[int]sim.Duration)
-	if t == nil {
-		return out
-	}
-	for _, r := range t.Records {
-		if r.Kind == TaskRun {
-			out[r.Device] += r.Span()
-		}
-	}
-	return out
-}
-
-// Decisions counts scheduling-decision records.
-func (t *Trace) Decisions() int {
-	if t == nil {
-		return 0
-	}
-	n := 0
-	for _, r := range t.Records {
-		if r.Kind == Decision {
-			n++
-		}
-	}
-	return n
-}
-
 // Gantt renders a plain-text Gantt summary: one line per record, sorted
 // by start time. Intended for debugging and the hetsim CLI's -trace
 // flag.
@@ -163,18 +97,18 @@ func (t *Trace) Gantt() string {
 	if t == nil || len(t.Records) == 0 {
 		return "(empty trace)\n"
 	}
-	recs := make([]Record, len(t.Records))
-	copy(recs, t.Records)
-	sort.SliceStable(recs, func(i, j int) bool { return recs[i].Start < recs[j].Start })
 	var b strings.Builder
-	for _, r := range recs {
+	for _, r := range t.sortedRecords() {
 		switch r.Kind {
 		case TaskRun:
 			fmt.Fprintf(&b, "%12v %12v dev%-2d %-8s %s (%d elems)\n",
 				r.Start, r.End, r.Device, r.Kind, r.Label, r.Elems)
 		case Transfer:
 			dir := "D->H"
-			if r.ToDev {
+			switch {
+			case r.P2P:
+				dir = "P2P"
+			case r.ToDev:
 				dir = "H->D"
 			}
 			fmt.Fprintf(&b, "%12v %12v dev%-2d %-8s %s %s (%d B)\n",

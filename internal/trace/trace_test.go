@@ -30,15 +30,11 @@ func TestKindNames(t *testing.T) {
 func TestNilTraceIsSafe(t *testing.T) {
 	var tr *Trace
 	tr.Add(Record{Kind: TaskRun}) // must not panic
-	if tr.TasksOn(0) != nil || tr.Decisions() != 0 {
+	if tr.TasksOn(0) != nil || tr.Utilization(100) != nil {
 		t.Fatal("nil trace leaked data")
 	}
-	if len(tr.ElemsByDevice("")) != 0 || len(tr.BusyByDevice()) != 0 {
-		t.Fatal("nil trace maps non-empty")
-	}
-	h, d, n := tr.TransferStats()
-	if h != 0 || d != 0 || n != 0 {
-		t.Fatal("nil trace transfer stats non-zero")
+	if h, d := tr.LinkOccupancy(); h != 0 || d != 0 {
+		t.Fatal("nil trace link occupancy non-zero")
 	}
 	if tr.Gantt() != "(empty trace)\n" {
 		t.Fatal("nil trace gantt wrong")
@@ -56,34 +52,48 @@ func TestTasksOnSortsByStart(t *testing.T) {
 	}
 }
 
+// byDevice indexes a Utilization result by device ID.
+func byDevice(us []DeviceUtilization) map[int]DeviceUtilization {
+	out := make(map[int]DeviceUtilization, len(us))
+	for _, u := range us {
+		out[u.Device] = u
+	}
+	return out
+}
+
 func TestElemsByDevice(t *testing.T) {
 	tr := sample()
-	all := tr.ElemsByDevice("")
-	if all[0] != 400 || all[1] != 500 {
-		t.Fatalf("all-kernel elems = %v", all)
+	all := byDevice(tr.Utilization(400))
+	if all[0].Elems != 400 || all[1].Elems != 500 {
+		t.Fatalf("all-kernel elems = %+v", all)
 	}
-	kOnly := tr.ElemsByDevice("k")
+	// Per-kernel split: the TaskRun records carry the kernel name.
+	kOnly := make(map[int]int64)
+	for _, dev := range []int{0, 1} {
+		for _, r := range tr.TasksOn(dev) {
+			if r.Kernel == "k" {
+				kOnly[dev] += r.Elems
+			}
+		}
+	}
 	if kOnly[0] != 300 || kOnly[1] != 500 {
 		t.Fatalf("kernel-k elems = %v", kOnly)
 	}
 }
 
-func TestTransferStats(t *testing.T) {
-	h, d, n := sample().TransferStats()
-	if h != 4000 || d != 2000 || n != 2 {
-		t.Fatalf("stats = %d/%d/%d", h, d, n)
-	}
-}
-
 func TestBusyByDevice(t *testing.T) {
-	busy := sample().BusyByDevice()
-	if busy[0] != 260 || busy[1] != 100 {
-		t.Fatalf("busy = %v", busy)
+	busy := byDevice(sample().Utilization(400))
+	if busy[0].Busy != 260 || busy[1].Busy != 100 {
+		t.Fatalf("busy = %+v", busy)
 	}
 }
 
 func TestDecisionsCount(t *testing.T) {
-	if got := sample().Decisions(); got != 1 {
+	got := 0
+	for _, u := range sample().Utilization(400) {
+		got += u.Decisions
+	}
+	if got != 1 {
 		t.Fatalf("decisions = %d", got)
 	}
 }
@@ -121,7 +131,7 @@ func TestUtilization(t *testing.T) {
 	if us[0].Utilization < 0.64 || us[0].Utilization > 0.66 {
 		t.Fatalf("dev0 utilization = %v", us[0].Utilization)
 	}
-	if us[1].Device != 1 || us[1].Busy != 100 {
+	if us[1].Device != 1 || us[1].Busy != 100 || us[1].Elems != 500 {
 		t.Fatalf("dev1 = %+v", us[1])
 	}
 	rep := tr.UtilizationReport(400)
