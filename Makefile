@@ -34,9 +34,12 @@ lint:
 
 # Race-check the whole module. The sweep runner shards simulations
 # across goroutines, so every package must stay race-clean, not just
-# the observability layer.
+# the observability layer. The coalescing group is the state the
+# runner's caches and the service's flights share across goroutines,
+# so its tests run repeatedly under the detector.
 race:
 	$(GO) test -race ./...
+	$(GO) test -race -count=10 ./internal/coalesce
 
 # Narrower race pass kept for quick iteration on the metrics/trace
 # layer.

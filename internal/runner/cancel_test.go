@@ -9,6 +9,7 @@ import (
 
 	"heteropart/internal/apierr"
 	"heteropart/internal/metrics"
+	"heteropart/internal/telemetry"
 )
 
 // slowSpecs are chunk-heavy sweep points: each takes hundreds of
@@ -79,6 +80,56 @@ func TestRunAllContextCancelMidFlight(t *testing.T) {
 		if string(a) != string(b) {
 			t.Errorf("spec %d: rerun after cancel diverges from clean run", i)
 		}
+	}
+}
+
+// TestRunContextWaiterKeepsOwnContext: a caller that joined a running
+// spec keeps waiting under its own context when the caller that
+// started the run gives up. The starter gets the cancellation; the
+// joiner gets the result.
+func TestRunContextWaiterKeepsOwnContext(t *testing.T) {
+	tr := telemetry.New()
+	r := New(Config{Workers: 1, Spans: tr})
+	spec := slowSpecs()[0]
+
+	ctxA, cancelA := context.WithCancel(context.Background())
+	defer cancelA()
+	errA := make(chan error, 1)
+	go func() {
+		_, err := r.RunContext(ctxA, spec)
+		errA <- err
+	}()
+	// The first span is the run span of the first caller's execution.
+	deadline := time.Now().Add(5 * time.Second)
+	for tr.Len() == 0 && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+
+	type result struct {
+		res *Result
+		err error
+	}
+	done := make(chan result, 1)
+	go func() {
+		res, err := r.RunContext(context.Background(), spec)
+		done <- result{res, err}
+	}()
+	// The join itself is not observable from outside; the pause gives
+	// the second caller time to join the running spec before the first
+	// gives up. The expected outcome does not depend on it: a caller
+	// that arrives after the first one left starts the spec afresh.
+	time.Sleep(20 * time.Millisecond)
+	cancelA()
+
+	if err := <-errA; !errors.Is(err, apierr.ErrCanceled) {
+		t.Errorf("starter error = %v, want wrapping apierr.ErrCanceled", err)
+	}
+	got := <-done
+	if got.err != nil {
+		t.Fatalf("joiner with a background context failed: %v", got.err)
+	}
+	if got.res == nil || got.res.Outcome == nil {
+		t.Fatalf("joiner got no outcome: %+v", got.res)
 	}
 }
 

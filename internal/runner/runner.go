@@ -11,11 +11,11 @@
 //
 // A content-addressed result cache keyed by the canonical Spec
 // encoding (Spec.Key) lets repeated sweeps — auto-tuning, ratio
-// sweeps, report regeneration — skip already-measured points. Lookups
-// are single-flight: concurrent requests for the same key coalesce
-// onto one execution and all receive the identical *Result, which
-// also keeps the hit/miss counters deterministic regardless of the
-// worker count.
+// sweeps, report regeneration — skip already-measured points. It is a
+// coalesce.Group: concurrent requests for the same key coalesce onto
+// one execution and all receive the identical *Result, which also
+// keeps the hit/miss counters deterministic regardless of the worker
+// count. Successful results are memoized; failures are not.
 //
 // Decisions are cached separately from results: a plan cache keyed by
 // Spec.PlanKey — the decision inputs only, excluding compute/trace/
@@ -23,12 +23,12 @@
 // sweep points sharing an (app, platform, strategy, size) prefix skip
 // the repeated Glinda profiling and go straight to execution. Plans
 // are immutable and materialize fresh task instances per run, so one
-// cached plan safely backs concurrent executions.
+// cached plan safely backs concurrent executions. The plan cache is a
+// second coalesce.Group under the same rules.
 package runner
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"strconv"
 	"sync"
@@ -36,6 +36,7 @@ import (
 	"heteropart/internal/analyzer"
 	"heteropart/internal/apierr"
 	"heteropart/internal/apps"
+	"heteropart/internal/coalesce"
 	"heteropart/internal/device"
 	"heteropart/internal/metrics"
 	"heteropart/internal/plan"
@@ -82,21 +83,6 @@ type Config struct {
 	Spans *telemetry.Tracer
 }
 
-// cacheEntry is one single-flight slot: the first requester executes,
-// later requesters wait on done and read the identical result.
-type cacheEntry struct {
-	done chan struct{}
-	res  *Result
-	err  error
-}
-
-// planEntry is the plan cache's single-flight slot.
-type planEntry struct {
-	done chan struct{}
-	pl   *plan.ExecutionPlan
-	err  error
-}
-
 // Runner executes Specs over a bounded worker pool with an optional
 // content-addressed result cache. The zero value is not usable; call
 // New.
@@ -108,9 +94,8 @@ type Runner struct {
 	// execution they wait on.
 	sem chan int
 
-	mu        sync.Mutex
-	cache     map[string]*cacheEntry // nil when caching is off
-	planCache map[string]*planEntry  // nil when caching is off
+	results *coalesce.Group[*Result]             // nil when caching is off
+	plans   *coalesce.Group[*plan.ExecutionPlan] // nil when caching is off
 
 	runs, hits, misses   *metrics.Counter
 	planHits, planMisses *metrics.Counter
@@ -135,10 +120,6 @@ func New(cfg Config) *Runner {
 	for i := 0; i < cfg.Workers; i++ {
 		r.sem <- i
 	}
-	if !cfg.DisableCache {
-		r.cache = make(map[string]*cacheEntry)
-		r.planCache = make(map[string]*planEntry)
-	}
 	if m := cfg.Metrics; m != nil {
 		r.runs = m.Counter("runner_runs_total", "simulation runs executed by the sweep pool")
 		r.hits = m.Counter("runner_cache_hits_total", "sweep points served from the result cache")
@@ -152,6 +133,10 @@ func New(cfg Config) *Runner {
 				"runs completed per pool worker (not deterministic across worker counts)")
 		}
 	}
+	if !cfg.DisableCache {
+		r.results = coalesce.New[*Result](context.Background(), 0, nil, r.hits, r.misses)
+		r.plans = coalesce.New[*plan.ExecutionPlan](context.Background(), 0, nil, r.planHits, r.planMisses)
+	}
 	return r
 }
 
@@ -163,12 +148,14 @@ func (r *Runner) Run(spec Spec) (*Result, error) {
 	return r.run(context.Background(), spec, 0)
 }
 
-// RunContext is Run under a cancellation context: the context gates
-// worker acquisition, cache waits and the simulation's phase
-// boundaries; an abandoned run returns an error wrapping
-// apierr.ErrCanceled. A canceled execution is evicted from the result
-// cache before its single-flight slot closes, so a later identical
-// spec re-executes cleanly instead of recalling the abort.
+// RunContext is Run under a cancellation context. The context bounds
+// worker acquisition, this caller's wait and the simulation's phase
+// boundaries; a caller that gives up gets an error wrapping
+// apierr.ErrCanceled. Identical specs coalesce onto one execution that
+// runs under its own context: one caller giving up does not cancel it
+// for the others, and the execution is abandoned only when every caller
+// waiting on it has given up — its key is then free, so a later
+// identical spec re-executes cleanly instead of recalling the abort.
 func (r *Runner) RunContext(ctx context.Context, spec Spec) (*Result, error) {
 	return r.run(ctx, spec, 0)
 }
@@ -178,37 +165,13 @@ func (r *Runner) run(ctx context.Context, spec Spec, parent telemetry.SpanID) (*
 	if err := apierr.FromContext(ctx); err != nil {
 		return nil, err
 	}
-	if r.cache == nil {
+	if r.results == nil {
 		return r.execute(ctx, spec, parent)
 	}
-	key := spec.Key()
-	r.mu.Lock()
-	if e, ok := r.cache[key]; ok {
-		r.mu.Unlock()
-		select {
-		case <-e.done:
-		case <-ctx.Done():
-			return nil, apierr.Canceled(ctx.Err())
-		}
-		r.hits.Inc()
-		return e.res, e.err
-	}
-	e := &cacheEntry{done: make(chan struct{})}
-	r.cache[key] = e
-	r.mu.Unlock()
-	r.misses.Inc()
-	e.res, e.err = r.execute(ctx, spec, parent)
-	if e.err != nil && errors.Is(e.err, apierr.ErrCanceled) {
-		// Never cache a cancellation: the abort reflects this caller's
-		// context, not the spec's (deterministic) result.
-		r.mu.Lock()
-		if r.cache[key] == e {
-			delete(r.cache, key)
-		}
-		r.mu.Unlock()
-	}
-	close(e.done)
-	return e.res, e.err
+	res, _, err := r.results.Do(ctx, spec.Key(), func(ctx context.Context) (*Result, error) {
+		return r.execute(ctx, spec, parent)
+	})
+	return res, err
 }
 
 // RunAll executes every spec, fanning out over the worker pool, and
@@ -220,10 +183,10 @@ func (r *Runner) RunAll(specs []Spec) ([]*Result, error) {
 }
 
 // RunAllContext is RunAll under a cancellation context: once ctx is
-// done, queued specs fail fast and executing specs abandon at their
-// next phase boundary; the first error (by input position) wraps
-// apierr.ErrCanceled. With a background context the results are
-// byte-identical to RunAll.
+// done, every spec's wait ends at once, and executions no other caller
+// waits on are canceled and abandon at their next phase boundary; the
+// first error (by input position) wraps apierr.ErrCanceled. With a
+// background context the results are byte-identical to RunAll.
 func (r *Runner) RunAllContext(ctx context.Context, specs []Spec) ([]*Result, error) {
 	sweep := r.spans.Begin(0, telemetry.KindSweep, fmt.Sprintf("sweep %d specs", len(specs)))
 	defer r.spans.End(sweep)
@@ -252,38 +215,21 @@ func (r *Runner) RunAllContext(ctx context.Context, specs []Spec) ([]*Result, er
 // (same key as executed specs, so a later execution of the spec reuses
 // it). The returned report is non-nil only for matchmade specs
 // (Spec.Strategy == ""). Planning itself is not interruptible; ctx
-// gates entry.
+// gates entry and bounds the wait for a decision.
 func (r *Runner) PlanContext(ctx context.Context, spec Spec) (*plan.ExecutionPlan, *analyzer.Report, error) {
 	if err := apierr.FromContext(ctx); err != nil {
 		return nil, nil, err
 	}
 	plat := spec.platform()
-	app, err := apps.ByName(spec.App)
+	p, err := spec.build(plat, false)
 	if err != nil {
 		return nil, nil, err
 	}
-	p, err := app.Build(apps.Variant{
-		N: spec.N, Iters: spec.Iters, Sync: spec.Sync,
-		Spaces: 1 + len(plat.Accels),
-	})
-	if err != nil {
-		return nil, nil, err
-	}
-	var rep *analyzer.Report
-	stratName := spec.Strategy
-	if stratName == "" {
-		rr, err := analyzer.Analyze(p)
-		if err != nil {
-			return nil, nil, err
-		}
-		rep = &rr
-		stratName = rr.Best
-	}
-	s, err := strategy.ByName(stratName)
+	s, rep, err := spec.resolve(p)
 	if err != nil {
 		return nil, rep, err
 	}
-	pl, err := r.planFor(spec, s, plat, p, strategy.Options{
+	pl, err := r.planFor(ctx, spec, s, plat, p, strategy.Options{
 		Chunks: spec.Chunks, NoSeed: spec.NoSeed, Spans: r.spans,
 		Faults: spec.Fault,
 	})
@@ -309,15 +255,7 @@ func (r *Runner) execute(ctx context.Context, spec Spec, parent telemetry.SpanID
 	r.spans.Annotate(runSpan, "n", strconv.FormatInt(spec.N, 10))
 
 	plat := spec.platform()
-	app, err := apps.ByName(spec.App)
-	if err != nil {
-		return nil, err
-	}
-	p, err := app.Build(apps.Variant{
-		N: spec.N, Iters: spec.Iters, Sync: spec.Sync,
-		Spaces:  1 + len(plat.Accels),
-		Compute: spec.Compute,
-	})
+	p, err := spec.build(plat, spec.Compute)
 	if err != nil {
 		return nil, err
 	}
@@ -339,21 +277,13 @@ func (r *Runner) execute(ctx context.Context, spec Spec, parent telemetry.SpanID
 	// analyzer — Analyze is pure, so splitting it from the execution
 	// preserves Matchmake's behaviour), then decide and execute as
 	// separate steps so the decision can come from the plan cache.
-	stratName := spec.Strategy
-	if stratName == "" {
-		rep, err := analyzer.Analyze(p)
-		if err != nil {
-			return nil, err
-		}
-		res.Report = &rep
-		stratName = rep.Best
-	}
-	s, err := strategy.ByName(stratName)
+	s, rep, err := spec.resolve(p)
 	if err != nil {
 		return nil, err
 	}
+	res.Report = rep
 	r.spans.Annotate(runSpan, "strategy", s.Name())
-	pl, err := r.planFor(spec, s, plat, p, opts)
+	pl, err := r.planFor(ctx, spec, s, plat, p, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -362,16 +292,11 @@ func (r *Runner) execute(ctx context.Context, spec Spec, parent telemetry.SpanID
 		// Faulted executions go through the bounded device-loss
 		// recovery: a lost accelerator replans on the survivors, and
 		// the result records the plan that actually executed. A failed
-		// faulted run returns its typed error like any other failure —
-		// the single-flight slot caches it under the fault-scoped key,
-		// never under a clean spec's.
+		// faulted run returns its typed error like any other failure,
+		// and like any other failure it is not memoized.
 		rec, err := strategy.ExecuteRecover(ctx, pl, p, plat, opts,
 			func(surv *device.Platform) (*apps.Problem, error) {
-				return app.Build(apps.Variant{
-					N: spec.N, Iters: spec.Iters, Sync: spec.Sync,
-					Spaces:  1 + len(surv.Accels),
-					Compute: spec.Compute,
-				})
+				return spec.build(surv, spec.Compute)
 			})
 		if err != nil {
 			return nil, err
@@ -398,32 +323,15 @@ func (r *Runner) execute(ctx context.Context, spec Spec, parent telemetry.SpanID
 // cache when possible. Specs with a private metrics registry plan
 // inline on their own problem so the Glinda profiling gauges land in
 // that registry (a cached decision would silently skip them).
-func (r *Runner) planFor(spec Spec, s strategy.Strategy, plat *device.Platform,
+func (r *Runner) planFor(ctx context.Context, spec Spec, s strategy.Strategy, plat *device.Platform,
 	p *apps.Problem, opts strategy.Options) (*plan.ExecutionPlan, error) {
-	if r.planCache == nil || spec.WithMetrics {
-		planSpan := r.spans.Begin(opts.SpanParent, telemetry.KindPlan, "plan "+s.Name())
-		if planSpan != 0 {
-			opts.SpanParent = planSpan
-		}
-		pl, err := s.Plan(p, plat, opts)
-		r.spans.End(planSpan)
-		return pl, err
+	if r.plans == nil || spec.WithMetrics {
+		return r.planInSpan(s, p, plat, opts)
 	}
-	key := spec.PlanKey(s.Name())
-	r.mu.Lock()
-	if e, ok := r.planCache[key]; ok {
-		r.mu.Unlock()
-		<-e.done
-		r.planHits.Inc()
-		return e.pl, e.err
-	}
-	e := &planEntry{done: make(chan struct{})}
-	r.planCache[key] = e
-	r.mu.Unlock()
-	r.planMisses.Inc()
-	e.pl, e.err = r.decide(spec, s, plat, opts.SpanParent)
-	close(e.done)
-	return e.pl, e.err
+	pl, _, err := r.plans.Do(ctx, spec.PlanKey(s.Name()), func(context.Context) (*plan.ExecutionPlan, error) {
+		return r.decide(spec, s, plat, opts.SpanParent)
+	})
+	return pl, err
 }
 
 // decide plans on a fresh timing-only problem build. The decision
@@ -433,22 +341,22 @@ func (r *Runner) planFor(spec Spec, s strategy.Strategy, plat *device.Platform,
 // plan, and planning here leaves the caller's problem untouched.
 func (r *Runner) decide(spec Spec, s strategy.Strategy, plat *device.Platform,
 	parent telemetry.SpanID) (*plan.ExecutionPlan, error) {
-	app, err := apps.ByName(spec.App)
+	p, err := spec.build(plat, false)
 	if err != nil {
 		return nil, err
 	}
-	p, err := app.Build(apps.Variant{
-		N: spec.N, Iters: spec.Iters, Sync: spec.Sync,
-		Spaces: 1 + len(plat.Accels),
-	})
-	if err != nil {
-		return nil, err
-	}
-	planSpan := r.spans.Begin(parent, telemetry.KindPlan, "plan "+s.Name())
-	defer r.spans.End(planSpan)
-	return s.Plan(p, plat, strategy.Options{
+	return r.planInSpan(s, p, plat, strategy.Options{
 		Chunks: spec.Chunks, NoSeed: spec.NoSeed,
-		Spans: r.spans, SpanParent: planSpan,
+		Spans: r.spans, SpanParent: parent,
 		Faults: spec.Fault,
 	})
+}
+
+// planInSpan decides s on p inside a plan span under opts.SpanParent.
+func (r *Runner) planInSpan(s strategy.Strategy, p *apps.Problem, plat *device.Platform,
+	opts strategy.Options) (*plan.ExecutionPlan, error) {
+	planSpan := r.spans.Begin(opts.SpanParent, telemetry.KindPlan, "plan "+s.Name())
+	defer r.spans.End(planSpan)
+	opts.SpanParent = planSpan
+	return s.Plan(p, plat, opts)
 }

@@ -5,10 +5,12 @@ import (
 	"encoding/hex"
 	"fmt"
 
+	"heteropart/internal/analyzer"
 	"heteropart/internal/apps"
 	"heteropart/internal/device"
 	"heteropart/internal/fault"
 	"heteropart/internal/plan"
+	"heteropart/internal/strategy"
 )
 
 // Spec names one independent simulation run — the unit the sweep
@@ -77,6 +79,36 @@ func (s Spec) platform() *device.Platform {
 		})
 	}
 	return p
+}
+
+// build makes the spec's problem with one memory space per device of
+// plat; compute selects real kernels over timing-only ones.
+func (s Spec) build(plat *device.Platform, compute bool) (*apps.Problem, error) {
+	app, err := apps.ByName(s.App)
+	if err != nil {
+		return nil, err
+	}
+	return app.Build(apps.Variant{
+		N: s.N, Iters: s.Iters, Sync: s.Sync,
+		Spaces:  1 + len(plat.Accels),
+		Compute: compute,
+	})
+}
+
+// resolve picks the spec's strategy: the named one, or for a matchmade
+// spec the analyzer's pick on p, returned with the analyzer's report.
+func (s Spec) resolve(p *apps.Problem) (strategy.Strategy, *analyzer.Report, error) {
+	name := s.Strategy
+	var rep *analyzer.Report
+	if name == "" {
+		r, err := analyzer.Analyze(p)
+		if err != nil {
+			return nil, nil, err
+		}
+		rep, name = &r, r.Best
+	}
+	st, err := strategy.ByName(name)
+	return st, rep, err
 }
 
 // PlatformFingerprint renders the identity of a platform from its

@@ -13,14 +13,17 @@
 //   - Coalescing: requests are single-flighted on the same canonical
 //     key that backs the runner's plan cache (Spec.PlanKey), so a
 //     thundering herd of identical requests costs one simulation;
-//     completed flights stay memoized (bounded by Config.MaxFlights)
-//     and later identical requests are served from memory.
-//   - Deadlines: every request runs under a context.Context carrying
-//     its deadline (Request.TimeoutMs, else Config.DefaultTimeout).
-//     The context is plumbed through the facade's *Context entry
-//     points down to the simulator's phase boundaries. A waiter that
-//     gives up detaches from its flight; when the last waiter
-//     detaches, the shared computation itself is canceled.
+//     completed flights stay memoized as rendered Responses (bounded
+//     by Config.MaxFlights) and later identical requests are served
+//     from memory. The flights are a coalesce.Group, the same
+//     mechanism behind the runner's caches.
+//   - Deadlines: every request waits under a context.Context carrying
+//     its deadline (Request.TimeoutMs, else Config.DefaultTimeout);
+//     the flight itself runs under its own context, plumbed through
+//     the facade's *Context entry points down to the simulator's phase
+//     boundaries. A request that gives up leaves its flight; when the
+//     last one leaves, the flight is canceled and its key freed, so
+//     the next identical request starts a new one.
 //   - Isolation: a panicking request is recovered, counted
 //     (service_panics_total) and answered with 500; the daemon stays
 //     up.
@@ -45,6 +48,7 @@ import (
 	"time"
 
 	"heteropart"
+	"heteropart/internal/coalesce"
 	"heteropart/internal/metrics"
 	"heteropart/internal/telemetry"
 )
@@ -83,19 +87,6 @@ type Config struct {
 	Spans *telemetry.Tracer
 }
 
-// flight is one single-flighted computation. The first request for a
-// key creates it; concurrent identical requests join as waiters and
-// read the identical response. waiters is guarded by Service.mu; the
-// remaining fields are written once before done closes.
-type flight struct {
-	key     string
-	done    chan struct{}
-	resp    *Response
-	err     error
-	cancel  context.CancelFunc
-	waiters int
-}
-
 // Service is the HTTP matchmaking service. Build one with New, mount
 // Handler on a mux, and Close it after the HTTP server has drained.
 type Service struct {
@@ -104,19 +95,19 @@ type Service struct {
 	reg    *metrics.Registry
 	spans  *telemetry.Tracer
 
-	// base is the parent of every flight context; Close cancels it.
+	// base is the parent of every flight context; Close cancels it, and
+	// a canceled base marks the service closed.
 	base       context.Context
 	cancelBase context.CancelFunc
 
 	// sem bounds executing flights.
 	sem chan struct{}
 
-	mu      sync.Mutex
-	closed  bool
-	flights map[string]*flight
-	// order remembers flight keys in creation order for FIFO eviction
-	// of memoized flights (stale keys are skipped).
-	order []string
+	// flights coalesces identical requests and memoizes the rendered
+	// Responses of successful ones.
+	flights *coalesce.Group[*Response]
+
+	mu sync.Mutex
 	// calib is the per-platform calibration state, keyed by the
 	// request's platform name ("" = the default paper platform). POST
 	// /v1/calibrate installs a report; subsequent requests for that
@@ -159,7 +150,6 @@ func New(cfg Config) *Service {
 		base:       base,
 		cancelBase: cancel,
 		sem:        make(chan struct{}, cfg.Workers),
-		flights:    make(map[string]*flight),
 		calib:      make(map[string]*heteropart.CalibrationReport),
 	}
 	s.runner = heteropart.NewRunner(heteropart.RunnerConfig{
@@ -174,6 +164,7 @@ func New(cfg Config) *Service {
 	s.inflight = m.Gauge("service_inflight", "flights currently executing")
 	s.queueDepth = m.Gauge("service_queue_depth", "flights admitted but not yet executing")
 	s.flightCount = m.Gauge("service_flights", "live + memoized flights")
+	s.flights = coalesce.New[*Response](base, cfg.MaxFlights, s.admit, s.coalesceHits, s.coalesceMisses)
 	s.appsJSON = envelopeBytes(appsListing())
 	s.strategiesJSON = envelopeBytes(strategiesListing())
 	s.platformsJSON = envelopeBytes(platformsListing())
@@ -187,12 +178,7 @@ func (s *Service) Runner() *heteropart.Runner { return s.runner }
 // Close cancels every remaining flight. Call it after the HTTP server
 // has drained (http.Server.Shutdown), so in-flight requests finish
 // normally and only orphaned computations are torn down.
-func (s *Service) Close() {
-	s.mu.Lock()
-	s.closed = true
-	s.mu.Unlock()
-	s.cancelBase()
-}
+func (s *Service) Close() { s.cancelBase() }
 
 // Handler returns the /v1 API surface.
 func (s *Service) Handler() http.Handler {
@@ -448,79 +434,57 @@ func (s *Service) specOf(req *Request) (heteropart.RunSpec, error) {
 	if req.App == "" {
 		return heteropart.RunSpec{}, badRequest("service: missing app")
 	}
-	if req.N < 0 || req.Iters < 0 || req.Chunks < 0 || req.TimeoutMs < 0 {
-		return heteropart.RunSpec{}, badRequest("service: n, iters, chunks and timeout_ms must be non-negative")
-	}
-	if req.Threads < 0 || req.Threads > 1024 {
-		return heteropart.RunSpec{}, badRequest("service: threads must be in [0, 1024]")
+	if req.N < 0 || req.Iters < 0 || req.Chunks < 0 {
+		return heteropart.RunSpec{}, badRequest("service: n, iters and chunks must be non-negative")
 	}
 	if req.Chunks > 1<<16 {
 		return heteropart.RunSpec{}, badRequest("service: chunks must be at most %d", 1<<16)
 	}
-	sync, err := parseSync(req.Sync)
+	spec, err := s.commonOf(req)
 	if err != nil {
 		return heteropart.RunSpec{}, err
 	}
-	sched, err := s.faultOf(req)
-	if err != nil {
-		return heteropart.RunSpec{}, err
-	}
-	plat, err := platformOf(req)
-	if err != nil {
-		return heteropart.RunSpec{}, err
-	}
-	scales, err := s.calibScalesFor(req.Platform, plat)
-	if err != nil {
-		return heteropart.RunSpec{}, err
-	}
-	return heteropart.RunSpec{
-		App:      req.App,
-		Strategy: req.Strategy,
-		Sync:     sync,
-		N:        req.N,
-		Iters:    req.Iters,
-		Plat:     plat,
-		Chunks:   req.Chunks,
-		NoSeed:   req.NoSeed,
-		Fault:    sched,
-		Calib:    scales,
-	}, nil
+	spec.App, spec.Strategy, spec.NoSeed = req.App, req.Strategy, req.NoSeed
+	spec.N, spec.Iters, spec.Chunks = req.N, req.Iters, req.Chunks
+	return spec, nil
 }
 
-// calibScalesFor returns the installed calibration scales for a
-// platform name, verifying the stored report still fits the resolved
-// platform. A report installed for one fingerprint and a request that
-// resolves to another (e.g. a different threads override) is drift:
-// the request is refused with 409 calibration_stale rather than
-// silently served with wrong correction factors.
-func (s *Service) calibScalesFor(name string, plat *heteropart.Platform) ([]heteropart.CostScale, error) {
-	s.mu.Lock()
-	report := s.calib[name]
-	s.mu.Unlock()
-	if report == nil {
-		return nil, nil
+// commonOf validates the request fields every simulating endpoint
+// (matchmake, plan, execute) shares — deadline, thread count, sync
+// mode, fault schedule and platform — into the matching RunSpec fields.
+// A calibration installed for the platform is applied to Plat and its
+// scales set in Calib; one fitted for a different fingerprint (e.g. a
+// different threads override) is drift, refused with 409
+// calibration_stale rather than silently served with wrong correction
+// factors.
+func (s *Service) commonOf(req *Request) (heteropart.RunSpec, error) {
+	var spec heteropart.RunSpec
+	if req.TimeoutMs < 0 {
+		return spec, badRequest("service: timeout_ms must be non-negative")
 	}
-	if _, err := report.Apply(plat); err != nil {
-		return nil, err
+	if req.Threads < 0 || req.Threads > 1024 {
+		return spec, badRequest("service: threads must be in [0, 1024]")
 	}
-	return report.Scales, nil
-}
-
-// calibratedPlatform resolves a request's platform with any installed
-// calibration applied — the execute path needs the calibrated platform
-// itself (plans decided under calibration carry its fingerprint).
-func (s *Service) calibratedPlatform(req *Request) (*heteropart.Platform, error) {
-	plat, err := platformOf(req)
-	if err != nil {
-		return nil, err
+	var err error
+	if spec.Sync, err = parseSync(req.Sync); err != nil {
+		return spec, err
+	}
+	if spec.Fault, err = s.faultOf(req); err != nil {
+		return spec, err
+	}
+	if spec.Plat, err = platformOf(req); err != nil {
+		return spec, err
 	}
 	s.mu.Lock()
 	report := s.calib[req.Platform]
 	s.mu.Unlock()
-	if report == nil {
-		return plat, nil
+	if report != nil {
+		if spec.Plat, err = report.Apply(spec.Plat); err != nil {
+			return spec, err
+		}
+		spec.Calib = report.Scales
 	}
-	return report.Apply(plat)
+	return spec, nil
 }
 
 // platformOf resolves a request's platform: empty means the paper
@@ -632,21 +596,7 @@ func (s *Service) handleExecute(w http.ResponseWriter, r *http.Request) {
 		writeError(w, badRequest("service: request n %d does not match plan n %d", req.N, pl.N))
 		return
 	}
-	sync, err := parseSync(req.Sync)
-	if err != nil {
-		writeError(w, err)
-		return
-	}
-	if req.Threads < 0 || req.Threads > 1024 {
-		writeError(w, badRequest("service: threads must be in [0, 1024]"))
-		return
-	}
-	sched, err := s.faultOf(req)
-	if err != nil {
-		writeError(w, err)
-		return
-	}
-	plat, err := s.calibratedPlatform(req)
+	spec, err := s.commonOf(req)
 	if err != nil {
 		writeError(w, err)
 		return
@@ -660,7 +610,7 @@ func (s *Service) handleExecute(w http.ResponseWriter, r *http.Request) {
 	}
 	sum := sha256.Sum256(append(canonical,
 		[]byte(fmt.Sprintf("|sync=%d|plat=%s|fault=%s",
-			int(sync), heteropart.PlatformFingerprint(plat), sched.Canonical()))...))
+			int(spec.Sync), heteropart.PlatformFingerprint(spec.Plat), spec.Fault.Canonical()))...))
 	key := "execute|" + hex.EncodeToString(sum[:])
 	s.serve(w, r, req, key, func(ctx context.Context) (*Response, error) {
 		app, err := heteropart.AppByName(pl.App)
@@ -668,13 +618,13 @@ func (s *Service) handleExecute(w http.ResponseWriter, r *http.Request) {
 			return nil, err
 		}
 		p, err := app.Build(heteropart.Variant{
-			N: pl.N, Iters: pl.Iters, Sync: sync,
-			Spaces: 1 + len(plat.Accels),
+			N: pl.N, Iters: pl.Iters, Sync: spec.Sync,
+			Spaces: 1 + len(spec.Plat.Accels),
 		})
 		if err != nil {
 			return nil, err
 		}
-		out, err := heteropart.ExecutePlanContext(ctx, pl, p, plat, heteropart.Options{Faults: sched})
+		out, err := heteropart.ExecutePlanContext(ctx, pl, p, spec.Plat, heteropart.Options{Faults: spec.Fault})
 		if err != nil {
 			return nil, err
 		}
@@ -743,12 +693,11 @@ func (s *Service) handleCalibrate(w http.ResponseWriter, r *http.Request) {
 		writeError(w, err)
 		return
 	}
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		writeError(w, &httpErr{status: http.StatusServiceUnavailable, code: CodeShuttingDown, msg: "service: shutting down"})
+	if s.base.Err() != nil {
+		writeError(w, errShuttingDown)
 		return
 	}
+	s.mu.Lock()
 	s.calib[req.Platform] = report
 	s.mu.Unlock()
 	writeJSON(w, http.StatusOK, &Response{Calibration: &CalibrationView{
@@ -762,8 +711,15 @@ func (s *Service) handleCalibrate(w http.ResponseWriter, r *http.Request) {
 
 // ---- flight machinery -------------------------------------------------
 
+// Admission refusals, answered before a request joins or starts a
+// flight.
+var (
+	errAtCapacity   = &httpErr{status: http.StatusTooManyRequests, code: CodeAtCapacity, msg: "service: at capacity, retry later"}
+	errShuttingDown = &httpErr{status: http.StatusServiceUnavailable, code: CodeShuttingDown, msg: "service: shutting down"}
+)
+
 // serve runs one coalescible request end to end: derive the deadline
-// context, admit or join a flight, await it, map the outcome.
+// context, join or start a flight, wait for it, map the outcome.
 func (s *Service) serve(w http.ResponseWriter, r *http.Request, req *Request,
 	key string, work func(context.Context) (*Response, error)) {
 	timeout := s.cfg.DefaultTimeout
@@ -773,22 +729,26 @@ func (s *Service) serve(w http.ResponseWriter, r *http.Request, req *Request,
 	ctx, cancel := context.WithTimeout(r.Context(), timeout)
 	defer cancel()
 
-	fl, joined, status := s.getFlight(key, work)
-	switch status {
-	case http.StatusTooManyRequests:
-		w.Header().Set("Retry-After", strconv.Itoa(s.retryAfter()))
-		writeError(w, &httpErr{status: status, code: CodeAtCapacity, msg: "service: at capacity, retry later"})
+	if s.base.Err() != nil {
+		writeError(w, errShuttingDown)
 		return
-	case http.StatusServiceUnavailable:
-		writeError(w, &httpErr{status: status, code: CodeShuttingDown, msg: "service: shutting down"})
+	}
+	resp, joined, err := s.flights.Do(ctx, key, func(ctx context.Context) (*Response, error) {
+		return s.fly(ctx, work)
+	})
+	s.flightCount.SetInt(int64(s.flights.Len()))
+	if err == errAtCapacity {
+		w.Header().Set("Retry-After", strconv.Itoa(s.retryAfter()))
+		writeError(w, err)
 		return
 	}
 	w.Header().Set("X-Heteropart-Coalesced", strconv.FormatBool(joined))
-
-	resp, err := s.await(ctx, fl)
 	if err != nil {
-		if statusFor(err) == StatusClientClosedRequest {
+		switch {
+		case statusFor(err) == StatusClientClosedRequest:
 			s.canceled.Inc()
+		case errors.Is(err, coalesce.ErrPanicked):
+			s.panics.Inc()
 		}
 		writeError(w, err)
 		return
@@ -796,59 +756,26 @@ func (s *Service) serve(w http.ResponseWriter, r *http.Request, req *Request,
 	writeJSON(w, http.StatusOK, resp)
 }
 
-// getFlight joins an existing flight for key or admits a new one.
-// status is 0 on success, 429 when the queue is full, 503 when the
-// service is closed.
-func (s *Service) getFlight(key string, work func(context.Context) (*Response, error)) (fl *flight, joined bool, status int) {
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return nil, false, http.StatusServiceUnavailable
-	}
-	if fl, ok := s.flights[key]; ok {
-		fl.waiters++
-		s.mu.Unlock()
-		s.coalesceHits.Inc()
-		return fl, true, 0
-	}
+// admit is the flight group's admission check, consulted only before a
+// new flight starts (joining one is free): a full queue sheds the
+// request with 429, otherwise the new flight counts as queued until it
+// gets a worker slot.
+func (s *Service) admit() error {
 	if int(s.queued.Load()) >= s.cfg.Queue {
-		s.mu.Unlock()
 		s.rejected.Inc()
-		return nil, false, http.StatusTooManyRequests
+		return errAtCapacity
 	}
-	fctx, cancel := context.WithCancel(s.base)
-	fl = &flight{key: key, done: make(chan struct{}), cancel: cancel, waiters: 1}
-	s.flights[key] = fl
-	s.order = append(s.order, key)
-	s.evictLocked()
-	s.flightCount.SetInt(int64(len(s.flights)))
-	s.mu.Unlock()
-	s.coalesceMisses.Inc()
 	s.queueDepth.SetInt(s.queued.Add(1))
-	go s.runFlight(fctx, fl, work)
-	return fl, false, 0
+	return nil
 }
 
-// runFlight executes one flight inside a worker slot, with panic
-// isolation. Failed or canceled flights are forgotten so a later
-// identical request recomputes; successful flights stay memoized.
-func (s *Service) runFlight(ctx context.Context, fl *flight, work func(context.Context) (*Response, error)) {
-	defer close(fl.done)
-	defer fl.cancel()
-	defer func() {
-		if r := recover(); r != nil {
-			s.panics.Inc()
-			fl.err = fmt.Errorf("service: recovered panic: %v", r)
-			s.forget(fl)
-		}
-	}()
+// fly executes one admitted flight inside a worker slot.
+func (s *Service) fly(ctx context.Context, work func(context.Context) (*Response, error)) (*Response, error) {
 	select {
 	case s.sem <- struct{}{}:
 	case <-ctx.Done():
 		s.queueDepth.SetInt(s.queued.Add(-1))
-		fl.err = fmt.Errorf("service: abandoned while queued: %w", heteropart.ErrCanceled)
-		s.forget(fl)
-		return
+		return nil, fmt.Errorf("service: abandoned while queued: %w", heteropart.ErrCanceled)
 	}
 	s.queueDepth.SetInt(s.queued.Add(-1))
 	defer func() { <-s.sem }()
@@ -857,66 +784,7 @@ func (s *Service) runFlight(ctx context.Context, fl *flight, work func(context.C
 	if hook := s.panicHook; hook != nil {
 		hook()
 	}
-	fl.resp, fl.err = work(ctx)
-	if fl.err != nil {
-		s.forget(fl)
-	}
-}
-
-// await blocks until the flight completes or the request's context
-// expires. An abandoning waiter detaches; the last waiter to detach
-// cancels the shared computation (nobody wants its result anymore).
-func (s *Service) await(ctx context.Context, fl *flight) (*Response, error) {
-	select {
-	case <-fl.done:
-		s.detach(fl, false)
-		return fl.resp, fl.err
-	case <-ctx.Done():
-		s.detach(fl, true)
-		return nil, fmt.Errorf("service: request abandoned (%v): %w", ctx.Err(), heteropart.ErrCanceled)
-	}
-}
-
-func (s *Service) detach(fl *flight, abandoned bool) {
-	s.mu.Lock()
-	fl.waiters--
-	last := fl.waiters == 0
-	s.mu.Unlock()
-	if abandoned && last {
-		fl.cancel()
-	}
-}
-
-// forget drops a flight from the memo map (failures are never served
-// from memory). Callers hold no lock.
-func (s *Service) forget(fl *flight) {
-	s.mu.Lock()
-	if s.flights[fl.key] == fl {
-		delete(s.flights, fl.key)
-	}
-	s.flightCount.SetInt(int64(len(s.flights)))
-	s.mu.Unlock()
-}
-
-// evictLocked trims memoized flights beyond MaxFlights, oldest first,
-// skipping flights still running (their done channel is open). Caller
-// holds s.mu.
-func (s *Service) evictLocked() {
-	for len(s.flights) > s.cfg.MaxFlights && len(s.order) > 0 {
-		key := s.order[0]
-		s.order = s.order[1:]
-		fl, ok := s.flights[key]
-		if !ok {
-			continue // already forgotten
-		}
-		select {
-		case <-fl.done:
-			delete(s.flights, key)
-		default:
-			s.order = append(s.order, key) // still running; retry later
-			return
-		}
-	}
+	return work(ctx)
 }
 
 // retryAfter estimates (in whole seconds) when the queue may have

@@ -144,12 +144,17 @@ func postJSONQuiet(url, body string) (int, *Response, *ErrorView) {
 // plans, 409 platform mismatch, 499 abandoned deadline.
 func TestErrorMapping(t *testing.T) {
 	_, ts := newTestService(t, Config{Workers: 2})
+	// A decided plan, so an execute case can fail on another field.
+	_, planned, _ := postJSON(t, ts.URL+"/v1/plan", `{"app":"MatrixMul","n":128}`)
+	negTimeout, _ := json.Marshal(map[string]any{"plan": json.RawMessage(planned.Plan), "timeout_ms": -5})
 
 	cases := []struct {
 		name, endpoint, body string
 		want                 int
 		code                 string
 	}{
+		{"negative timeout", "/v1/matchmake", `{"app":"BlackScholes","timeout_ms":-5}`, http.StatusBadRequest, CodeBadRequest},
+		{"negative timeout on execute", "/v1/execute", string(negTimeout), http.StatusBadRequest, CodeBadRequest},
 		{"unknown app", "/v1/matchmake", `{"app":"NoSuchApp"}`, http.StatusNotFound, CodeUnknownApp},
 		{"unknown strategy", "/v1/matchmake", `{"app":"BlackScholes","strategy":"SP-Bogus"}`, http.StatusNotFound, CodeUnknownStrategy},
 		{"missing app", "/v1/matchmake", `{}`, http.StatusBadRequest, CodeBadRequest},
@@ -189,6 +194,27 @@ func TestDeadlineMaps499(t *testing.T) {
 	}
 	if got := counter(reg, "service_canceled_total"); got < 1 {
 		t.Errorf("service_canceled_total = %v, want >= 1", got)
+	}
+}
+
+// TestJoinAfterAbandonRecomputes: when the only request of a flight
+// gives up, the flight is canceled and its key freed at once, so an
+// identical request sent right after starts a new flight and succeeds
+// instead of joining the canceled one.
+func TestJoinAfterAbandonRecomputes(t *testing.T) {
+	svc, ts := newTestService(t, Config{Workers: 1})
+	// Hold every flight well past the first request's deadline.
+	svc.panicHook = func() { time.Sleep(300 * time.Millisecond) }
+	status, _, eb := postJSON(t, ts.URL+"/v1/matchmake", `{"app":"MatrixMul","n":128,"timeout_ms":50}`)
+	if status != StatusClientClosedRequest {
+		t.Fatalf("request A: status %d (%+v), want %d", status, eb, StatusClientClosedRequest)
+	}
+	status, resp, eb := postJSON(t, ts.URL+"/v1/matchmake", `{"app":"MatrixMul","n":128}`)
+	if status != http.StatusOK {
+		t.Fatalf("request B after A abandoned: status %d (%+v), want 200", status, eb)
+	}
+	if resp.Outcome == nil || resp.Outcome.MakespanNs <= 0 {
+		t.Fatal("request B returned no outcome")
 	}
 }
 
