@@ -6,6 +6,8 @@ import (
 	"heteropart/internal/apps"
 	"heteropart/internal/device"
 	"heteropart/internal/glinda"
+	"heteropart/internal/mem"
+	"heteropart/internal/plan"
 	"heteropart/internal/rt"
 	"heteropart/internal/runner"
 	"heteropart/internal/sched"
@@ -23,58 +25,43 @@ func Ablations(env *Env) (*Table, error) {
 	// 1. DP-Dep's dependency-chain affinity (STREAM-Seq w/o sync:
 	// without affinity, chunks migrate between devices across kernels
 	// and pay extra transfers).
-	runDyn := func(appName string, sync apps.SyncMode, s sched.Scheduler) (*rt.Result, error) {
-		app, err := apps.ByName(appName)
-		if err != nil {
-			return nil, err
-		}
-		p, err := app.Build(apps.Variant{Sync: sync, Spaces: 1 + len(plat.Accels)})
-		if err != nil {
-			return nil, err
-		}
-		var plan task.Plan
-		m := plat.CPUThreads()
-		for i, ph := range p.Phases {
-			n := ph.Kernel.Size
-			chunk := (n + int64(m) - 1) / int64(m)
-			ci := 0
-			for at := int64(0); at < n; at += chunk {
-				end := at + chunk
-				if end > n {
-					end = n
-				}
-				plan.Submit(ph.Kernel, at, end, task.Unpinned, ci)
-				ci++
-			}
-			if ph.SyncAfter && i < len(p.Phases)-1 {
-				plan.Barrier()
-			}
-		}
-		plan.Barrier()
-		return rt.Execute(rt.Config{Platform: plat, Scheduler: s}, &plan, p.Dir)
-	}
-
-	withAff, err := runDyn("STREAM-Seq", apps.SyncNone, sched.NewDep())
+	withAff, err := env.runOne("STREAM-Seq", apps.SyncNone, "DP-Dep")
 	if err != nil {
 		return nil, err
 	}
-	noAff, err := runDyn("STREAM-Seq", apps.SyncNone, sched.NewDepNoAffinity())
+	p, pl, err := planFor(plat, "STREAM-Seq", apps.SyncNone, strategy.DPDep{})
 	if err != nil {
 		return nil, err
 	}
-	t.AddRow("DP-Dep chain affinity", "with affinity", ms(withAff.Makespan), pct(withAff.GPURatio()))
+	noAff, err := execUnder(plat, p, pl, sched.NewDepNoAffinity())
+	if err != nil {
+		return nil, err
+	}
+	t.AddRow("DP-Dep chain affinity", "with affinity", ms(withAff.Result.Makespan), pct(withAff.GPURatio()))
 	t.AddRow("DP-Dep chain affinity", "without (plain BF)", ms(noAff.Makespan), pct(noAff.GPURatio()))
 	t.AddCheck("chain affinity reduces inter-device transfers",
-		withAff.TransferCount <= noAff.TransferCount,
-		fmt.Sprintf("%d vs %d transfers", withAff.TransferCount, noAff.TransferCount))
+		withAff.Result.TransferCount <= noAff.TransferCount,
+		fmt.Sprintf("%d vs %d transfers", withAff.Result.TransferCount, noAff.TransferCount))
 
 	// 2. DP-Perf's data-aware writeback prediction (HotSpot: a blind
-	// scheduler overloads the transfer-bound GPU).
+	// scheduler overloads the transfer-bound GPU). The blind scheduler
+	// is seeded from a blind training run, as Execute seeds DP-Perf.
 	aware, err := env.runOne("HotSpot", apps.SyncDefault, "DP-Perf")
 	if err != nil {
 		return nil, err
 	}
-	blindRes, err := runDynSeeded(plat, "HotSpot", sched.NewPerfBlind, sched.NewPerfBlind)
+	p, pl, err = planFor(plat, "HotSpot", apps.SyncDefault, strategy.DPPerf{})
+	if err != nil {
+		return nil, err
+	}
+	trainer := sched.NewPerfBlind()
+	if _, err := execUnder(plat, p, pl, trainer); err != nil {
+		return nil, err
+	}
+	p.Dir.Reset()
+	blind := sched.NewPerfBlind()
+	blind.Seed(trainer.Snapshot())
+	blindRes, err := execUnder(plat, p, pl, blind)
 	if err != nil {
 		return nil, err
 	}
@@ -110,48 +97,33 @@ func Ablations(env *Env) (*Table, error) {
 	return t, nil
 }
 
-// runDynSeeded executes an app with a trainer/measured scheduler pair
-// (both built fresh), mirroring DPPerf.Run for custom Perf variants.
-func runDynSeeded(plat *device.Platform, appName string,
-	newTrainer, newMeasured func() *sched.Perf) (*rt.Result, error) {
+// planFor builds an app and takes strategy s's plan for it, so an
+// ablation can run the plan's task instances under a scheduler variant
+// that no plan policy names.
+func planFor(plat *device.Platform, appName string, sync apps.SyncMode,
+	s strategy.Strategy) (*apps.Problem, *plan.ExecutionPlan, error) {
 	app, err := apps.ByName(appName)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	p, err := app.Build(apps.Variant{Spaces: 1 + len(plat.Accels)})
+	p, err := app.Build(apps.Variant{Sync: sync, Spaces: 1 + len(plat.Accels)})
+	if err != nil {
+		return nil, nil, err
+	}
+	pl, err := s.Plan(p, plat, strategy.Options{})
+	if err != nil {
+		return nil, nil, err
+	}
+	return p, pl, nil
+}
+
+// execUnder materializes pl afresh and executes it under sch.
+func execUnder(plat *device.Platform, p *apps.Problem, pl *plan.ExecutionPlan, sch sched.Scheduler) (*rt.Result, error) {
+	tp, err := pl.Materialize(p)
 	if err != nil {
 		return nil, err
 	}
-	m := plat.CPUThreads()
-	build := func() *task.Plan {
-		var plan task.Plan
-		for i, ph := range p.Phases {
-			n := ph.Kernel.Size
-			chunk := (n + int64(m) - 1) / int64(m)
-			ci := 0
-			for at := int64(0); at < n; at += chunk {
-				end := at + chunk
-				if end > n {
-					end = n
-				}
-				plan.Submit(ph.Kernel, at, end, task.Unpinned, ci)
-				ci++
-			}
-			if ph.SyncAfter && i < len(p.Phases)-1 {
-				plan.Barrier()
-			}
-		}
-		plan.Barrier()
-		return &plan
-	}
-	trainer := newTrainer()
-	if _, err := rt.Execute(rt.Config{Platform: plat, Scheduler: trainer}, build(), p.Dir); err != nil {
-		return nil, err
-	}
-	p.Dir.Reset()
-	measured := newMeasured()
-	measured.Seed(trainer.Snapshot())
-	return rt.Execute(rt.Config{Platform: plat, Scheduler: measured}, build(), p.Dir)
+	return rt.Execute(rt.Config{Platform: plat, Scheduler: sch}, tp, p.Dir)
 }
 
 // DAGRefine measures the Section-VII future-work idea on Cholesky:
@@ -393,21 +365,15 @@ func ImbalancedApp(env *Env) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	m := plat.CPUThreads()
-	var plan task.Plan
+	var tp task.Plan
 	if dec.NG > 0 {
-		plan.Submit(k, 0, dec.NG, 1, -1)
+		tp.Submit(k, 0, dec.NG, 1, -1)
 	}
-	chunk := (k.Size - dec.NG + int64(m) - 1) / int64(m)
-	for at := dec.NG; at < k.Size; at += chunk {
-		end := at + chunk
-		if end > k.Size {
-			end = k.Size
-		}
-		plan.Submit(k, at, end, 0, -1)
+	for _, iv := range (mem.Interval{Lo: dec.NG, Hi: k.Size}).AppendSplit(nil, plat.CPUThreads()) {
+		tp.Submit(k, iv.Lo, iv.Hi, 0, -1)
 	}
-	plan.Barrier()
-	naive, err := rt.Execute(rt.Config{Platform: plat, Scheduler: sched.NewStatic()}, &plan, p.Dir)
+	tp.Barrier()
+	naive, err := rt.Execute(rt.Config{Platform: plat, Scheduler: sched.NewStatic()}, &tp, p.Dir)
 	if err != nil {
 		return nil, err
 	}

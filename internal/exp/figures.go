@@ -1,10 +1,12 @@
 package exp
 
 import (
+	"context"
 	"fmt"
 	"sort"
 
 	"heteropart/internal/apps"
+	"heteropart/internal/runner"
 	"heteropart/internal/sim"
 	"heteropart/internal/strategy"
 )
@@ -238,49 +240,35 @@ var fig12Cases = []struct {
 	Label string
 	App   string
 	Sync  apps.SyncMode
-	Class string
 }{
-	{"MatrixMul", "MatrixMul", apps.SyncDefault, "SK-One"},
-	{"BlackScholes", "BlackScholes", apps.SyncDefault, "SK-One"},
-	{"Nbody", "Nbody", apps.SyncDefault, "SK-Loop"},
-	{"HotSpot", "HotSpot", apps.SyncDefault, "SK-Loop"},
-	{"STREAM-Seq-w/o", "STREAM-Seq", apps.SyncNone, "MK-Seq"},
-	{"STREAM-Seq-w", "STREAM-Seq", apps.SyncForced, "MK-Seq"},
-	{"STREAM-Loop-w/o", "STREAM-Loop", apps.SyncNone, "MK-Loop"},
-	{"STREAM-Loop-w", "STREAM-Loop", apps.SyncForced, "MK-Loop"},
+	{"MatrixMul", "MatrixMul", apps.SyncDefault},
+	{"BlackScholes", "BlackScholes", apps.SyncDefault},
+	{"Nbody", "Nbody", apps.SyncDefault},
+	{"HotSpot", "HotSpot", apps.SyncDefault},
+	{"STREAM-Seq-w/o", "STREAM-Seq", apps.SyncNone},
+	{"STREAM-Seq-w", "STREAM-Seq", apps.SyncForced},
+	{"STREAM-Loop-w/o", "STREAM-Loop", apps.SyncNone},
+	{"STREAM-Loop-w", "STREAM-Loop", apps.SyncForced},
 }
 
-// bestStrategyFor maps each Fig-12 case to its Table-I head.
-func bestStrategyFor(label string) string {
-	switch {
-	case strings12(label, "MatrixMul", "BlackScholes", "Nbody", "HotSpot"):
-		return "SP-Single"
-	case strings12(label, "STREAM-Seq-w/o", "STREAM-Loop-w/o"):
-		return "SP-Unified"
-	default:
-		return "SP-Varied"
-	}
-}
-
-func strings12(label string, names ...string) bool {
-	for _, n := range names {
-		if label == n {
-			return true
-		}
-	}
-	return false
-}
-
-// Fig12 reproduces the speedup summary: the best partitioning strategy
-// against the Only-GPU and Only-CPU executions per application, with
-// the averages the paper headlines (3.0x / 5.3x).
+// Fig12 reproduces the speedup summary: the analyzer's best
+// partitioning strategy against the Only-GPU and Only-CPU executions
+// per application, with the averages the paper headlines (3.0x /
+// 5.3x).
 func Fig12(env *Env) (*Table, error) {
 	t := &Table{ID: "fig12", Title: "Speedup of the best strategy vs Only-GPU (OG) and Only-CPU (OC)",
 		Columns: []string{"app", "best strategy", "vs OG", "vs OC"}}
 	var sumOG, sumOC float64
 	allAbove := true
 	for _, c := range fig12Cases {
-		best := bestStrategyFor(c.Label)
+		// The matchmade spec's decision is cached under the best
+		// strategy's plan key, so the run below reuses it.
+		_, rep, err := env.R.PlanContext(context.Background(),
+			runner.Spec{App: c.App, Sync: c.Sync, Plat: env.Plat})
+		if err != nil {
+			return nil, err
+		}
+		best := rep.Best
 		res, err := env.timesFor(c.App, c.Sync, []string{best, "Only-GPU", "Only-CPU"})
 		if err != nil {
 			return nil, err

@@ -1,6 +1,8 @@
 package exp
 
 import (
+	"os"
+	"path/filepath"
 	"testing"
 
 	"heteropart/internal/device"
@@ -40,7 +42,9 @@ func TestExperimentsParallelByteIdentical(t *testing.T) {
 }
 
 // TestReportParallelIdentical: the full EXPERIMENTS.md document must
-// be byte-identical between the sequential and the pooled path.
+// be byte-identical between the sequential and the pooled path, and
+// the sequential one must equal the committed EXPERIMENTS.md (what
+// `go run ./cmd/experiments -report` writes).
 func TestReportParallelIdentical(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs the full suite twice")
@@ -56,6 +60,14 @@ func TestReportParallelIdentical(t *testing.T) {
 	}
 	if seq != par {
 		t.Fatal("parallel report differs from sequential")
+	}
+	committed, err := os.ReadFile(filepath.Join("..", "..", "EXPERIMENTS.md"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if seq != string(committed) {
+		t.Fatal("report differs from the committed EXPERIMENTS.md; " +
+			"regenerate it with `go run ./cmd/experiments -report > EXPERIMENTS.md` if the change is intended")
 	}
 }
 

@@ -85,6 +85,13 @@ func (c Config) Defaults() Config {
 	return c
 }
 
+// probeSize is the probe sample of an n-element iteration space:
+// SampleFrac of it, at least MinSample elements, at most all n. c must
+// have its defaults filled.
+func (c Config) probeSize(n int64) int64 {
+	return min(max(int64(c.SampleFrac*float64(n)), c.MinSample), n)
+}
+
 // Estimate holds the profiled quantities for one kernel on one
 // (CPU, accelerator) pair.
 type Estimate struct {
@@ -295,29 +302,19 @@ func Profile(plat *device.Platform, dir *mem.Directory, k *task.Kernel, accelID 
 	span := cfg.Spans.Begin(cfg.SpanParent, telemetry.KindProfile, "profile "+k.Name)
 	defer cfg.Spans.End(span)
 	n := k.Size
-	s := int64(cfg.SampleFrac * float64(n))
-	if s < cfg.MinSample {
-		s = cfg.MinSample
-	}
-	if s > n {
-		s = n
-	}
+	s := cfg.probeSize(n)
 	if s <= 0 {
 		return Estimate{}, fmt.Errorf("glinda: kernel %q has empty iteration space", k.Name)
 	}
 
 	est := Estimate{N: n, B: math.Inf(1)}
 
-	// CPU probe: sample chunked over the m worker threads.
-	m := int64(plat.CPUThreads())
+	// CPU probe: sample chunked over the m worker threads. The pieces
+	// live on the stack for any thread count up to len(pieces).
+	var pieces [64]mem.Interval
 	var cpuPlan task.Plan
-	chunk := (s + m - 1) / m
-	for lo := int64(0); lo < s; lo += chunk {
-		hi := lo + chunk
-		if hi > s {
-			hi = s
-		}
-		cpuPlan.Submit(k, lo, hi, 0, -1)
+	for _, iv := range (mem.Interval{Hi: s}).AppendSplit(pieces[:0], plat.CPUThreads()) {
+		cpuPlan.Submit(k, iv.Lo, iv.Hi, 0, -1)
 	}
 	cpuRes, err := rt.Execute(rt.Config{
 		Platform: plat, Scheduler: sched.NewStatic(),

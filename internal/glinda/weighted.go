@@ -93,16 +93,7 @@ func (d *DecisionImbalanced) CutWeighted(lo, hi int64, m int) []mem.Interval {
 	total := d.Prefix[hi] - d.Prefix[lo]
 	if total <= 0 {
 		// Weightless range: fall back to equal elements.
-		var out []mem.Interval
-		chunk := (hi - lo + int64(m) - 1) / int64(m)
-		for at := lo; at < hi; at += chunk {
-			end := at + chunk
-			if end > hi {
-				end = hi
-			}
-			out = append(out, mem.Interval{Lo: at, Hi: end})
-		}
-		return out
+		return mem.Interval{Lo: lo, Hi: hi}.AppendSplit(nil, m)
 	}
 	var out []mem.Interval
 	at := lo
@@ -132,15 +123,8 @@ func AnalyzeImbalanced(plat *device.Platform, dir *mem.Directory, k *task.Kernel
 	if err != nil {
 		return DecisionImbalanced{}, err
 	}
-	cfg = cfg.Defaults()
 	n := k.Size
-	s := int64(cfg.SampleFrac * float64(n))
-	if s < cfg.MinSample {
-		s = cfg.MinSample
-	}
-	if s > n {
-		s = n
-	}
+	s := cfg.Defaults().probeSize(n)
 	// Convert element rates to weight rates using the sampled range's
 	// weight density (the probes ran over [0, s)).
 	sampleWeight := k.Flops(0, s)

@@ -48,6 +48,21 @@ func (iv Interval) Intersect(o Interval) Interval {
 // String renders the interval as [lo,hi).
 func (iv Interval) String() string { return fmt.Sprintf("[%d,%d)", iv.Lo, iv.Hi) }
 
+// AppendSplit cuts iv into at most m pieces of ceil(Len/m) elements,
+// in order and the last one shorter, appends them to dst and returns
+// the extended slice. This is the paper's grid of m equal task
+// instances. An empty interval or m < 1 appends nothing.
+func (iv Interval) AppendSplit(dst []Interval, m int) []Interval {
+	if iv.Empty() || m < 1 {
+		return dst
+	}
+	step := (iv.Len() + int64(m) - 1) / int64(m)
+	for lo := iv.Lo; lo < iv.Hi; lo += step {
+		dst = append(dst, Interval{Lo: lo, Hi: min64(lo+step, iv.Hi)})
+	}
+	return dst
+}
+
 func max64(a, b int64) int64 {
 	if a > b {
 		return a

@@ -30,6 +30,67 @@ func TestIntervalBasics(t *testing.T) {
 	}
 }
 
+// TestAppendSplit: pieces tile the interval in order, there are at
+// most m of them, every piece but the last has ceil(len/m) elements,
+// degenerate input appends nothing, and the caller's buffer is reused.
+func TestAppendSplit(t *testing.T) {
+	for _, tc := range []struct {
+		in   Interval
+		m    int
+		want []Interval
+	}{
+		{iv(0, 12), 4, []Interval{iv(0, 3), iv(3, 6), iv(6, 9), iv(9, 12)}},
+		{iv(0, 10), 4, []Interval{iv(0, 3), iv(3, 6), iv(6, 9), iv(9, 10)}},
+		{iv(5, 12), 3, []Interval{iv(5, 8), iv(8, 11), iv(11, 12)}},
+		{iv(0, 10), 6, []Interval{iv(0, 2), iv(2, 4), iv(4, 6), iv(6, 8), iv(8, 10)}},
+		{iv(0, 3), 8, []Interval{iv(0, 1), iv(1, 2), iv(2, 3)}},
+		{iv(7, 8), 1, []Interval{iv(7, 8)}},
+		{iv(0, 100), 1, []Interval{iv(0, 100)}},
+		{iv(4, 4), 3, nil},
+		{iv(9, 2), 3, nil},
+		{iv(0, 10), 0, nil},
+		{iv(0, 10), -2, nil},
+	} {
+		got := tc.in.AppendSplit(nil, tc.m)
+		if !slices.Equal(got, tc.want) {
+			t.Errorf("%v.AppendSplit(nil, %d) = %v, want %v", tc.in, tc.m, got, tc.want)
+			continue
+		}
+		if len(got) > max(tc.m, 0) {
+			t.Errorf("%v into %d: %d pieces", tc.in, tc.m, len(got))
+		}
+		step := (tc.in.Len() + int64(tc.m) - 1) / int64(max(tc.m, 1))
+		at := tc.in.Lo
+		for i, p := range got {
+			if p.Lo != at {
+				t.Errorf("%v into %d: piece %d %v does not start at %d", tc.in, tc.m, i, p, at)
+			}
+			if i < len(got)-1 && p.Len() != step {
+				t.Errorf("%v into %d: piece %d %v has %d elements, want %d", tc.in, tc.m, i, p, p.Len(), step)
+			}
+			at = p.Hi
+		}
+		if len(got) > 0 && at != tc.in.Hi {
+			t.Errorf("%v into %d: pieces end at %d", tc.in, tc.m, at)
+		}
+	}
+
+	// Appending keeps what dst holds, and a buffer with room is
+	// written in place, without allocating.
+	buf := make([]Interval, 1, 8)
+	buf[0] = iv(-1, 0)
+	got := iv(0, 6).AppendSplit(buf, 3)
+	if want := []Interval{iv(-1, 0), iv(0, 2), iv(2, 4), iv(4, 6)}; !slices.Equal(got, want) {
+		t.Fatalf("append onto a prefix = %v, want %v", got, want)
+	}
+	if &got[0] != &buf[0] {
+		t.Fatal("buffer with spare capacity was not reused")
+	}
+	if n := testing.AllocsPerRun(100, func() { got = iv(0, 1000).AppendSplit(buf[:0], 8) }); n != 0 {
+		t.Fatalf("split into a reused buffer allocated %v times", n)
+	}
+}
+
 func TestSetAddMergesAdjacent(t *testing.T) {
 	s := NewSet(iv(0, 10), iv(10, 20))
 	if len(s.Intervals()) != 1 || s.Intervals()[0] != iv(0, 20) {

@@ -4,17 +4,28 @@ import (
 	"fmt"
 
 	"heteropart/internal/sim"
-	"heteropart/internal/strategy"
 )
 
-// AutoTuneChunks is the sharded version of strategy.AutoTuneChunks:
-// the candidate task counts are measured concurrently over the worker
-// pool instead of one after another. The sweep result and the selected
-// best are identical to the sequential tuner's (ties break toward the
-// earliest candidate, as the sequential loop does).
-func (r *Runner) AutoTuneChunks(base Spec, candidates []int) (int, []strategy.TunePoint, error) {
+// DefaultChunkCandidates are the task counts the auto-tuner sweeps:
+// multiples of the paper platform's worker-thread counts.
+var DefaultChunkCandidates = []int{6, 12, 24, 48, 96}
+
+// TunePoint is one auto-tuning measurement.
+type TunePoint struct {
+	Chunks   int
+	Makespan sim.Duration
+}
+
+// AutoTuneChunks implements the Discussion-section recommendation
+// ("the task size impacts performance as well ... auto-tuning is
+// recommended to find the best performing one"): it runs base once
+// per candidate task count (DefaultChunkCandidates when nil), sharded
+// over the worker pool, and returns the count with the smallest
+// makespan together with the whole sweep in candidate order. Ties
+// break toward the earliest candidate.
+func (r *Runner) AutoTuneChunks(base Spec, candidates []int) (int, []TunePoint, error) {
 	if len(candidates) == 0 {
-		candidates = strategy.DefaultChunkCandidates
+		candidates = DefaultChunkCandidates
 	}
 	specs := make([]Spec, len(candidates))
 	for i, m := range candidates {
@@ -30,10 +41,10 @@ func (r *Runner) AutoTuneChunks(base Spec, candidates []int) (int, []strategy.Tu
 		return 0, nil, fmt.Errorf("runner: auto-tune: %w", err)
 	}
 	best, bestT := -1, sim.MaxTime
-	sweep := make([]strategy.TunePoint, len(results))
+	sweep := make([]TunePoint, len(results))
 	for i, res := range results {
 		t := res.Outcome.Result.Makespan
-		sweep[i] = strategy.TunePoint{Chunks: candidates[i], Makespan: t}
+		sweep[i] = TunePoint{Chunks: candidates[i], Makespan: t}
 		if t < bestT {
 			best, bestT = candidates[i], t
 		}

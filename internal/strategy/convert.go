@@ -75,28 +75,12 @@ func (s DPConverted) Plan(p *apps.Problem, plat *device.Platform, opts Options) 
 	_, l := ConvertRatio(dec.Beta, m)
 
 	// Step 3: pin the instance grid accordingly.
-	phases := make([]plan.PhasePlan, 0, len(p.Phases))
-	for _, ph := range p.Phases {
-		n := ph.Kernel.Size
-		chunk := (n + int64(m) - 1) / int64(m)
-		var chs []plan.Chunk
-		ci := 0
-		for at := int64(0); at < n; at += chunk {
-			end := at + chunk
-			if end > n {
-				end = n
-			}
-			pin := 0
-			if ci < l {
-				pin = 1
-			}
-			chs = append(chs, plan.Chunk{Lo: at, Hi: end, Pin: pin, Chain: ci})
-			ci++
+	phases := grid{m: m, pin: func(_ apps.Phase, piece int) int {
+		if piece < l {
+			return 1
 		}
-		phases = append(phases, plan.PhasePlan{
-			Kernel: ph.Kernel.Name, Size: n, Sync: ph.SyncAfter, Chunks: chs,
-		})
-	}
+		return 0
+	}}.phases(p)
 	return newPlan(s.Name(), p, plat, staticSpec, phases, map[string]glinda.Decision{"": dec}), nil
 }
 

@@ -45,17 +45,13 @@ func (s DPRefinedDAG) Plan(p *apps.Problem, plat *device.Platform, opts Options)
 			return nil, fmt.Errorf("strategy: kernel %q pinned to unknown device %d", k, dev)
 		}
 	}
-	phases := make([]plan.PhasePlan, 0, len(p.Phases))
-	for _, ph := range p.Phases {
-		pin := task.Unpinned
+	noSync := false
+	phases := grid{sync: &noSync, pin: func(ph apps.Phase, _ int) int {
 		if dev, ok := s.Pins[ph.Kernel.Name]; ok {
-			pin = dev
+			return dev
 		}
-		phases = append(phases, plan.PhasePlan{
-			Kernel: ph.Kernel.Name, Size: ph.Kernel.Size,
-			Chunks: []plan.Chunk{{Lo: 0, Hi: ph.Kernel.Size, Pin: pin, Chain: -1}},
-		})
-	}
+		return task.Unpinned
+	}}.phases(p)
 	spec := plan.SchedulerSpec{
 		Policy:          plan.PolicyPerf,
 		Seeded:          !opts.NoSeed,

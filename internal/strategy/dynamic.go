@@ -21,7 +21,7 @@ func (DPDep) Applicable(classify.Class, bool) bool { return true }
 
 // Plan implements Strategy.
 func (s DPDep) Plan(p *apps.Problem, plat *device.Platform, opts Options) (*plan.ExecutionPlan, error) {
-	phases := dynamicPhases(p, opts.chunks(plat))
+	phases := grid{m: opts.chunks(plat), pin: unpinned}.phases(p)
 	return newPlan(s.Name(), p, plat, plan.SchedulerSpec{Policy: plan.PolicyDep}, phases, nil), nil
 }
 
@@ -50,7 +50,7 @@ func (DPPerf) Applicable(classify.Class, bool) bool { return true }
 
 // Plan implements Strategy.
 func (s DPPerf) Plan(p *apps.Problem, plat *device.Platform, opts Options) (*plan.ExecutionPlan, error) {
-	phases := dynamicPhases(p, opts.chunks(plat))
+	phases := grid{m: opts.chunks(plat), pin: unpinned}.phases(p)
 	spec := plan.SchedulerSpec{
 		Policy:          plan.PolicyPerf,
 		Seeded:          !opts.NoSeed,

@@ -7,6 +7,7 @@ import (
 	"heteropart/internal/classify"
 	"heteropart/internal/device"
 	"heteropart/internal/glinda"
+	"heteropart/internal/mem"
 	"heteropart/internal/plan"
 	"heteropart/internal/task"
 )
@@ -36,18 +37,23 @@ func (s SPSingle) Plan(p *apps.Problem, plat *device.Platform, opts Options) (*p
 	if len(p.Unique) != 1 {
 		return nil, fmt.Errorf("strategy: SP-Single needs a single kernel, %s has %d", p.AppName, len(p.Unique))
 	}
-	if len(plat.Accels) > 1 {
-		return s.planMulti(p, plat, opts)
-	}
-	if ratio := glinda.ImbalanceRatio(p.Unique[0], imbalanceSample(p.Unique[0])); ratio > ImbalanceThreshold {
+	k := p.Unique[0]
+	if len(plat.Accels) <= 1 && glinda.ImbalanceRatio(k, imbalanceSample(k)) > ImbalanceThreshold {
 		return s.planImbalanced(p, plat, opts)
 	}
-	dec, err := glinda.Analyze(plat, p.Dir, p.Unique[0], 1, opts.glindaCfg())
+	shares, dec, err := decideShares(plat, k.Size, opts, func(accel int) (glinda.Estimate, error) {
+		return glinda.Profile(plat, p.Dir, k, accel, opts.glindaCfg())
+	})
 	if err != nil {
 		return nil, err
 	}
-	phases := staticPhases(p, func(apps.Phase) int64 { return dec.NG }, opts.chunks(plat), nil)
-	return newPlan(s.Name(), p, plat, staticSpec, phases, map[string]glinda.Decision{"": dec}), nil
+	var decs map[string]glinda.Decision
+	if len(plat.Accels) == 1 {
+		// A water-filling split is recorded by its shares alone.
+		decs = map[string]glinda.Decision{"": dec}
+	}
+	phases := grid{m: opts.chunks(plat), shares: func(apps.Phase) []int64 { return shares }, pin: onHost}.phases(p)
+	return newPlan(s.Name(), p, plat, staticSpec, phases, decs), nil
 }
 
 // Run implements Strategy.
@@ -78,21 +84,13 @@ func (s SPSingle) planImbalanced(p *apps.Problem, plat *device.Platform, opts Op
 		return nil, err
 	}
 	m := opts.chunks(plat)
-	phases := make([]plan.PhasePlan, 0, len(p.Phases))
-	for _, ph := range p.Phases {
-		var chs []plan.Chunk
-		if dec.Split > 0 {
-			chs = append(chs, plan.Chunk{Lo: 0, Hi: dec.Split, Pin: 1, Chain: -1})
-		}
-		ci := 0
-		for _, iv := range dec.CutWeighted(dec.Split, ph.Kernel.Size, m) {
-			chs = append(chs, plan.Chunk{Lo: iv.Lo, Hi: iv.Hi, Pin: 0, Chain: ci})
-			ci++
-		}
-		phases = append(phases, plan.PhasePlan{
-			Kernel: ph.Kernel.Name, Size: ph.Kernel.Size, Sync: ph.SyncAfter, Chunks: chs,
-		})
-	}
+	shares := []int64{dec.Split}
+	phases := grid{
+		m:      m,
+		shares: func(apps.Phase) []int64 { return shares },
+		pin:    onHost,
+		cut:    func(rest mem.Interval) []mem.Interval { return dec.CutWeighted(rest.Lo, rest.Hi, m) },
+	}.phases(p)
 	decs := map[string]glinda.Decision{"": {
 		Config: glinda.Hybrid,
 		Beta:   dec.GPUWeightShare,
@@ -102,20 +100,52 @@ func (s SPSingle) planImbalanced(p *apps.Problem, plat *device.Platform, opts Op
 	return newPlan(s.Name(), p, plat, staticSpec, phases, decs), nil
 }
 
-// planMulti partitions a single kernel across every accelerator plus
-// the host via the water-filling solver.
-func (s SPSingle) planMulti(p *apps.Problem, plat *device.Platform, opts Options) (*plan.ExecutionPlan, error) {
-	k := p.Unique[0]
-	ests, err := profileAccels(p, plat, k, opts)
-	if err != nil {
-		return nil, err
+// decideShares splits one kernel's size elements between the host and
+// the accelerators, from profile(i), the kernel's profile on
+// accelerator i: glinda.Decide's cut-offs and warp rounding on one
+// accelerator, water-filling across several. It returns the
+// accelerator shares (index i for accelerator i+1) and the decision
+// that summarizes them.
+func decideShares(plat *device.Platform, size int64, opts Options,
+	profile func(accel int) (glinda.Estimate, error)) ([]int64, glinda.Decision, error) {
+	if len(plat.Accels) <= 1 {
+		est, err := profile(1)
+		if err != nil {
+			return nil, glinda.Decision{}, err
+		}
+		dec := glinda.Decide(est, size, plat.Device(1), opts.glindaCfg())
+		return []int64{dec.NG}, dec, nil
 	}
-	shares, err := multiSplit(plat, ests, k.Size)
-	if err != nil {
-		return nil, err
+	ests := make([]glinda.Estimate, len(plat.Accels))
+	for i := range ests {
+		est, err := profile(i + 1)
+		if err != nil {
+			return nil, glinda.Decision{}, err
+		}
+		ests[i] = est
 	}
-	phases := staticPhasesMulti(p, func(apps.Phase) []int64 { return shares }, opts.chunks(plat), nil)
-	return newPlan(s.Name(), p, plat, staticSpec, phases, nil), nil
+	split, err := glinda.SolveMulti(ests[0].Rc, ests, size)
+	if err != nil {
+		return nil, glinda.Decision{}, err
+	}
+	// Warp-round every accelerator's share; the host absorbs the slack.
+	shares := split[1:]
+	var accel int64
+	for i := range shares {
+		shares[i] = plat.Accels[i].RoundUpWarp(shares[i], size-accel)
+		accel += shares[i]
+	}
+	dec := glinda.Decision{Config: glinda.Hybrid, NG: accel, NC: size - accel}
+	switch {
+	case accel == 0:
+		dec.Config = glinda.OnlyCPU
+	case accel == size:
+		dec.Config = glinda.OnlyGPU
+	}
+	if size > 0 {
+		dec.Beta = float64(accel) / float64(size)
+	}
+	return shares, dec, nil
 }
 
 // SPUnified is the SP-Unified strategy for MK-Seq and MK-Loop: all
@@ -135,7 +165,9 @@ func (SPUnified) Applicable(cls classify.Class, _ bool) bool {
 	return cls == classify.MKSeq || cls == classify.MKLoop
 }
 
-// Plan implements Strategy.
+// Plan implements Strategy. On several accelerators the fused profile
+// runs once per accelerator and water-filling splits the one shared
+// partitioning point across all of them.
 func (s SPUnified) Plan(p *apps.Problem, plat *device.Platform, opts Options) (*plan.ExecutionPlan, error) {
 	if p.AtomicPhases {
 		return nil, fmt.Errorf("strategy: SP-Unified cannot partition atomic-phase %s", p.AppName)
@@ -143,55 +175,24 @@ func (s SPUnified) Plan(p *apps.Problem, plat *device.Platform, opts Options) (*
 	if len(plat.Accels) == 0 {
 		return nil, fmt.Errorf("strategy: SP-Unified needs an accelerator")
 	}
-	if len(plat.Accels) > 1 {
-		return s.planMulti(p, plat, opts)
-	}
-	est, err := glinda.ProfileFused(plat, p.Dir, p.Unique, 1, opts.glindaCfg())
-	if err != nil {
-		return nil, err
-	}
-	cls := p.Class()
-	if cls == classify.MKLoop {
-		// Steady-state iterations move no data: drop the transfer
-		// terms from the model (Section IV-B4 — "the data transfer is
-		// not profiled, because all the iterations except the first
-		// and the last ones do not have any data transfer").
-		est.InSlope, est.InConst = 0, 0
-		est.OutSlope, est.OutConst = 0, 0
-	}
-	dec := glinda.Decide(est, p.Unique[0].Size, plat.Device(1), opts.glindaCfg())
-	phases := staticPhases(p, func(apps.Phase) int64 { return dec.NG }, opts.chunks(plat), nil)
-	return newPlan(s.Name(), p, plat, staticSpec, phases, map[string]glinda.Decision{"": dec}), nil
-}
-
-// planMulti generalizes the fused partitioning to N accelerators: the
-// fused-kernel profile runs once per accelerator, the water-filling
-// solver splits the single shared partitioning point across all of
-// them, and every phase reuses the same split so data stays resident
-// per device across the sequence.
-func (s SPUnified) planMulti(p *apps.Problem, plat *device.Platform, opts Options) (*plan.ExecutionPlan, error) {
-	cls := p.Class()
-	ests := make([]glinda.Estimate, len(plat.Accels))
-	for i := range plat.Accels {
-		est, err := glinda.ProfileFused(plat, p.Dir, p.Unique, i+1, opts.glindaCfg())
-		if err != nil {
-			return nil, err
-		}
-		if cls == classify.MKLoop {
-			// Steady-state iterations move no data (Section IV-B4).
+	steady := p.Class() == classify.MKLoop
+	shares, dec, err := decideShares(plat, p.Unique[0].Size, opts, func(accel int) (glinda.Estimate, error) {
+		est, err := glinda.ProfileFused(plat, p.Dir, p.Unique, accel, opts.glindaCfg())
+		if steady {
+			// Steady-state iterations move no data: drop the transfer
+			// terms from the model (Section IV-B4 — "the data transfer
+			// is not profiled, because all the iterations except the
+			// first and the last ones do not have any data transfer").
 			est.InSlope, est.InConst = 0, 0
 			est.OutSlope, est.OutConst = 0, 0
 		}
-		ests[i] = est
-	}
-	size := p.Unique[0].Size
-	shares, err := multiSplit(plat, ests, size)
+		return est, err
+	})
 	if err != nil {
 		return nil, err
 	}
-	phases := staticPhasesMulti(p, func(apps.Phase) []int64 { return shares }, opts.chunks(plat), nil)
-	decs := map[string]glinda.Decision{"": multiDecision(shares, size)}
-	return newPlan(s.Name(), p, plat, staticSpec, phases, decs), nil
+	phases := grid{m: opts.chunks(plat), shares: func(apps.Phase) []int64 { return shares }, pin: onHost}.phases(p)
+	return newPlan(s.Name(), p, plat, staticSpec, phases, map[string]glinda.Decision{"": dec}), nil
 }
 
 // Run implements Strategy.
@@ -215,52 +216,30 @@ func (SPVaried) Applicable(cls classify.Class, _ bool) bool {
 	return cls == classify.MKSeq || cls == classify.MKLoop
 }
 
-// Plan implements Strategy.
+// Plan implements Strategy. On several accelerators every kernel is
+// split by water-filling independently.
 func (s SPVaried) Plan(p *apps.Problem, plat *device.Platform, opts Options) (*plan.ExecutionPlan, error) {
 	if p.AtomicPhases {
 		return nil, fmt.Errorf("strategy: SP-Varied cannot partition atomic-phase %s", p.AppName)
 	}
-	if len(plat.Accels) > 1 {
-		return s.planMulti(p, plat, opts)
-	}
-	decs := make(map[string]glinda.Decision, len(p.Unique))
-	for _, k := range p.Unique {
-		dec, err := glinda.Analyze(plat, p.Dir, k, 1, opts.glindaCfg())
-		if err != nil {
-			return nil, err
-		}
-		decs[k.Name] = dec
-	}
-	force := true
-	phases := staticPhases(p, func(ph apps.Phase) int64 {
-		return decs[ph.Kernel.Name].NG
-	}, opts.chunks(plat), &force)
-	return newPlan(s.Name(), p, plat, staticSpec, phases, decs), nil
-}
-
-// planMulti gives every kernel its own per-device ratios on N
-// accelerators: each kernel is profiled on each accelerator and split
-// by the water-filling solver independently, with the mandatory
-// global synchronization point after every kernel preserved.
-func (s SPVaried) planMulti(p *apps.Problem, plat *device.Platform, opts Options) (*plan.ExecutionPlan, error) {
 	decs := make(map[string]glinda.Decision, len(p.Unique))
 	splits := make(map[string][]int64, len(p.Unique))
 	for _, k := range p.Unique {
-		ests, err := profileAccels(p, plat, k, opts)
+		shares, dec, err := decideShares(plat, k.Size, opts, func(accel int) (glinda.Estimate, error) {
+			return glinda.Profile(plat, p.Dir, k, accel, opts.glindaCfg())
+		})
 		if err != nil {
 			return nil, err
 		}
-		shares, err := multiSplit(plat, ests, k.Size)
-		if err != nil {
-			return nil, err
-		}
-		splits[k.Name] = shares
-		decs[k.Name] = multiDecision(shares, k.Size)
+		splits[k.Name], decs[k.Name] = shares, dec
 	}
 	force := true
-	phases := staticPhasesMulti(p, func(ph apps.Phase) []int64 {
-		return splits[ph.Kernel.Name]
-	}, opts.chunks(plat), &force)
+	phases := grid{
+		m:      opts.chunks(plat),
+		shares: func(ph apps.Phase) []int64 { return splits[ph.Kernel.Name] },
+		pin:    onHost,
+		sync:   &force,
+	}.phases(p)
 	return newPlan(s.Name(), p, plat, staticSpec, phases, decs), nil
 }
 
@@ -285,7 +264,15 @@ func (s OnlyGPU) Plan(p *apps.Problem, plat *device.Platform, opts Options) (*pl
 	if len(plat.Accels) == 0 {
 		return nil, fmt.Errorf("strategy: Only-GPU needs an accelerator")
 	}
-	phases := singleDevicePhases(p, 1, opts.chunks(plat))
+	var whole [1]int64 // the grid reads a phase's shares before asking for the next
+	phases := grid{
+		m: opts.chunks(plat),
+		shares: func(ph apps.Phase) []int64 {
+			whole[0] = ph.Kernel.Size
+			return whole[:]
+		},
+		pin: onHost,
+	}.phases(p)
 	return newPlan(s.Name(), p, plat, staticSpec, phases, nil), nil
 }
 
@@ -307,7 +294,7 @@ func (OnlyCPU) Applicable(classify.Class, bool) bool { return true }
 
 // Plan implements Strategy.
 func (s OnlyCPU) Plan(p *apps.Problem, plat *device.Platform, opts Options) (*plan.ExecutionPlan, error) {
-	phases := singleDevicePhases(p, 0, opts.chunks(plat))
+	phases := grid{m: opts.chunks(plat), pin: onHost}.phases(p)
 	return newPlan(s.Name(), p, plat, staticSpec, phases, nil), nil
 }
 

@@ -25,6 +25,7 @@ import (
 	"heteropart/internal/device"
 	"heteropart/internal/fault"
 	"heteropart/internal/glinda"
+	"heteropart/internal/mem"
 	"heteropart/internal/metrics"
 	"heteropart/internal/names"
 	"heteropart/internal/plan"
@@ -441,181 +442,72 @@ func recordDecisions(opts Options, out *Outcome) {
 	}
 }
 
-// hostChunks appends [lo,hi) as m host-pinned chunks, using the chunk
-// index within the kernel as the dependency chain.
-func hostChunks(chs []plan.Chunk, lo, hi int64, m int) []plan.Chunk {
-	if hi <= lo {
-		return chs
-	}
-	total := hi - lo
-	chunk := (total + int64(m) - 1) / int64(m)
-	ci := 0
-	for at := lo; at < hi; at += chunk {
-		end := at + chunk
-		if end > hi {
-			end = hi
+// grid is the chunk rule every plan is assembled from. In each phase,
+// accelerator i+1 takes shares(ph)[i] elements as one pinned instance,
+// in device order from element 0. The rest of the range is cut into m
+// equal pieces, or by cut when set; piece i is pinned to pin(ph, i)
+// and chained i. On atomic (DAG) problems the rest stays one whole
+// instance with no chain.
+type grid struct {
+	m int
+	// shares, when set, gives a phase's accelerator shares.
+	shares func(ph apps.Phase) []int64
+	pin    func(ph apps.Phase, piece int) int
+	// cut, when set, replaces the equal m-way cut of the rest.
+	cut func(rest mem.Interval) []mem.Interval
+	// sync, when set, overrides every phase's own taskwait flag.
+	sync *bool
+}
+
+// onHost and unpinned are the constant piece pins of static and
+// dynamic plans.
+func onHost(apps.Phase, int) int   { return 0 }
+func unpinned(apps.Phase, int) int { return task.Unpinned }
+
+// phases assembles one PhasePlan per problem phase.
+func (g grid) phases(p *apps.Problem) []plan.PhasePlan {
+	out := make([]plan.PhasePlan, len(p.Phases))
+	// Equal cuts reuse one buffer across phases, on the stack for m up
+	// to len(buf).
+	var buf [64]mem.Interval
+	pieces := buf[:0]
+	for i, ph := range p.Phases {
+		var shares []int64
+		if g.shares != nil {
+			shares = g.shares(ph)
 		}
-		chs = append(chs, plan.Chunk{Lo: at, Hi: end, Pin: 0, Chain: ci})
-		ci++
-	}
-	return chs
-}
-
-// staticPhases decides a fully pinned plan: for every phase, the GPU
-// takes [0, ng) as one instance and the host takes [ng, n) in m
-// chunks. forceBarrier overrides the phase's own sync flag when
-// non-nil.
-func staticPhases(p *apps.Problem, ngFor func(ph apps.Phase) int64, m int,
-	forceBarrier *bool) []plan.PhasePlan {
-	phases := make([]plan.PhasePlan, 0, len(p.Phases))
-	for _, ph := range p.Phases {
-		ng := ngFor(ph)
-		var chs []plan.Chunk
-		if ng > 0 {
-			chs = append(chs, plan.Chunk{Lo: 0, Hi: ng, Pin: 1, Chain: -1})
+		rest := mem.Interval{Hi: ph.Kernel.Size}
+		for _, s := range shares {
+			rest.Lo += s
 		}
-		chs = hostChunks(chs, ng, ph.Kernel.Size, m)
-		sync := ph.SyncAfter
-		if forceBarrier != nil {
-			sync = *forceBarrier
+		switch {
+		case p.AtomicPhases:
+			pieces = rest.AppendSplit(pieces[:0], 1)
+		case g.cut != nil:
+			pieces = g.cut(rest)
+		default:
+			pieces = rest.AppendSplit(pieces[:0], g.m)
 		}
-		phases = append(phases, plan.PhasePlan{
-			Kernel: ph.Kernel.Name, Size: ph.Kernel.Size, Sync: sync, Chunks: chs,
-		})
-	}
-	return phases
-}
-
-// multiSplit warp-rounds the water-filling split of one kernel across
-// every accelerator: shares[i] is the element count of accel i
-// (1-based), shares[0] the host's, which absorbs the rounding slack.
-// ests[i] must be the profile of accel i+1; every profile carries the
-// same CPU rate Rc.
-func multiSplit(plat *device.Platform, ests []glinda.Estimate, size int64) ([]int64, error) {
-	shares, err := glinda.SolveMulti(ests[0].Rc, ests, size)
-	if err != nil {
-		return nil, err
-	}
-	var accelTotal int64
-	for i := range plat.Accels {
-		shares[i+1] = plat.Accels[i].RoundUpWarp(shares[i+1], size-accelTotal)
-		accelTotal += shares[i+1]
-	}
-	shares[0] = size - accelTotal
-	return shares, nil
-}
-
-// profileAccels runs the Glinda profile of one kernel on every
-// accelerator of the platform, in device order.
-func profileAccels(p *apps.Problem, plat *device.Platform, k *task.Kernel, opts Options) ([]glinda.Estimate, error) {
-	ests := make([]glinda.Estimate, len(plat.Accels))
-	for i := range plat.Accels {
-		est, err := glinda.Profile(plat, p.Dir, k, i+1, opts.glindaCfg())
-		if err != nil {
-			return nil, err
-		}
-		ests[i] = est
-	}
-	return ests, nil
-}
-
-// multiDecision summarizes an N-way static split as a Glinda decision
-// (total accelerator share vs host share), so multi-accelerator plans
-// report through the same telemetry as paper-platform ones.
-func multiDecision(shares []int64, size int64) glinda.Decision {
-	var accel int64
-	for _, s := range shares[1:] {
-		accel += s
-	}
-	d := glinda.Decision{Config: glinda.Hybrid, NG: accel, NC: size - accel}
-	switch {
-	case accel == 0:
-		d.Config = glinda.OnlyCPU
-	case accel == size:
-		d.Config = glinda.OnlyGPU
-	}
-	if size > 0 {
-		d.Beta = float64(accel) / float64(size)
-	}
-	return d
-}
-
-// staticPhasesMulti decides a fully pinned plan over N accelerators:
-// for every phase, accel i takes its share as one instance (in device
-// order from element 0) and the host takes the remainder in m chunks.
-// sharesFor returns the per-device element counts (index = device ID)
-// for a phase; forceBarrier overrides the phase's own sync flag when
-// non-nil.
-func staticPhasesMulti(p *apps.Problem, sharesFor func(ph apps.Phase) []int64, m int,
-	forceBarrier *bool) []plan.PhasePlan {
-	phases := make([]plan.PhasePlan, 0, len(p.Phases))
-	for _, ph := range p.Phases {
-		shares := sharesFor(ph)
-		var chs []plan.Chunk
+		chs := make([]plan.Chunk, 0, len(shares)+len(pieces))
 		at := int64(0)
-		for i := 1; i < len(shares); i++ {
-			hi := at + shares[i]
-			if hi > at {
-				chs = append(chs, plan.Chunk{Lo: at, Hi: hi, Pin: i, Chain: -1})
+		for d, s := range shares {
+			if s > 0 {
+				chs = append(chs, plan.Chunk{Lo: at, Hi: at + s, Pin: d + 1, Chain: -1})
 			}
-			at = hi
+			at += s
 		}
-		chs = hostChunks(chs, at, ph.Kernel.Size, m)
+		for j, iv := range pieces {
+			chain := j
+			if p.AtomicPhases {
+				chain = -1
+			}
+			chs = append(chs, plan.Chunk{Lo: iv.Lo, Hi: iv.Hi, Pin: g.pin(ph, j), Chain: chain})
+		}
 		sync := ph.SyncAfter
-		if forceBarrier != nil {
-			sync = *forceBarrier
+		if g.sync != nil {
+			sync = *g.sync
 		}
-		phases = append(phases, plan.PhasePlan{
-			Kernel: ph.Kernel.Name, Size: ph.Kernel.Size, Sync: sync, Chunks: chs,
-		})
+		out[i] = plan.PhasePlan{Kernel: ph.Kernel.Name, Size: ph.Kernel.Size, Sync: sync, Chunks: chs}
 	}
-	return phases
-}
-
-// dynamicPhases decides an unpinned plan: every phase split into m
-// chunks (or one atomic instance for DAG problems), chunk index as the
-// chain key, sync flags per the problem's taskwaits.
-func dynamicPhases(p *apps.Problem, m int) []plan.PhasePlan {
-	phases := make([]plan.PhasePlan, 0, len(p.Phases))
-	for _, ph := range p.Phases {
-		var chs []plan.Chunk
-		if p.AtomicPhases {
-			chs = append(chs, plan.Chunk{Lo: 0, Hi: ph.Kernel.Size, Pin: task.Unpinned, Chain: -1})
-		} else {
-			n := ph.Kernel.Size
-			chunk := (n + int64(m) - 1) / int64(m)
-			ci := 0
-			for at := int64(0); at < n; at += chunk {
-				end := at + chunk
-				if end > n {
-					end = n
-				}
-				chs = append(chs, plan.Chunk{Lo: at, Hi: end, Pin: task.Unpinned, Chain: ci})
-				ci++
-			}
-		}
-		phases = append(phases, plan.PhasePlan{
-			Kernel: ph.Kernel.Name, Size: ph.Kernel.Size, Sync: ph.SyncAfter, Chunks: chs,
-		})
-	}
-	return phases
-}
-
-// singleDevicePhases pins every phase whole to one device (Only-CPU
-// uses m host chunks so all worker threads participate, as the paper's
-// Only-CPU does).
-func singleDevicePhases(p *apps.Problem, dev, m int) []plan.PhasePlan {
-	phases := make([]plan.PhasePlan, 0, len(p.Phases))
-	for _, ph := range p.Phases {
-		var chs []plan.Chunk
-		if dev == 0 && !p.AtomicPhases {
-			chs = hostChunks(chs, 0, ph.Kernel.Size, m)
-		} else {
-			chs = append(chs, plan.Chunk{Lo: 0, Hi: ph.Kernel.Size, Pin: dev, Chain: -1})
-		}
-		phases = append(phases, plan.PhasePlan{
-			Kernel: ph.Kernel.Name, Size: ph.Kernel.Size, Sync: ph.SyncAfter, Chunks: chs,
-		})
-	}
-	return phases
+	return out
 }

@@ -239,3 +239,39 @@ func TestChunksOptionControlsGranularity(t *testing.T) {
 		t.Fatalf("instances = %d, want 8", got)
 	}
 }
+
+// TestPlanAssemblyAllocationCeiling pins the allocations of deciding
+// a profile-free plan on a multi-phase problem (STREAM-Seq: 4 phases
+// of m = 12 task instances): the splitter cuts into one reused buffer
+// and every phase's chunk list is allocated once, at its final size.
+// The ceilings may be lowered, never raised.
+func TestPlanAssemblyAllocationCeiling(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race runtime allocates per call")
+	}
+	plat := device.PaperPlatform(12)
+	p, err := apps.NewStreamSeq().Build(apps.Variant{N: 4096})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		s       Strategy
+		ceiling float64
+	}{
+		{DPPerf{}, 25},
+		{OnlyCPU{}, 25},
+	} {
+		var err error
+		got := testing.AllocsPerRun(20, func() {
+			if err == nil {
+				_, err = c.s.Plan(p, plat, Options{})
+			}
+		})
+		if err != nil {
+			t.Fatalf("%s: %v", c.s.Name(), err)
+		}
+		if got > c.ceiling {
+			t.Errorf("%s: %.0f allocations per Plan, ceiling %.0f", c.s.Name(), got, c.ceiling)
+		}
+	}
+}
