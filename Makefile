@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test bench bench-report bench-golden vet fmt lint race race-observe check experiments report examples clean api service-load fuzz chaos platforms calibrate
+.PHONY: all build test bench bench-smoke bench-report bench-golden vet fmt lint race race-observe check experiments report examples clean api service-load fuzz chaos platforms calibrate
 
 # Pinned staticcheck version; CI installs exactly this.
 STATICCHECK_VERSION = 2024.1.1
@@ -98,10 +98,15 @@ calibrate:
 	rm -rf $$tmp && echo "calibrate: record -> fit -> converge ok"
 
 # Everything a change must pass before merging.
-check: build vet fmt lint test race service-load chaos fuzz platforms calibrate bench-golden bench-report
+check: build vet fmt lint test race service-load chaos fuzz platforms calibrate bench-smoke bench-golden bench-report
 
 bench:
 	$(GO) test -bench=. -benchmem ./...
+
+# Every Go benchmark for one iteration (~10 s), so the Benchmark*
+# functions keep running, not just compiling.
+bench-smoke:
+	$(GO) test -run '^$$' -bench . -benchtime 1x ./...
 
 # Smoke-scale benchmark regression report: runs the tier-1 suite once,
 # writes bench-out/BENCH_<date>.json and fails on >20% ns/op

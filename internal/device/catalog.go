@@ -2,7 +2,7 @@ package device
 
 import (
 	"fmt"
-	"strings"
+	"strconv"
 
 	"heteropart/internal/sim"
 )
@@ -256,27 +256,44 @@ func (p *Platform) CPUThreads() int { return p.Host.Share }
 // exactly as it did before the platform layer became pluggable, so
 // existing plans, cache keys and bundles stay valid.
 func (p *Platform) Fingerprint() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%s/m=%d/%.1f/%.1f", p.Host.Name, p.Host.Share,
-		p.Host.PeakSPGFLOPS, p.Host.MemBWGBps)
+	b := make([]byte, 0, 256)
+	b = append(b, p.Host.Name...)
+	b = append(b, "/m="...)
+	b = strconv.AppendInt(b, int64(p.Host.Share), 10)
+	b = appendTenth(append(b, '/'), p.Host.PeakSPGFLOPS)
+	b = appendTenth(append(b, '/'), p.Host.MemBWGBps)
 	for _, a := range p.Accels {
-		l := p.LinkOf(a.ID)
-		fmt.Fprintf(&b, "+%s/%.1f/%.1f/link=%.1f:%.1f:%d:%t",
-			a.Name, a.PeakSPGFLOPS, a.MemBWGBps,
-			l.HtoDGBps, l.DtoHGBps, int64(l.Latency), l.Duplex)
+		b = append(append(b, '+'), a.Name...)
+		b = appendTenth(append(b, '/'), a.PeakSPGFLOPS)
+		b = appendTenth(append(b, '/'), a.MemBWGBps)
+		b = appendLink(append(b, "/link="...), p.LinkOf(a.ID))
 		if bus := p.BusOf(a.ID); bus != "" {
-			fmt.Fprintf(&b, "/bus=%s", bus)
+			b = append(append(b, "/bus="...), bus...)
 		}
 	}
 	for _, e := range p.P2P {
-		fmt.Fprintf(&b, "+p2p=%d-%d:%.1f:%.1f:%d:%t",
-			e.A, e.B, e.Link.HtoDGBps, e.Link.DtoHGBps,
-			int64(e.Link.Latency), e.Link.Duplex)
+		b = strconv.AppendInt(append(b, "+p2p="...), int64(e.A), 10)
+		b = strconv.AppendInt(append(b, '-'), int64(e.B), 10)
+		b = appendLink(append(b, ':'), e.Link)
 	}
 	if c := p.CostModelOf().Canonical(); c != "" {
-		fmt.Fprintf(&b, "+cost=%s", c)
+		b = append(append(b, "+cost="...), c...)
 	}
-	return b.String()
+	return string(b)
+}
+
+// appendTenth renders x to one decimal place, as %.1f does.
+func appendTenth(b []byte, x float64) []byte {
+	return strconv.AppendFloat(b, x, 'f', 1, 64)
+}
+
+// appendLink renders a link for the fingerprint: both bandwidths, the
+// latency and whether it is duplex, colon-separated.
+func appendLink(b []byte, l Link) []byte {
+	b = appendTenth(b, l.HtoDGBps)
+	b = appendTenth(append(b, ':'), l.DtoHGBps)
+	b = strconv.AppendInt(append(b, ':'), int64(l.Latency), 10)
+	return strconv.AppendBool(append(b, ':'), l.Duplex)
 }
 
 // Validate checks the platform describes a usable machine. Violations

@@ -74,6 +74,46 @@ func TestPaperSpecMatchesLegacyPlatform(t *testing.T) {
 	}
 }
 
+// TestFingerprintPinned pins the fingerprint string itself: it keys
+// every cache and gates plan replay, so its rendering may not drift.
+func TestFingerprintPinned(t *testing.T) {
+	paper := "Intel Xeon E5-2620/m=12/384.0/42.6+Nvidia Tesla K20m/3519.3/208.0/link=6.0:6.0:10000:true"
+	gtx := "Nvidia GTX 680/3090.4/192.2/link=12.0:12.0:8000:true"
+	want := map[string]string{
+		"paper":        paper,
+		"dual-gpu-bus": "Intel Xeon E5-2620/m=12/384.0/42.6+" + gtx + "/bus=pcie0+" + gtx + "/bus=pcie0",
+		"tri-asym-p2p": paper + "+Intel Xeon Phi 5110P/2022.0/320.0/link=12.0:12.0:8000:true+p2p=1-2:10.0:10.0:5000:true",
+	}
+	for _, name := range SpecNames() {
+		p, err := ByName(name, 12)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := p.Fingerprint(); got != want[name] {
+			t.Errorf("%s: fingerprint %q, want %q", name, got, want[name])
+		}
+	}
+
+	calibrated := PaperPlatform(12).WithCost(&Calibrated{Scales: []Scale{
+		{Kernel: "k", Device: 1, Factor: 1.25}, {Device: -1, Factor: 0.5},
+	}})
+	if got, want := calibrated.Fingerprint(), paper+"+cost=calibrated[:-1:0.5,k:1:1.25]"; got != want {
+		t.Errorf("calibrated: fingerprint %q, want %q", got, want)
+	}
+
+	p2p, err := NewPlatform(XeonE5_2620(), 12,
+		Attachment{Model: GTX680(), Link: PCIeGen3x16()},
+		Attachment{Model: GTX680(), Link: PCIeGen3x16()},
+	)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p2p.P2P = []P2PEdge{{A: 2, B: 1, Link: Link{HtoDGBps: 10, DtoHGBps: 7.25, Latency: 1500}}}
+	if got, want := p2p.Fingerprint(), "Intel Xeon E5-2620/m=12/384.0/42.6+"+gtx+"+"+gtx+"+p2p=2-1:10.0:7.2:1500:false"; got != want {
+		t.Errorf("p2p: fingerprint %q, want %q", got, want)
+	}
+}
+
 // TestFingerprintDiscrimination checks that topology and cost-model
 // variations that change simulated behavior also change the platform
 // fingerprint — the identity behind plan replay gating and every

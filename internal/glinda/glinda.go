@@ -355,8 +355,10 @@ func Profile(plat *device.Platform, dir *mem.Directory, k *task.Kernel, accelID 
 	// Transfer-bytes models from the kernel's declared accesses,
 	// fitted through two sample points for slope and intercept:
 	// inputs moved to the device, outputs flushed back.
-	est.InSlope, est.InConst = fitBytes(s, accessBytes(k, s, true), accessBytes(k, s/2, true))
-	est.OutSlope, est.OutConst = fitBytes(s, accessBytes(k, s, false), accessBytes(k, s/2, false))
+	in1, out1 := accessBytes(k, s)
+	in2, out2 := accessBytes(k, s/2)
+	est.InSlope, est.InConst = fitBytes(s, in1, in2)
+	est.OutSlope, est.OutConst = fitBytes(s, out1, out2)
 
 	if r := cfg.Metrics; r != nil {
 		r.Counter("glinda_profiles_total", "profiling passes executed").Inc()
@@ -388,19 +390,18 @@ func fitBytes(s, b1, b2 int64) (slope, c float64) {
 	return slope, c
 }
 
-// accessBytes totals the read (in=true) or written (in=false) payload
-// of a partition [0, s) from the kernel's access declarations.
-func accessBytes(k *task.Kernel, s int64, in bool) int64 {
-	var total int64
+// accessBytes totals the read (in) and written (out) payload of a
+// partition [0, s) from the kernel's access declarations.
+func accessBytes(k *task.Kernel, s int64) (in, out int64) {
 	for _, a := range k.AccessesOf(0, s) {
-		if in && a.Mode.Reads() {
-			total += a.Buf.Bytes(a.Interval)
+		if a.Mode.Reads() {
+			in += a.Buf.Bytes(a.Interval)
 		}
-		if !in && a.Mode.Writes() {
-			total += a.Buf.Bytes(a.Interval)
+		if a.Mode.Writes() {
+			out += a.Buf.Bytes(a.Interval)
 		}
 	}
-	return total
+	return in, out
 }
 
 // Analyze is the whole Glinda pipeline for one kernel: profile, then

@@ -11,8 +11,8 @@ import "fmt"
 //	T_gpu(s) = P[s]/rgw + (slope·s + c0)/B      (weights/s + bytes/s)
 //	T_cpu(s) = (P[n] - P[s])/rcw
 //
-// rgw and rcw are throughputs in weight units per second; pass
-// bInf = true (or B <= 0 is rejected) via an infinite B using slope = 0
+// rgw and rcw are throughputs in weight units per second. A bandwidth
+// B <= 0 drops the transfer term, as does slope = c0 = 0: pass either
 // when the kernel moves no data.
 //
 // Both sides are monotone in s (GPU nondecreasing, CPU nonincreasing),
@@ -48,13 +48,16 @@ func SolveImbalanced(prefix []float64, rgw, rcw, slope, c0, bandwidth float64) (
 	return solveMinimax(n, tg, tc), nil
 }
 
-// SolveImbalancedPrefix is the fully nonlinear variant: both the
-// compute weight and the transfer bytes of a prefix come from prefix
-// sums, so iteration spaces whose *footprint* is also uneven (e.g.
-// packed triangular data) are priced correctly.
-func SolveImbalancedPrefix(weight, bytes []float64, rgw, rcw, bandwidth float64) (int64, error) {
-	if len(weight) < 1 || len(bytes) != len(weight) {
-		return 0, fmt.Errorf("glinda: prefix lengths %d vs %d", len(weight), len(bytes))
+// SolveImbalancedPrefix is the fully nonlinear variant: the compute
+// weight of a prefix comes from prefix sums and its transfer bytes
+// from bytes(s), the bytes the accelerator moves for [0, s), so
+// iteration spaces whose *footprint* is also uneven (e.g. packed
+// triangular data) are priced correctly. bytes must be nondecreasing
+// in s; it is called only when bandwidth > 0, and only at the
+// O(log n) points the search visits.
+func SolveImbalancedPrefix(weight []float64, bytes func(s int64) float64, rgw, rcw, bandwidth float64) (int64, error) {
+	if len(weight) < 1 {
+		return 0, fmt.Errorf("glinda: prefix sums empty")
 	}
 	n := int64(len(weight) - 1)
 	if rgw <= 0 && rcw <= 0 {
@@ -67,14 +70,14 @@ func SolveImbalancedPrefix(weight, bytes []float64, rgw, rcw, bandwidth float64)
 		return n, nil
 	}
 	for i := 1; i < len(weight); i++ {
-		if weight[i] < weight[i-1] || bytes[i] < bytes[i-1] {
+		if weight[i] < weight[i-1] {
 			return 0, fmt.Errorf("glinda: prefix sums must be nondecreasing (index %d)", i)
 		}
 	}
 	tg := func(s int64) float64 {
 		t := weight[s] / rgw
 		if bandwidth > 0 {
-			t += bytes[s] / bandwidth
+			t += bytes(s) / bandwidth
 		}
 		return t
 	}

@@ -49,25 +49,13 @@ func WeightPrefix(k *task.Kernel) []float64 {
 	return p
 }
 
-// BytesPrefix builds the transfer-bytes prefix sums of a kernel's
-// iteration space from its access declarations (reads in + writes
-// back out).
-func BytesPrefix(k *task.Kernel) []float64 {
-	n := k.Size
-	p := make([]float64, n+1)
-	for i := int64(0); i < n; i++ {
-		var b float64
-		for _, a := range k.AccessesOf(i, i+1) {
-			if a.Mode.Reads() {
-				b += float64(a.Buf.Bytes(a.Interval))
-			}
-			if a.Mode.Writes() {
-				b += float64(a.Buf.Bytes(a.Interval))
-			}
-		}
-		p[i+1] = p[i] + b
-	}
-	return p
+// prefixBytes is the transfer bytes of the accelerator's share
+// [0, s): reads in plus writes out. The share runs as one instance over
+// the range, so this is exactly what the runtime moves for it, and one
+// access call prices the whole range.
+func prefixBytes(k *task.Kernel, s int64) float64 {
+	in, out := accessBytes(k, s)
+	return float64(in + out)
 }
 
 // DecisionImbalanced is the weighted analogue of Decision.
@@ -135,12 +123,12 @@ func AnalyzeImbalanced(plat *device.Platform, dir *mem.Directory, k *task.Kernel
 	rgw := est.Rg * sampleWeight / float64(s)
 
 	prefix := WeightPrefix(k)
-	bytesPrefix := BytesPrefix(k)
 	b := est.B
 	if math.IsInf(b, 1) {
 		b = 0
 	}
-	split, err := SolveImbalancedPrefix(prefix, bytesPrefix, rgw, rcw, b)
+	bytes := func(s int64) float64 { return prefixBytes(k, s) }
+	split, err := SolveImbalancedPrefix(prefix, bytes, rgw, rcw, b)
 	if err != nil {
 		return DecisionImbalanced{}, err
 	}

@@ -3,6 +3,7 @@ package glinda
 import (
 	"testing"
 
+	"heteropart/internal/apps"
 	"heteropart/internal/device"
 	"heteropart/internal/mem"
 	"heteropart/internal/task"
@@ -45,15 +46,35 @@ func TestImbalanceRatio(t *testing.T) {
 	}
 }
 
+// bytesPrefixOracle is the per-element byte prefix the weighted
+// pipeline once built: one access call per element, reads in plus
+// writes out, summed.
+func bytesPrefixOracle(k *task.Kernel) []float64 {
+	n := k.Size
+	p := make([]float64, n+1)
+	for i := int64(0); i < n; i++ {
+		var b float64
+		for _, a := range k.AccessesOf(i, i+1) {
+			if a.Mode.Reads() {
+				b += float64(a.Buf.Bytes(a.Interval))
+			}
+			if a.Mode.Writes() {
+				b += float64(a.Buf.Bytes(a.Interval))
+			}
+		}
+		p[i+1] = p[i] + b
+	}
+	return p
+}
+
 func TestWeightAndBytesPrefix(t *testing.T) {
 	dir := mem.NewDirectory(2)
 	tri := triKernel(dir, 100)
 	w := WeightPrefix(tri)
-	b := BytesPrefix(tri)
-	if len(w) != 101 || len(b) != 101 {
-		t.Fatalf("prefix lengths %d/%d", len(w), len(b))
+	if len(w) != 101 {
+		t.Fatalf("prefix length %d", len(w))
 	}
-	if w[0] != 0 || b[0] != 0 {
+	if w[0] != 0 || prefixBytes(tri, 0) != 0 {
 		t.Fatal("prefixes must start at 0")
 	}
 	// Total weight = 8 * packed elements.
@@ -62,13 +83,57 @@ func TestWeightAndBytesPrefix(t *testing.T) {
 		t.Fatalf("total weight = %v, want %v", w[100], 8*packed)
 	}
 	// Bytes: 4 B per packed element in + 4 B per row out.
-	if b[100] != 4*packed+4*100 {
-		t.Fatalf("total bytes = %v, want %v", b[100], 4*packed+4*100)
+	if b := prefixBytes(tri, 100); b != 4*packed+4*100 {
+		t.Fatalf("total bytes = %v, want %v", b, 4*packed+4*100)
 	}
-	for i := 1; i <= 100; i++ {
-		if w[i] < w[i-1] || b[i] < b[i-1] {
+	for i := int64(1); i <= 100; i++ {
+		if w[i] < w[i-1] || prefixBytes(tri, i) < prefixBytes(tri, i-1) {
 			t.Fatal("prefix not monotone")
 		}
+	}
+
+	// Triangular's per-element accesses tile [0, s), so pricing the
+	// range gives the per-element sum exactly, at every s.
+	for _, n := range []int64{1, 2, 3, 1000, 2048} {
+		prob, err := apps.NewTriangular().Build(apps.Variant{N: n})
+		if err != nil {
+			t.Fatal(err)
+		}
+		k := prob.Phases[0].Kernel
+		want := bytesPrefixOracle(k)
+		for s := int64(0); s <= n; s++ {
+			if got := prefixBytes(k, s); got != want[s] {
+				t.Fatalf("n=%d: bytes of [0,%d) = %v, per-element sum %v", n, s, got, want[s])
+			}
+		}
+	}
+}
+
+// TestAnalyzeImbalancedAccessCalls bounds the decide cost of the
+// weighted pipeline: the accelerator's bytes are priced over a range
+// at the points the split search visits, not element by element (one
+// decision at n = 32768 once made 32785 access calls).
+func TestAnalyzeImbalancedAccessCalls(t *testing.T) {
+	prob, err := apps.NewTriangular().Build(apps.Variant{N: 32768})
+	if err != nil {
+		t.Fatal(err)
+	}
+	k := prob.Phases[0].Kernel
+	calls := 0
+	accesses := k.Accesses
+	k.Accesses = func(lo, hi int64) []task.Access {
+		calls++
+		return accesses(lo, hi)
+	}
+	dec, err := AnalyzeImbalanced(device.PaperPlatform(12), prob.Dir, k, 1, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if dec.Split <= 0 || dec.Split >= 32768 {
+		t.Fatalf("split = %d, want interior", dec.Split)
+	}
+	if calls >= 100 {
+		t.Fatalf("one decision made %d access calls, want < 100", calls)
 	}
 }
 
@@ -144,19 +209,17 @@ func TestAnalyzeImbalancedEndToEnd(t *testing.T) {
 }
 
 func TestSolveImbalancedPrefixErrors(t *testing.T) {
-	if _, err := SolveImbalancedPrefix([]float64{0, 1}, []float64{0}, 1, 1, 0); err == nil {
-		t.Fatal("length mismatch accepted")
-	}
-	if _, err := SolveImbalancedPrefix([]float64{0, 2, 1}, []float64{0, 0, 0}, 1, 1, 0); err == nil {
+	linear := func(s int64) float64 { return float64(s) }
+	if _, err := SolveImbalancedPrefix([]float64{0, 2, 1}, linear, 1, 1, 0); err == nil {
 		t.Fatal("decreasing weight accepted")
 	}
-	if s, _ := SolveImbalancedPrefix([]float64{0, 1}, []float64{0, 1}, 0, 1, 0); s != 0 {
+	if s, _ := SolveImbalancedPrefix([]float64{0, 1}, linear, 0, 1, 0); s != 0 {
 		t.Fatal("dead GPU should give CPU all")
 	}
-	if s, _ := SolveImbalancedPrefix([]float64{0, 1}, []float64{0, 1}, 1, 0, 0); s != 1 {
+	if s, _ := SolveImbalancedPrefix([]float64{0, 1}, linear, 1, 0, 0); s != 1 {
 		t.Fatal("dead CPU should give GPU all")
 	}
-	if _, err := SolveImbalancedPrefix([]float64{0, 1}, []float64{0, 1}, 0, 0, 0); err == nil {
+	if _, err := SolveImbalancedPrefix([]float64{0, 1}, linear, 0, 0, 0); err == nil {
 		t.Fatal("dead platform accepted")
 	}
 }

@@ -13,6 +13,7 @@ import (
 // performance-aware policy engages (Section IV-A3 of the paper).
 const WarmupInstances = 3
 
+// kernelDev keys a profile snapshot by kernel name and device ID.
 type kernelDev struct {
 	kernel string
 	dev    int
@@ -23,6 +24,50 @@ type rateEst struct {
 	// nsPerUnit is the running mean execution rate per size unit
 	// (access bytes when the kernel declares accesses, else elements).
 	nsPerUnit float64
+}
+
+// perfKernel is the policy's state for one kernel, identified by name:
+// what it knows of the kernel on each device, indexed by device ID.
+type perfKernel struct {
+	name string
+	// k is the last Kernel value resolved to this state, matched by
+	// pointer before falling back to the name.
+	k    *task.Kernel
+	devs []perfDev
+}
+
+// perfDev is what the policy knows of one kernel on one device: the
+// learned rate and the placements made there.
+type perfDev struct {
+	rate     rateEst
+	assigned int
+}
+
+// on returns the kernel's state on dev, growing the per-device slice
+// to cover it.
+func (pk *perfKernel) on(dev int) *perfDev {
+	if dev >= len(pk.devs) {
+		pk.devs = append(pk.devs, make([]perfDev, dev+1-len(pk.devs))...)
+	}
+	return &pk.devs[dev]
+}
+
+// estimate returns the predicted wall span on dev of an instance of
+// the given size from the learned rate.
+func (pk *perfKernel) estimate(dev int, size float64) sim.Duration {
+	r := pk.on(dev).rate
+	if r.samples == 0 {
+		return 0 // unknown device looks free: exploration
+	}
+	return sim.Duration(r.nsPerUnit * size)
+}
+
+// horizon is a device's estimated completion horizon. A device never
+// placed on has none (set is false): SyncClock leaves it alone, and
+// its first placement starts from 0, not from the current time.
+type horizon struct {
+	until sim.Time
+	set   bool
 }
 
 // Perf is the DP-Perf policy: a performance-aware push scheduler
@@ -41,11 +86,11 @@ type rateEst struct {
 // overestimates the GPU capability", Section IV-B1).
 type Perf struct {
 	overhead sim.Duration
-	rates    map[kernelDev]*rateEst
-	// assigned counts per kernel/device placements during warm-up.
-	assigned map[kernelDev]int
-	// busyUntil is the estimated completion horizon per device.
-	busyUntil map[int]sim.Time
+	// kernels holds the rates and warm-up placement counts of every
+	// kernel seen or seeded, a handful per run.
+	kernels []*perfKernel
+	// horizons holds the busy horizon per device ID.
+	horizons []horizon
 	// blind disables the data-aware writeback prediction (ablation).
 	blind bool
 	// rr rotates warm-up placements deterministically.
@@ -72,12 +117,32 @@ type Perf struct {
 // NewPerf returns a DP-Perf scheduler with the default decision
 // overhead and an empty profile.
 func NewPerf() *Perf {
-	return &Perf{
-		overhead:  DefaultDecisionOverhead,
-		rates:     make(map[kernelDev]*rateEst),
-		assigned:  make(map[kernelDev]int),
-		busyUntil: make(map[int]sim.Time),
+	return &Perf{overhead: DefaultDecisionOverhead}
+}
+
+// kernel resolves k to its state: by pointer first, then by name,
+// creating the state on first sight.
+func (p *Perf) kernel(k *task.Kernel) *perfKernel {
+	for _, pk := range p.kernels {
+		if pk.k == k {
+			return pk
+		}
 	}
+	pk := p.named(k.Name)
+	pk.k = k
+	return pk
+}
+
+// named returns the state of the kernel called name, creating it.
+func (p *Perf) named(name string) *perfKernel {
+	for _, pk := range p.kernels {
+		if pk.name == name {
+			return pk
+		}
+	}
+	pk := &perfKernel{name: name}
+	p.kernels = append(p.kernels, pk)
+	return pk
 }
 
 // NewPerfBlind returns the ablated variant: rate learning only, no
@@ -129,11 +194,12 @@ func (p *Perf) OnReady(in *task.Instance, v View) (int, bool) {
 	if len(devs) == 0 {
 		return 0, false // nothing can run it; the runtime reports the plan bug
 	}
+	pk := p.kernel(in.Kernel)
 	// Warm-up: any device short of profile samples for this kernel
 	// gets the instance (round-robin across the starved devices).
 	starving := p.starving[:0]
 	for _, d := range devs {
-		if p.assigned[kernelDev{in.Kernel.Name, d.ID}] < WarmupInstances {
+		if pk.on(d.ID).assigned < WarmupInstances {
 			starving = append(starving, d.ID)
 		}
 	}
@@ -151,8 +217,7 @@ func (p *Perf) OnReady(in *task.Instance, v View) (int, bool) {
 	// profiling phase" of Section IV-A3: the policy refuses to commit
 	// the bulk of the work on guesses.
 	for _, d := range devs {
-		r, ok := p.rates[kernelDev{in.Kernel.Name, d.ID}]
-		if !ok || r.samples == 0 {
+		if pk.on(d.ID).rate.samples == 0 {
 			p.mDeferred.Inc()
 			return 0, false
 		}
@@ -172,13 +237,14 @@ func (p *Perf) OnReady(in *task.Instance, v View) (int, bool) {
 	// other unstable order, which keeps N-accelerator runs
 	// reproducible (and cacheable) across processes.
 	best, bestFinish := -1, sim.Time(0)
+	size := sizeOf(in)
 	for _, d := range devs {
-		est := p.estimate(in, d.ID) + p.writebackCost(in, d.ID, v)
-		horizon := p.busyUntil[d.ID]
-		if horizon < v.Now() {
-			horizon = v.Now()
+		est := pk.estimate(d.ID, size) + p.writebackCost(in, d.ID, v)
+		start := v.Now()
+		if d.ID < len(p.horizons) && p.horizons[d.ID].until > start {
+			start = p.horizons[d.ID].until
 		}
-		finish := horizon + est
+		finish := start + est
 		if best == -1 || finish < bestFinish {
 			best, bestFinish = d.ID, finish
 		}
@@ -200,16 +266,6 @@ func sizeOf(in *task.Instance) float64 {
 		return float64(bytes)
 	}
 	return float64(in.Elems())
-}
-
-// estimate returns the predicted wall span of in on dev from the
-// learned rates.
-func (p *Perf) estimate(in *task.Instance, dev int) sim.Duration {
-	r, ok := p.rates[kernelDev{in.Kernel.Name, dev}]
-	if !ok || r.samples == 0 {
-		return 0 // unknown device looks free: exploration
-	}
-	return sim.Duration(r.nsPerUnit * sizeOf(in))
 }
 
 // writebackCost predicts the device-to-host cost of the data the
@@ -242,9 +298,14 @@ func (p *Perf) OnIdle(int, []*task.Instance, View) *task.Instance { return nil }
 // m-way processor-sharing host finishes c equal chunks of demand D at
 // time c·D (each runs at 1/c speed), so the (c+1)th lands at (c+1)·D.
 func (p *Perf) Placed(in *task.Instance, dev int) {
-	k := kernelDev{in.Kernel.Name, dev}
-	p.assigned[k]++
-	p.busyUntil[dev] += p.estimate(in, dev)
+	pk := p.kernel(in.Kernel)
+	pk.on(dev).assigned++
+	if dev >= len(p.horizons) {
+		p.horizons = append(p.horizons, make([]horizon, dev+1-len(p.horizons))...)
+	}
+	h := &p.horizons[dev]
+	h.set = true
+	h.until += pk.estimate(dev, sizeOf(in))
 }
 
 // Completed implements Scheduler: fold the measured rate into the
@@ -255,8 +316,9 @@ func (p *Perf) Completed(in *task.Instance, dev int, took sim.Duration) {
 	if size <= 0 {
 		return
 	}
+	pk := p.kernel(in.Kernel)
 	if p.mPredErr != nil && took > 0 {
-		if est := p.estimate(in, dev); est > 0 {
+		if est := pk.estimate(dev, size); est > 0 {
 			diff := float64(est - took)
 			if diff < 0 {
 				diff = -diff
@@ -264,12 +326,7 @@ func (p *Perf) Completed(in *task.Instance, dev int, took sim.Duration) {
 			p.mPredErr.Observe(int64(100 * diff / float64(took)))
 		}
 	}
-	k := kernelDev{in.Kernel.Name, dev}
-	r := p.rates[k]
-	if r == nil {
-		r = &rateEst{}
-		p.rates[k] = r
-	}
+	r := &pk.on(dev).rate
 	obs := float64(took) / size
 	r.samples++
 	r.nsPerUnit += (obs - r.nsPerUnit) / float64(r.samples)
@@ -282,9 +339,9 @@ func (p *Perf) Overhead() sim.Duration { return p.overhead }
 // calls this as virtual time advances so stale horizons do not
 // accumulate error.
 func (p *Perf) SyncClock(now sim.Time) {
-	for d, t := range p.busyUntil {
-		if t < now {
-			p.busyUntil[d] = now
+	for d, h := range p.horizons {
+		if h.set && h.until < now {
+			p.horizons[d].until = now
 		}
 	}
 }
@@ -301,11 +358,15 @@ type ProfileSnapshot struct {
 // Snapshot captures the learned rates.
 func (p *Perf) Snapshot() ProfileSnapshot {
 	s := ProfileSnapshot{rates: make(map[kernelDev]rateEst), assigned: make(map[kernelDev]int)}
-	for k, r := range p.rates {
-		s.rates[k] = *r
-	}
-	for k, n := range p.assigned {
-		s.assigned[k] = n
+	for _, pk := range p.kernels {
+		for dev, d := range pk.devs {
+			if d.rate.samples > 0 {
+				s.rates[kernelDev{pk.name, dev}] = d.rate
+			}
+			if d.assigned > 0 {
+				s.assigned[kernelDev{pk.name, dev}] = d.assigned
+			}
+		}
 	}
 	return s
 }
@@ -314,12 +375,10 @@ func (p *Perf) Snapshot() ProfileSnapshot {
 // already done for the covered kernel/device pairs.
 func (p *Perf) Seed(s ProfileSnapshot) {
 	for k, r := range s.rates {
-		cp := r
-		p.rates[k] = &cp
+		p.named(k.kernel).on(k.dev).rate = r
 	}
 	for k, n := range s.assigned {
-		if n > p.assigned[k] {
-			p.assigned[k] = n
-		}
+		d := p.named(k.kernel).on(k.dev)
+		d.assigned = max(d.assigned, n)
 	}
 }

@@ -104,14 +104,32 @@ func TestPerfWarmupSpreadsInstances(t *testing.T) {
 	}
 }
 
+// warmUp places the warm-up instances of k on each device through the
+// public surface. With no rate learned yet, every placement is
+// estimated at 0, so the busy horizons stay at 0.
+func warmUp(p *Perf, k *task.Kernel, devs ...int) {
+	for i := 0; i < WarmupInstances; i++ {
+		for _, dev := range devs {
+			p.Placed(inst(k, i, 0, 100, -1), dev)
+		}
+	}
+}
+
+// horizonOf reads a device's busy horizon and whether it has one.
+func (p *Perf) horizonOf(dev int) (sim.Time, bool) {
+	if dev >= len(p.horizons) {
+		return 0, false
+	}
+	return p.horizons[dev].until, p.horizons[dev].set
+}
+
 func TestPerfPrefersFasterDevice(t *testing.T) {
 	p := NewPerf()
 	k := kernel("k")
 	v := paperView()
 	// Teach: device 1 is 10x faster.
+	warmUp(p, k, 0, 1)
 	for i := 0; i < WarmupInstances; i++ {
-		p.assigned[kernelDev{"k", 0}]++
-		p.assigned[kernelDev{"k", 1}]++
 		p.Completed(inst(k, i, 0, 100, -1), 0, 1000)
 		p.Completed(inst(k, i, 0, 100, -1), 1, 100)
 	}
@@ -138,9 +156,8 @@ func TestPerfBusyHorizonBalances(t *testing.T) {
 	// Equal per-chunk durations (the runtime reports dedicated-
 	// equivalent times, so these are directly comparable): the busy
 	// horizons must make the assignments alternate evenly.
+	warmUp(p, k, 0, 1)
 	for i := 0; i < WarmupInstances; i++ {
-		p.assigned[kernelDev{"k", 0}]++
-		p.assigned[kernelDev{"k", 1}]++
 		p.Completed(inst(k, i, 0, 100, -1), 0, 500)
 		p.Completed(inst(k, i, 0, 100, -1), 1, 500)
 	}
@@ -161,13 +178,13 @@ func TestPerfRateLearningRunningMean(t *testing.T) {
 	k := kernel("k")
 	p.Completed(inst(k, 0, 0, 100, -1), 1, 1000) // 10 ns/elem
 	p.Completed(inst(k, 1, 0, 100, -1), 1, 3000) // 30 ns/elem
-	r := p.rates[kernelDev{"k", 1}]
+	r := p.Snapshot().rates[kernelDev{"k", 1}]
 	if r.samples != 2 || r.nsPerUnit != 20 {
 		t.Fatalf("rate = %+v, want mean 20 ns/elem over 2 samples", r)
 	}
 	// Zero-length instances must not poison the estimate.
 	p.Completed(inst(k, 2, 5, 5, -1), 1, 1000)
-	if r.samples != 2 {
+	if r := p.Snapshot().rates[kernelDev{"k", 1}]; r.samples != 2 {
 		t.Fatal("zero-elem completion was folded into the profile")
 	}
 }
@@ -175,9 +192,8 @@ func TestPerfRateLearningRunningMean(t *testing.T) {
 func TestPerfSeedSkipsWarmup(t *testing.T) {
 	trained := NewPerf()
 	k := kernel("k")
+	warmUp(trained, k, 0, 1)
 	for i := 0; i < WarmupInstances; i++ {
-		trained.assigned[kernelDev{"k", 0}] = WarmupInstances
-		trained.assigned[kernelDev{"k", 1}] = WarmupInstances
 		trained.Completed(inst(k, i, 0, 100, -1), 0, 1000)
 		trained.Completed(inst(k, i, 0, 100, -1), 1, 100)
 	}
@@ -192,20 +208,44 @@ func TestPerfSeedSkipsWarmup(t *testing.T) {
 
 func TestPerfSyncClockClampsHorizons(t *testing.T) {
 	p := NewPerf()
-	p.busyUntil[1] = 100
+	k := kernel("k")
+	p.Completed(inst(k, 0, 0, 100, -1), 1, 100) // 1 ns/elem
+	p.Placed(inst(k, 1, 0, 100, -1), 1)         // horizon 100
 	p.SyncClock(500)
-	if p.busyUntil[1] != 500 {
-		t.Fatalf("horizon = %v, want clamped to 500", p.busyUntil[1])
+	if h, _ := p.horizonOf(1); h != 500 {
+		t.Fatalf("horizon = %v, want clamped to 500", h)
 	}
 	p.SyncClock(200) // never moves backwards
-	if p.busyUntil[1] != 500 {
-		t.Fatalf("horizon went backwards: %v", p.busyUntil[1])
+	if h, _ := p.horizonOf(1); h != 500 {
+		t.Fatalf("horizon went backwards: %v", h)
+	}
+}
+
+// TestPerfFirstPlacementHorizon pins the absent-horizon rule: a device
+// never placed on has no horizon, so SyncClock does not clamp it, and
+// its first placement at now > 0 adds the estimate to 0, not to now.
+// The horizon holds only that estimate until the next SyncClock.
+func TestPerfFirstPlacementHorizon(t *testing.T) {
+	p := NewPerf()
+	k := kernel("k")
+	p.Completed(inst(k, 0, 0, 100, -1), 1, 100) // 1 ns/elem
+	p.SyncClock(500)
+	if h, ok := p.horizonOf(1); ok {
+		t.Fatalf("unplaced device has horizon %v after SyncClock", h)
+	}
+	p.Placed(inst(k, 1, 0, 100, -1), 1)
+	if h, ok := p.horizonOf(1); !ok || h != 100 {
+		t.Fatalf("first placement at now 500: horizon %v (set %v), want 100", h, ok)
+	}
+	p.SyncClock(600)
+	if h, _ := p.horizonOf(1); h != 600 {
+		t.Fatalf("horizon = %v after SyncClock(600), want 600", h)
 	}
 }
 
 func TestPerfUnknownKernelExplores(t *testing.T) {
 	p := NewPerf()
-	if est := p.estimate(inst(kernel("new"), 0, 0, 100, -1), 0); est != 0 {
+	if est := p.kernel(kernel("new")).estimate(0, 100); est != 0 {
 		t.Fatalf("unknown kernel estimate = %v, want 0 (optimistic exploration)", est)
 	}
 }

@@ -104,7 +104,7 @@ func ids(list []*Instance) []int {
 // map-based reference discovers them.
 func TestQuickBuildDepsMatchesOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(4242))
-	for trial := 0; trial < 200; trial++ {
+	for trial := 0; trial < 300; trial++ {
 		dir := mem.NewDirectory(1)
 		nbufs := 1 + rng.Intn(3)
 		bufs := make([]*mem.Buffer, nbufs)
@@ -113,22 +113,43 @@ func TestQuickBuildDepsMatchesOracle(t *testing.T) {
 		}
 		modes := []Mode{Read, Write, ReadWrite}
 
+		// Odd trials are long plans with long barrier windows, so each
+		// buffer's index holds many entries. Some plans submit in
+		// descending interval order, and some touch whole buffers,
+		// which stretches how far back an overlap can start.
+		nops, barrierOdds := 3+rng.Intn(15), 6
+		if trial%2 == 1 {
+			nops, barrierOdds = 20+rng.Intn(181), 60
+		}
+		descending := rng.Intn(3) == 0
+		whole := rng.Intn(2) == 0
+
 		var p Plan
-		nops := 3 + rng.Intn(15)
 		for o := 0; o < nops; o++ {
-			if rng.Intn(6) == 0 {
+			if rng.Intn(barrierOdds) == 0 {
 				p.Barrier()
 				continue
 			}
-			// Kernel with 1-2 random accesses.
+			// Kernel with 1-2 random accesses, the second sometimes on
+			// the first's buffer.
 			var accs []Access
 			for a := 0; a < 1+rng.Intn(2); a++ {
 				lo := rng.Int63n(200)
-				accs = append(accs, Access{
-					Buf:      bufs[rng.Intn(nbufs)],
-					Interval: mem.Interval{Lo: lo, Hi: lo + 1 + rng.Int63n(56)},
-					Mode:     modes[rng.Intn(3)],
-				})
+				if descending {
+					lo = max(0, 199-int64(o)*200/int64(nops)-rng.Int63n(8))
+				}
+				iv := mem.Interval{Lo: lo, Hi: lo + 1 + rng.Int63n(56)}
+				switch r := rng.Intn(10); {
+				case r == 0:
+					iv.Hi = iv.Lo // empty
+				case r == 1 && whole:
+					iv = mem.Interval{Hi: 256}
+				}
+				buf := bufs[rng.Intn(nbufs)]
+				if a == 1 && rng.Intn(2) == 0 {
+					buf = accs[0].Buf
+				}
+				accs = append(accs, Access{Buf: buf, Interval: iv, Mode: modes[rng.Intn(3)]})
 			}
 			frozen := append([]Access(nil), accs...)
 			k := &Kernel{
