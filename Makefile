@@ -66,6 +66,8 @@ fuzz:
 	$(GO) test -fuzz FuzzServiceRequest -fuzztime $(FUZZTIME) -run '^$$' ./internal/service
 	$(GO) test -fuzz FuzzBundleParse -fuzztime $(FUZZTIME) -run '^$$' ./internal/telemetry/flight
 	$(GO) test -fuzz FuzzParse -fuzztime $(FUZZTIME) -run '^$$' ./internal/classify
+	$(GO) test -fuzz FuzzSpecFromJSON -fuzztime $(FUZZTIME) -run '^$$' ./internal/device
+	$(GO) test -fuzz FuzzCalibrationFromJSON -fuzztime $(FUZZTIME) -run '^$$' ./internal/calib
 
 # The chaos/property harness: fault-injection determinism matrix,
 # monotonic degradation, cache isolation, device-loss replan, the

@@ -360,7 +360,9 @@ var (
 	ErrPlanInvalid = apierr.ErrPlanInvalid
 	// ErrPlatformInvalid: a PlatformSpec or Platform describes a
 	// degenerate machine (zero devices, unreachable device,
-	// zero-bandwidth link, unknown model or catalog name).
+	// zero-bandwidth link, unknown model or catalog name), or a spec or
+	// CalibrationReport carries a link figure or cost factor outside
+	// its bounds.
 	ErrPlatformInvalid = apierr.ErrPlatformInvalid
 	// ErrPlatformMismatch: a plan was executed on a platform other than
 	// the one it was decided for.

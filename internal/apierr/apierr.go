@@ -42,7 +42,10 @@ var (
 	// describes a degenerate machine: zero devices, an unreachable
 	// device (zero-bandwidth link), an unknown model name, a dangling
 	// P2P edge (device.Spec.Validate, device.PlatformFromJSON,
-	// device.ByName).
+	// device.ByName); a spec or calibration report carrying a link
+	// figure or cost factor outside its bounds (device.Scale.Validate,
+	// calib.Report.Validate); or a platform without the accelerator a
+	// strategy places work on.
 	ErrPlatformInvalid = errors.New("invalid platform")
 	// ErrFaultInvalid reports a FaultSchedule that fails decoding or
 	// validation (fault.FromJSON, fault.Schedule.Validate).

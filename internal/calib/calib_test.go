@@ -3,6 +3,7 @@ package calib
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"math"
 	"testing"
 
@@ -368,6 +369,52 @@ func TestReportValidate(t *testing.T) {
 	for i, r := range cases {
 		if err := r.Validate(); err == nil {
 			t.Errorf("case %d validated", i)
+		}
+	}
+}
+
+// TestReportFactorBounds walks both sides of the factor bounds a
+// report shares with platform specs: inside, the report validates and
+// round-trips; outside, both Validate and FromJSON refuse it with
+// ErrPlatformInvalid, so a hostile report never reaches a platform.
+func TestReportFactorBounds(t *testing.T) {
+	cases := []struct {
+		factor float64
+		ok     bool
+	}{
+		{device.MinScaleFactor, true},
+		{device.MinScaleFactor * (1 - 1e-9), false},
+		{device.MaxScaleFactor, true},
+		{device.MaxScaleFactor * (1 + 1e-9), false},
+		{1e-300, false},
+		{1e300, false},
+		{math.Inf(1), false},
+		{math.NaN(), false},
+		{-1, false},
+	}
+	for _, c := range cases {
+		r := &Report{Version: ReportVersion, App: "BlackScholes", Platform: "fp",
+			Scales: []device.Scale{{Device: 0, Factor: 1.5}, {Device: 1, Factor: c.factor}}}
+		err := r.Validate()
+		if c.ok {
+			if err != nil {
+				t.Errorf("factor %g: %v", c.factor, err)
+			} else if b, err := r.JSON(); err != nil {
+				t.Errorf("factor %g: encode: %v", c.factor, err)
+			} else if _, err := FromJSON(b); err != nil {
+				t.Errorf("factor %g: decode: %v", c.factor, err)
+			}
+			continue
+		}
+		if !errors.Is(err, apierr.ErrPlatformInvalid) {
+			t.Errorf("factor %g: Validate = %v, want ErrPlatformInvalid", c.factor, err)
+		}
+		if math.IsInf(c.factor, 0) || math.IsNaN(c.factor) {
+			continue // JSON has no literal for these
+		}
+		raw := fmt.Sprintf(`{"version":1,"app":"BlackScholes","platform":"fp","scales":[{"device":1,"factor":%g}]}`, c.factor)
+		if _, err := FromJSON([]byte(raw)); !errors.Is(err, apierr.ErrPlatformInvalid) {
+			t.Errorf("factor %g: FromJSON = %v, want ErrPlatformInvalid", c.factor, err)
 		}
 	}
 }

@@ -67,12 +67,8 @@ func (r *Report) Validate() error {
 		return fmt.Errorf("calib: report has no fitted scales")
 	}
 	for i, s := range r.Scales {
-		if s.Factor <= 0 {
-			return fmt.Errorf("calib: scale %d (%q, device %d) has non-positive factor %g",
-				i, s.Kernel, s.Device, s.Factor)
-		}
-		if s.Device < -1 {
-			return fmt.Errorf("calib: scale %d (%q) has invalid device %d", i, s.Kernel, s.Device)
+		if err := s.Validate(); err != nil {
+			return fmt.Errorf("calib: scale %d: %w", i, err)
 		}
 	}
 	return nil

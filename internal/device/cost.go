@@ -64,10 +64,36 @@ type Scale struct {
 	// Device is the platform device ID (-1 = all).
 	Device int `json:"device"`
 	// Factor multiplies the base model's predicted duration; it must
-	// be positive. Factors come from calibration runs: measured /
-	// predicted on real hardware.
+	// lie in [MinScaleFactor, MaxScaleFactor]. Factors come from
+	// calibration runs: measured / predicted on real hardware.
 	Factor float64 `json:"factor"`
 }
+
+// The bounds on a Scale's factor. A factor beyond them prices a chunk
+// at zero or past what a virtual duration can hold, and turns Glinda's
+// split NaN.
+const (
+	MinScaleFactor = 1e-3
+	MaxScaleFactor = 1e3
+)
+
+// Validate checks the override can be priced: its device is -1 or an
+// ID, and its factor is finite and within [MinScaleFactor,
+// MaxScaleFactor]. It is the one factor rule of platform specs and
+// calibration reports; failures wrap apierr.ErrPlatformInvalid.
+func (s Scale) Validate() error {
+	if s.Device < -1 {
+		return invalidPlatform("scale %q has invalid device %d", s.Kernel, s.Device)
+	}
+	if !within(s.Factor, MinScaleFactor, MaxScaleFactor) {
+		return invalidPlatform("scale %q on device %d has factor %g outside [%g, %g]",
+			s.Kernel, s.Device, s.Factor, MinScaleFactor, MaxScaleFactor)
+	}
+	return nil
+}
+
+// within reports lo <= x <= hi; NaN is within nothing.
+func within(x, lo, hi float64) bool { return x >= lo && x <= hi }
 
 // Calibrated wraps a base cost model with per-(kernel, device)
 // multiplicative overrides, the mechanism for folding measured

@@ -3,6 +3,7 @@ package device
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 	"sort"
 
 	"heteropart/internal/apierr"
@@ -106,7 +107,18 @@ func invalidPlatform(format string, args ...any) error {
 	return fmt.Errorf("%w: %s", apierr.ErrPlatformInvalid, fmt.Sprintf(format, args...))
 }
 
-// resolve turns a LinkSpec into a Link.
+// The bounds on an inline link's figures: bandwidth finite and at
+// least MinLinkGBps in each direction, latency within [0,
+// MaxLinkLatencyNs]. A slower link prices one transfer past what a
+// virtual duration can hold, and a negative latency schedules a
+// transfer in the past.
+const (
+	MinLinkGBps      = 1e-3
+	MaxLinkLatencyNs = 1e9
+)
+
+// resolve turns a LinkSpec into a Link. Inline figures must lie within
+// the link bounds; catalog links do.
 func (l LinkSpec) resolve() (Link, error) {
 	if l.Name != "" {
 		mk, ok := linkCatalog[l.Name]
@@ -114,6 +126,13 @@ func (l LinkSpec) resolve() (Link, error) {
 			return Link{}, fmt.Errorf("unknown link %q", l.Name)
 		}
 		return mk(), nil
+	}
+	if !within(l.HtoDGBps, MinLinkGBps, math.MaxFloat64) || !within(l.DtoHGBps, MinLinkGBps, math.MaxFloat64) {
+		return Link{}, fmt.Errorf("link bandwidth %g/%g GB/s is not finite and at least %g",
+			l.HtoDGBps, l.DtoHGBps, MinLinkGBps)
+	}
+	if l.LatencyNs < 0 || l.LatencyNs > MaxLinkLatencyNs {
+		return Link{}, fmt.Errorf("link latency %d ns is outside [0, %d]", l.LatencyNs, int64(MaxLinkLatencyNs))
 	}
 	return Link{
 		HtoDGBps: l.HtoDGBps, DtoHGBps: l.DtoHGBps,
@@ -123,9 +142,10 @@ func (l LinkSpec) resolve() (Link, error) {
 
 // Validate checks the spec describes a usable machine: a known CPU
 // host, at least one device, every accelerator a known non-CPU model
-// reachable over a link with positive bandwidth in both directions,
-// P2P edges between existing distinct devices, and a known cost
-// model. Failures wrap apierr.ErrPlatformInvalid.
+// reachable over a known link or one within the inline-link bounds
+// (MinLinkGBps, MaxLinkLatencyNs), P2P edges between existing distinct
+// devices over such links, and a known cost model whose scales pass
+// Scale.Validate. Failures wrap apierr.ErrPlatformInvalid.
 func (s *Spec) Validate() error {
 	if s == nil {
 		return invalidPlatform("nil spec")
@@ -154,13 +174,8 @@ func (s *Spec) Validate() error {
 		if m := mk(); m.Kind == CPU {
 			return invalidPlatform("platform %q: accel %d: model %q is a CPU", s.Name, i+1, a.Model)
 		}
-		l, err := a.Link.resolve()
-		if err != nil {
-			return invalidPlatform("platform %q: accel %d: %v", s.Name, i+1, err)
-		}
-		if l.HtoDGBps <= 0 || l.DtoHGBps <= 0 {
-			return invalidPlatform("platform %q: accel %d (%s) is unreachable: link has zero bandwidth (%.1f/%.1f GB/s)",
-				s.Name, i+1, a.Model, l.HtoDGBps, l.DtoHGBps)
+		if _, err := a.Link.resolve(); err != nil {
+			return invalidPlatform("platform %q: accel %d (%s): %v", s.Name, i+1, a.Model, err)
 		}
 	}
 	for _, e := range s.P2P {
@@ -170,12 +185,8 @@ func (s *Spec) Validate() error {
 		if e.A == e.B {
 			return invalidPlatform("platform %q: p2p edge %d-%d is a self-loop", s.Name, e.A, e.B)
 		}
-		l, err := e.Link.resolve()
-		if err != nil {
+		if _, err := e.Link.resolve(); err != nil {
 			return invalidPlatform("platform %q: p2p edge %d-%d: %v", s.Name, e.A, e.B, err)
-		}
-		if l.HtoDGBps <= 0 || l.DtoHGBps <= 0 {
-			return invalidPlatform("platform %q: p2p edge %d-%d has zero bandwidth", s.Name, e.A, e.B)
 		}
 	}
 	if s.Cost != nil {
@@ -186,11 +197,10 @@ func (s *Spec) Validate() error {
 			}
 		case "calibrated":
 			for _, sc := range s.Cost.Scales {
-				if sc.Factor <= 0 {
-					return invalidPlatform("platform %q: calibrated scale %s:%d has nonpositive factor %g",
-						s.Name, sc.Kernel, sc.Device, sc.Factor)
+				if err := sc.Validate(); err != nil {
+					return fmt.Errorf("platform %q: %w", s.Name, err)
 				}
-				if sc.Device < -1 || sc.Device > len(s.Accels) {
+				if sc.Device > len(s.Accels) {
 					return invalidPlatform("platform %q: calibrated scale targets device %d the platform does not have",
 						s.Name, sc.Device)
 				}

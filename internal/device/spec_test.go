@@ -3,6 +3,7 @@ package device
 import (
 	"bytes"
 	"errors"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -227,6 +228,83 @@ func TestSpecValidateDegenerate(t *testing.T) {
 			}
 			if _, perr := c.spec.ToPlatform(0); perr == nil {
 				t.Error("ToPlatform instantiated a degenerate platform")
+			}
+		})
+	}
+}
+
+// TestSpecBounds walks both sides of every bound on a spec's numbers:
+// the inline figures of accelerator and P2P links and the calibrated
+// scales' factors. Inside, the spec instantiates; outside, Validate
+// refuses it with ErrPlatformInvalid.
+func TestSpecBounds(t *testing.T) {
+	link := func(htod, dtoh float64, lat int64) LinkSpec {
+		return LinkSpec{HtoDGBps: htod, DtoHGBps: dtoh, LatencyNs: lat}
+	}
+	accel := func(l LinkSpec) func(*Spec) { return func(s *Spec) { s.Accels[0].Link = l } }
+	p2p := func(l LinkSpec) func(*Spec) { return func(s *Spec) { s.P2P[0].Link = l } }
+	factor := func(f float64) func(*Spec) {
+		return func(s *Spec) { s.Cost = &CostSpec{Model: "calibrated", Scales: []Scale{{Device: 1, Factor: f}}} }
+	}
+	device := func(d int) func(*Spec) {
+		return func(s *Spec) { s.Cost = &CostSpec{Model: "calibrated", Scales: []Scale{{Device: d, Factor: 2}}} }
+	}
+	below, above := func(x float64) float64 { return x * (1 - 1e-9) }, func(x float64) float64 { return x * (1 + 1e-9) }
+	cases := []struct {
+		name string
+		edit func(*Spec)
+		ok   bool
+	}{
+		{"accel htod at min", accel(link(MinLinkGBps, 6, 0)), true},
+		{"accel htod below min", accel(link(below(MinLinkGBps), 6, 0)), false},
+		{"accel htod 1e-300", accel(link(1e-300, 6, 0)), false},
+		{"accel dtoh at min", accel(link(6, MinLinkGBps, 0)), true},
+		{"accel dtoh below min", accel(link(6, below(MinLinkGBps), 0)), false},
+		{"accel bandwidth max finite", accel(link(math.MaxFloat64, math.MaxFloat64, 0)), true},
+		{"accel bandwidth infinite", accel(link(math.Inf(1), 6, 0)), false},
+		{"accel bandwidth NaN", accel(link(6, math.NaN(), 0)), false},
+		{"accel latency zero", accel(link(6, 6, 0)), true},
+		{"accel latency negative", accel(link(6, 6, -1)), false},
+		{"accel latency -1e9", accel(link(6, 6, -1000000000)), false},
+		{"accel latency at max", accel(link(6, 6, MaxLinkLatencyNs)), true},
+		{"accel latency above max", accel(link(6, 6, MaxLinkLatencyNs+1)), false},
+		{"p2p bandwidth at min", p2p(link(MinLinkGBps, MinLinkGBps, 0)), true},
+		{"p2p htod below min", p2p(link(below(MinLinkGBps), 10, 0)), false},
+		{"p2p dtoh below min", p2p(link(10, below(MinLinkGBps), 0)), false},
+		{"p2p bandwidth infinite", p2p(link(10, math.Inf(1), 0)), false},
+		{"p2p latency at max", p2p(link(10, 10, MaxLinkLatencyNs)), true},
+		{"p2p latency above max", p2p(link(10, 10, MaxLinkLatencyNs+1)), false},
+		{"p2p latency negative", p2p(link(10, 10, -1)), false},
+		{"factor at min", factor(MinScaleFactor), true},
+		{"factor below min", factor(below(MinScaleFactor)), false},
+		{"factor 1e-300", factor(1e-300), false},
+		{"factor at max", factor(MaxScaleFactor), true},
+		{"factor above max", factor(above(MaxScaleFactor)), false},
+		{"factor 1e300", factor(1e300), false},
+		{"factor infinite", factor(math.Inf(1)), false},
+		{"factor NaN", factor(math.NaN()), false},
+		{"factor zero", factor(0), false},
+		{"scale on every device", device(-1), true},
+		{"scale device below -1", device(-2), false},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			s := &Spec{Version: SpecVersion, Name: "bounds", Host: HostSpec{Model: "xeon-e5-2620"},
+				Accels: []AccelSpec{
+					{Model: "tesla-k20m", Link: LinkSpec{Name: "pcie2x16"}},
+					{Model: "xeon-phi-5110p", Link: LinkSpec{Name: "pcie3x16"}},
+				},
+				P2P: []P2PSpec{{A: 1, B: 2, Link: link(10, 10, 5000)}},
+			}
+			c.edit(s)
+			_, err := s.ToPlatform(0)
+			switch {
+			case c.ok && err != nil:
+				t.Fatalf("spec inside the bounds refused: %v", err)
+			case !c.ok && err == nil:
+				t.Fatal("spec outside the bounds accepted")
+			case !c.ok && !errors.Is(err, apierr.ErrPlatformInvalid):
+				t.Errorf("error %v does not wrap ErrPlatformInvalid", err)
 			}
 		})
 	}

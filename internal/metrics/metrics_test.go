@@ -81,6 +81,23 @@ func TestHistogram(t *testing.T) {
 	}
 }
 
+// TestHistogramObserveZeroAlloc pins that recording allocates
+// nothing, on a registered histogram and on the nil one a disabled
+// registry hands out, so request and span timing stay free.
+func TestHistogramObserveZeroAlloc(t *testing.T) {
+	h := NewRegistry().Histogram("observe_ns")
+	var off *Histogram
+	v := int64(0)
+	allocs := testing.AllocsPerRun(1000, func() {
+		v += 7919
+		h.Observe(v)
+		off.Observe(v)
+	})
+	if allocs != 0 {
+		t.Fatalf("Histogram.Observe allocates %.1f/op, want 0", allocs)
+	}
+}
+
 func TestBucketOf(t *testing.T) {
 	cases := map[int64]int{0: 0, 1: 0, 2: 1, 3: 1, 4: 2, 1023: 9, 1024: 10}
 	for v, want := range cases {

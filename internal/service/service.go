@@ -12,11 +12,15 @@
 //     accumulating unbounded goroutines.
 //   - Coalescing: requests are single-flighted on the same canonical
 //     key that backs the runner's plan cache (Spec.PlanKey), so a
-//     thundering herd of identical requests costs one simulation;
-//     completed flights stay memoized as rendered Responses (bounded
-//     by Config.MaxFlights) and later identical requests are served
-//     from memory. The flights are a coalesce.Group, the same
-//     mechanism behind the runner's caches.
+//     thundering herd of identical requests costs one simulation.
+//     A flight renders its answer once, when it finishes: the plan is
+//     encoded compact, the Response marshaled, and the v1 envelope
+//     assembled around it. Completed flights stay memoized as those
+//     envelope bytes (bounded by Config.MaxFlights), so a joined
+//     waiter or a later identical request is answered with a copy,
+//     never an encode. An answer that cannot be encoded fails its
+//     flight (500) and is forgotten like any failure. The flights are
+//     a coalesce.Group, the same mechanism behind the runner's caches.
 //   - Deadlines: every request waits under a context.Context carrying
 //     its deadline (Request.TimeoutMs, else Config.DefaultTimeout);
 //     the flight itself runs under its own context, plumbed through
@@ -103,9 +107,9 @@ type Service struct {
 	// sem bounds executing flights.
 	sem chan struct{}
 
-	// flights coalesces identical requests and memoizes the rendered
-	// Responses of successful ones.
-	flights *coalesce.Group[*Response]
+	// flights coalesces identical requests and memoizes the envelope
+	// bytes of successful ones.
+	flights *coalesce.Group[[]byte]
 
 	mu sync.Mutex
 	// calib is the per-platform calibration state, keyed by the
@@ -164,10 +168,12 @@ func New(cfg Config) *Service {
 	s.inflight = m.Gauge("service_inflight", "flights currently executing")
 	s.queueDepth = m.Gauge("service_queue_depth", "flights admitted but not yet executing")
 	s.flightCount = m.Gauge("service_flights", "live + memoized flights")
-	s.flights = coalesce.New[*Response](base, cfg.MaxFlights, s.admit, s.coalesceHits, s.coalesceMisses)
-	s.appsJSON = envelopeBytes(appsListing())
-	s.strategiesJSON = envelopeBytes(strategiesListing())
-	s.platformsJSON = envelopeBytes(platformsListing())
+	s.flights = coalesce.New[[]byte](base, cfg.MaxFlights, s.admit, s.coalesceHits, s.coalesceMisses)
+	// Listing views hold only strings, integers and booleans, which
+	// always encode.
+	s.appsJSON, _ = renderResult(appsListing())
+	s.strategiesJSON, _ = renderResult(strategiesListing())
+	s.platformsJSON, _ = renderResult(platformsListing())
 	return s
 }
 
@@ -265,8 +271,8 @@ type OutcomeView struct {
 }
 
 // Response is the result payload of a successful POST request (the
-// "result" member of the v1 envelope). Coalesced waiters share one
-// Response value, so it is immutable once built.
+// "result" member of the v1 envelope). A flight renders its Response
+// once; coalesced waiters share the rendered bytes.
 type Response struct {
 	Report      *ReportView      `json:"report,omitempty"`
 	Plan        json.RawMessage  `json:"plan,omitempty"`
@@ -549,7 +555,7 @@ func (s *Service) handleMatchmake(w http.ResponseWriter, r *http.Request) {
 		if err != nil {
 			return nil, err
 		}
-		return responseOf(res.Report, res.Plan, res.Outcome), nil
+		return responseOf(res.Report, res.Plan, res.Outcome)
 	})
 }
 
@@ -569,7 +575,7 @@ func (s *Service) handlePlan(w http.ResponseWriter, r *http.Request) {
 		if err != nil {
 			return nil, err
 		}
-		return responseOf(rep, pl, nil), nil
+		return responseOf(rep, pl, nil)
 	})
 }
 
@@ -628,7 +634,7 @@ func (s *Service) handleExecute(w http.ResponseWriter, r *http.Request) {
 		if err != nil {
 			return nil, err
 		}
-		return responseOf(nil, pl, out), nil
+		return responseOf(nil, pl, out)
 	})
 }
 
@@ -651,7 +657,7 @@ func (s *Service) analyzeStructure(w http.ResponseWriter, req *Request) {
 		writeError(w, fmt.Errorf("service: no strategy for class %v", cls))
 		return
 	}
-	writeJSON(w, http.StatusOK, &Response{Report: &ReportView{
+	writeResult(w, &Response{Report: &ReportView{
 		App:       "(structure)",
 		Class:     cls.String(),
 		NeedsSync: st.InterKernelSync,
@@ -700,7 +706,7 @@ func (s *Service) handleCalibrate(w http.ResponseWriter, r *http.Request) {
 	s.mu.Lock()
 	s.calib[req.Platform] = report
 	s.mu.Unlock()
-	writeJSON(w, http.StatusOK, &Response{Calibration: &CalibrationView{
+	writeResult(w, &Response{Calibration: &CalibrationView{
 		Platform:    req.Platform,
 		Fingerprint: report.Platform,
 		App:         report.App,
@@ -719,7 +725,8 @@ var (
 )
 
 // serve runs one coalescible request end to end: derive the deadline
-// context, join or start a flight, wait for it, map the outcome.
+// context, join or start a flight, wait for it, and send its envelope
+// bytes or its error.
 func (s *Service) serve(w http.ResponseWriter, r *http.Request, req *Request,
 	key string, work func(context.Context) (*Response, error)) {
 	timeout := s.cfg.DefaultTimeout
@@ -733,7 +740,7 @@ func (s *Service) serve(w http.ResponseWriter, r *http.Request, req *Request,
 		writeError(w, errShuttingDown)
 		return
 	}
-	resp, joined, err := s.flights.Do(ctx, key, func(ctx context.Context) (*Response, error) {
+	body, joined, err := s.flights.Do(ctx, key, func(ctx context.Context) ([]byte, error) {
 		return s.fly(ctx, work)
 	})
 	s.flightCount.SetInt(int64(s.flights.Len()))
@@ -753,7 +760,7 @@ func (s *Service) serve(w http.ResponseWriter, r *http.Request, req *Request,
 		writeError(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, resp)
+	writeRaw(w, body)
 }
 
 // admit is the flight group's admission check, consulted only before a
@@ -769,8 +776,9 @@ func (s *Service) admit() error {
 	return nil
 }
 
-// fly executes one admitted flight inside a worker slot.
-func (s *Service) fly(ctx context.Context, work func(context.Context) (*Response, error)) (*Response, error) {
+// fly executes one admitted flight inside a worker slot and renders
+// its envelope there.
+func (s *Service) fly(ctx context.Context, work func(context.Context) (*Response, error)) ([]byte, error) {
 	select {
 	case s.sem <- struct{}{}:
 	case <-ctx.Done():
@@ -784,7 +792,11 @@ func (s *Service) fly(ctx context.Context, work func(context.Context) (*Response
 	if hook := s.panicHook; hook != nil {
 		hook()
 	}
-	return work(ctx)
+	resp, err := work(ctx)
+	if err != nil {
+		return nil, err
+	}
+	return renderResult(resp)
 }
 
 // retryAfter estimates (in whole seconds) when the queue may have
@@ -796,7 +808,12 @@ func (s *Service) retryAfter() int {
 
 // ---- response rendering -----------------------------------------------
 
-func responseOf(rep *heteropart.Report, pl *heteropart.ExecutionPlan, out *heteropart.Outcome) *Response {
+// responseOf builds a flight's Response. The plan is encoded compact:
+// the envelope carries it compact anyway, so indenting it first (as
+// pl.JSON does for files) would only be undone. A plan that cannot be
+// encoded, such as one whose Glinda decision carries NaN, fails the
+// flight rather than answering without it.
+func responseOf(rep *heteropart.Report, pl *heteropart.ExecutionPlan, out *heteropart.Outcome) (*Response, error) {
 	resp := &Response{}
 	if rep != nil {
 		resp.Report = &ReportView{
@@ -808,9 +825,11 @@ func responseOf(rep *heteropart.Report, pl *heteropart.ExecutionPlan, out *heter
 		}
 	}
 	if pl != nil {
-		if b, err := pl.JSON(); err == nil {
-			resp.Plan = b
+		b, err := json.Marshal(pl)
+		if err != nil {
+			return nil, fmt.Errorf("service: encode plan: %v", err)
 		}
+		resp.Plan = b
 	}
 	if out != nil && out.Result != nil {
 		res := out.Result
@@ -825,36 +844,39 @@ func responseOf(rep *heteropart.Report, pl *heteropart.ExecutionPlan, out *heter
 			Decisions:  res.Decisions,
 		}
 	}
-	return resp
+	return resp, nil
 }
 
-// writeJSON wraps a result payload in the v1 envelope and sends it.
-func writeJSON(w http.ResponseWriter, status int, v any) {
+// renderResult is the one renderer of successful answers: it marshals
+// v once and wraps it as {"result":<v>}\n. json.Marshal's output is
+// compact and valid, so this is exactly json.Marshal(Envelope{Result:
+// b}) plus the newline, without scanning b a second time.
+func renderResult(v any) ([]byte, error) {
 	b, err := json.Marshal(v)
 	if err != nil {
-		writeError(w, fmt.Errorf("service: encode response: %v", err))
-		return
+		return nil, fmt.Errorf("service: encode response: %v", err)
 	}
-	env, err := json.Marshal(Envelope{Result: b})
-	if err != nil {
-		writeError(w, fmt.Errorf("service: encode envelope: %v", err))
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	w.Write(append(env, '\n'))
+	const prefix, suffix = `{"result":`, "}\n"
+	env := make([]byte, 0, len(prefix)+len(b)+len(suffix))
+	env = append(append(append(env, prefix...), b...), suffix...)
+	return env, nil
 }
 
+// writeResult renders v and sends it with 200, or a 500 when it cannot
+// be encoded.
+func writeResult(w http.ResponseWriter, v any) {
+	b, err := renderResult(v)
+	if err != nil {
+		writeError(w, err)
+		return
+	}
+	writeRaw(w, b)
+}
+
+// writeRaw sends pre-rendered envelope bytes with 200.
 func writeRaw(w http.ResponseWriter, b []byte) {
 	w.Header().Set("Content-Type", "application/json")
 	w.Write(b)
-}
-
-// envelopeBytes pre-renders {"result": <result>}\n for static
-// listings computed once at startup.
-func envelopeBytes(result []byte) []byte {
-	env, _ := json.Marshal(Envelope{Result: result})
-	return append(env, '\n')
 }
 
 func writeError(w http.ResponseWriter, err error) {
@@ -935,9 +957,9 @@ type StrategyView struct {
 	Classes []string `json:"classes"`
 }
 
-// appsListing renders the bundled applications once at startup; the
-// registry is immutable, so the bytes never change.
-func appsListing() []byte {
+// appsListing lists the bundled applications, rendered once at
+// startup; the registry is immutable, so the bytes never change.
+func appsListing() []AppView {
 	var views []AppView
 	for _, a := range heteropart.Apps() {
 		v := AppView{Name: a.Name(), DefaultN: a.DefaultN(), DefaultIters: a.DefaultIters()}
@@ -950,8 +972,7 @@ func appsListing() []byte {
 		}
 		views = append(views, v)
 	}
-	b, _ := json.Marshal(views)
-	return b
+	return views
 }
 
 // PlatformView is one entry of GET /v1/platforms: a bundled catalog
@@ -963,8 +984,9 @@ type PlatformView struct {
 	P2PLinks    int      `json:"p2p_links,omitempty"`
 }
 
-// platformsListing renders the platform catalog once at startup.
-func platformsListing() []byte {
+// platformsListing lists the platform catalog, rendered once at
+// startup.
+func platformsListing() []PlatformView {
 	var views []PlatformView
 	for _, name := range heteropart.PlatformNames() {
 		plat, err := heteropart.PlatformByName(name, 0)
@@ -985,11 +1007,10 @@ func platformsListing() []byte {
 		}
 		views = append(views, v)
 	}
-	b, _ := json.Marshal(views)
-	return b
+	return views
 }
 
-func strategiesListing() []byte {
+func strategiesListing() []StrategyView {
 	classes := []heteropart.Class{
 		heteropart.SKOne, heteropart.SKLoop,
 		heteropart.MKSeq, heteropart.MKLoop, heteropart.MKDAG,
@@ -1004,6 +1025,5 @@ func strategiesListing() []byte {
 		}
 		views = append(views, v)
 	}
-	b, _ := json.Marshal(views)
-	return b
+	return views
 }

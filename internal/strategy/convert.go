@@ -50,8 +50,8 @@ func (s DPConverted) Plan(p *apps.Problem, plat *device.Platform, opts Options) 
 	if p.AtomicPhases {
 		return nil, fmt.Errorf("strategy: DP-Converted cannot partition atomic-phase %s", p.AppName)
 	}
-	if len(plat.Accels) == 0 {
-		return nil, fmt.Errorf("strategy: DP-Converted needs an accelerator")
+	if err := needAccel(s.Name(), plat); err != nil {
+		return nil, err
 	}
 	// Step 1: the static ratio, from the fused model (multi-kernel)
 	// or the single kernel.

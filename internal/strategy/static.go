@@ -3,6 +3,7 @@ package strategy
 import (
 	"fmt"
 
+	"heteropart/internal/apierr"
 	"heteropart/internal/apps"
 	"heteropart/internal/classify"
 	"heteropart/internal/device"
@@ -34,6 +35,9 @@ func (SPSingle) Applicable(cls classify.Class, _ bool) bool {
 // Section II-A); on imbalanced iteration spaces it switches to the
 // weighted pipeline (Glinda ICS'14).
 func (s SPSingle) Plan(p *apps.Problem, plat *device.Platform, opts Options) (*plan.ExecutionPlan, error) {
+	if err := needAccel(s.Name(), plat); err != nil {
+		return nil, err
+	}
 	if len(p.Unique) != 1 {
 		return nil, fmt.Errorf("strategy: SP-Single needs a single kernel, %s has %d", p.AppName, len(p.Unique))
 	}
@@ -59,6 +63,16 @@ func (s SPSingle) Plan(p *apps.Problem, plat *device.Platform, opts Options) (*p
 // Run implements Strategy.
 func (s SPSingle) Run(p *apps.Problem, plat *device.Platform, opts Options) (*Outcome, error) {
 	return runPlanned(s, p, plat, opts)
+}
+
+// needAccel refuses a platform without an accelerator to a strategy
+// that places work on one, with an error wrapping
+// apierr.ErrPlatformInvalid.
+func needAccel(name string, plat *device.Platform) error {
+	if len(plat.Accels) == 0 {
+		return fmt.Errorf("strategy: %s needs an accelerator: %w", name, apierr.ErrPlatformInvalid)
+	}
+	return nil
 }
 
 // ImbalanceThreshold is the head/tail per-element cost ratio above
@@ -172,8 +186,8 @@ func (s SPUnified) Plan(p *apps.Problem, plat *device.Platform, opts Options) (*
 	if p.AtomicPhases {
 		return nil, fmt.Errorf("strategy: SP-Unified cannot partition atomic-phase %s", p.AppName)
 	}
-	if len(plat.Accels) == 0 {
-		return nil, fmt.Errorf("strategy: SP-Unified needs an accelerator")
+	if err := needAccel(s.Name(), plat); err != nil {
+		return nil, err
 	}
 	steady := p.Class() == classify.MKLoop
 	shares, dec, err := decideShares(plat, p.Unique[0].Size, opts, func(accel int) (glinda.Estimate, error) {
@@ -222,6 +236,9 @@ func (s SPVaried) Plan(p *apps.Problem, plat *device.Platform, opts Options) (*p
 	if p.AtomicPhases {
 		return nil, fmt.Errorf("strategy: SP-Varied cannot partition atomic-phase %s", p.AppName)
 	}
+	if err := needAccel(s.Name(), plat); err != nil {
+		return nil, err
+	}
 	decs := make(map[string]glinda.Decision, len(p.Unique))
 	splits := make(map[string][]int64, len(p.Unique))
 	for _, k := range p.Unique {
@@ -261,8 +278,8 @@ func (OnlyGPU) Applicable(classify.Class, bool) bool { return true }
 
 // Plan implements Strategy.
 func (s OnlyGPU) Plan(p *apps.Problem, plat *device.Platform, opts Options) (*plan.ExecutionPlan, error) {
-	if len(plat.Accels) == 0 {
-		return nil, fmt.Errorf("strategy: Only-GPU needs an accelerator")
+	if err := needAccel(s.Name(), plat); err != nil {
+		return nil, err
 	}
 	var whole [1]int64 // the grid reads a phase's shares before asking for the next
 	phases := grid{

@@ -1,8 +1,10 @@
 package strategy
 
 import (
+	"errors"
 	"testing"
 
+	"heteropart/internal/apierr"
 	"heteropart/internal/apps"
 	"heteropart/internal/device"
 )
@@ -100,6 +102,22 @@ func TestSPSingleRejectsMultiKernel(t *testing.T) {
 	p := smallProblem(t, "STREAM-Seq", apps.SyncNone)
 	if _, err := (SPSingle{}).Run(p, plat, Options{Compute: true}); err == nil {
 		t.Fatal("SP-Single accepted a multi-kernel app")
+	}
+}
+
+// TestAcceleratorStrategiesRefuseHostOnly: on a platform with no
+// accelerator, every strategy that places work on one refuses with
+// ErrPlatformInvalid instead of failing untyped inside Glinda's probe.
+func TestAcceleratorStrategiesRefuseHostOnly(t *testing.T) {
+	plat, err := device.NewPlatform(device.XeonE5_2620(), 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := smallProblem(t, "BlackScholes", apps.SyncDefault)
+	for _, s := range []Strategy{SPSingle{}, SPUnified{}, SPVaried{}, OnlyGPU{}, DPConverted{}} {
+		if _, err := s.Plan(p, plat, Options{}); !errors.Is(err, apierr.ErrPlatformInvalid) {
+			t.Errorf("%s on a host-only platform: %v, want ErrPlatformInvalid", s.Name(), err)
+		}
 	}
 }
 
