@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test bench bench-smoke bench-report bench-golden vet fmt lint race race-observe check experiments report examples clean api service-load fuzz chaos platforms calibrate
+.PHONY: all build test bench bench-smoke bench-report bench-golden vet fmt lint race race-observe check experiments report examples clean api service-load fuzz chaos platforms calibrate replay
 
 # Pinned staticcheck version; CI installs exactly this.
 STATICCHECK_VERSION = 2024.1.1
@@ -99,8 +99,39 @@ calibrate:
 	$(GO) run ./cmd/hetsim -app BlackScholes -platform tri-asym-p2p -calibrate-in $$tmp/cal.json -calibrate-rounds 3 -calibrate-out $$tmp/converged.json && \
 	rm -rf $$tmp && echo "calibrate: record -> fit -> converge ok"
 
+# Plan replay reproduces the run that decided it: each run below
+# (app:strategy:n:platform[:extra flags]) decides with -plan-out, the
+# saved plan replays with -plan-in (app, size and iterations from the
+# plan), and the two stdouts must match except the "written to" lines
+# and the wall-clock metric series.
+replay:
+	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && \
+	$(GO) build -o "$$tmp/hetsim" ./cmd/hetsim && \
+	for run in \
+		BlackScholes:SP-Single:16384:paper \
+		BlackScholes:SP-Single:16384:tri-asym-p2p \
+		BlackScholes:SP-Single:16384:dual-gpu-bus \
+		HotSpot:DP-Perf:1024:paper \
+		HotSpot:DP-Perf:1024:tri-asym-p2p \
+		HotSpot:DP-Perf:1024:dual-gpu-bus \
+		STREAM-Loop:SP-Varied:4096:paper \
+		STREAM-Loop:SP-Varied:4096:tri-asym-p2p \
+		STREAM-Loop:SP-Varied:4096:dual-gpu-bus \
+		Cholesky:DP-Dep:512:paper \
+		MatrixMul:SP-Unified:256:dual-gpu-bus \
+		Nbody:DP-Perf:1024:tri-asym-p2p:-trace:-metrics; do \
+		set -- $$(echo "$$run" | tr ':' ' '); app=$$1 strat=$$2 n=$$3 plat=$$4; shift 4; \
+		"$$tmp/hetsim" -app $$app -strategy $$strat -n $$n -platform $$plat "$$@" -plan-out "$$tmp/plan.json" > "$$tmp/decided.out" && \
+		"$$tmp/hetsim" -plan-in "$$tmp/plan.json" -platform $$plat "$$@" > "$$tmp/replayed.out" || exit 1; \
+		for f in decided replayed; do \
+			grep -v -e 'written to' -e '^sim_wall_ns ' -e '^sim_virtual_wall_ratio ' "$$tmp/$$f.out" > "$$tmp/$$f.txt"; \
+		done; \
+		diff -u "$$tmp/decided.txt" "$$tmp/replayed.txt" || { echo "replay: $$run differs"; exit 1; }; \
+		echo "replay: $$run ok"; \
+	done
+
 # Everything a change must pass before merging.
-check: build vet fmt lint test race service-load chaos fuzz platforms calibrate bench-smoke bench-golden bench-report
+check: build vet fmt lint test race service-load chaos fuzz platforms calibrate replay bench-smoke bench-golden bench-report
 
 bench:
 	$(GO) test -bench=. -benchmem ./...
@@ -112,8 +143,9 @@ bench-smoke:
 
 # Smoke-scale benchmark regression report: runs the tier-1 suite once,
 # writes bench-out/BENCH_<date>.json and fails on >20% ns/op
-# regressions against the committed baseline (host mismatches are
-# advisory, so the gate is portable).
+# regressions against the committed baseline. A host mismatch prints a
+# note but still fails on those regressions, so on hardware unlike the
+# baseline's this step can fail without a code change.
 bench-report:
 	$(GO) run ./cmd/benchreport -smoke -out bench-out -baseline BENCH_2026-08-08.json
 

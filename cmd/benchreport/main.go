@@ -12,9 +12,10 @@
 //	benchreport -out bench-out/       # where reports live
 //	benchreport -baseline BENCH_2026-08-01.json -threshold 0.10
 //
-// Comparisons across different machines are advisory: the report
-// embeds a host fingerprint and a mismatch downgrades the comparison
-// to a note instead of failing the build on hardware noise.
+// The report embeds a host fingerprint, and a comparison across
+// different machines prints a host-mismatch note. The note is only a
+// warning: regressions beyond the threshold still fail the run, on any
+// host.
 package main
 
 import (

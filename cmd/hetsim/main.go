@@ -16,11 +16,13 @@
 //	hetsim -sweep -app MatrixMul -strategy SP-Single,DP-Perf -sizes 512,1024,2048
 //
 // Plan replay separates deciding from executing: -plan-out saves the
-// decided ExecutionPlan as JSON before running it, and -plan-in
-// executes a saved plan (application, size and iterations default
-// from the plan; -strategy is not needed). A replayed run reproduces
-// the original byte-for-byte — the simulator is deterministic and the
-// plan pins the whole decision surface:
+// executed ExecutionPlan as JSON after the run (after a device loss,
+// the replanned one), and -plan-in executes a saved plan (application,
+// size and iterations default from the plan; -strategy is not needed).
+// Every single run, decided or replayed, goes through the sweep
+// runner's one execution path. A replayed run reproduces the original
+// byte-for-byte — the simulator is deterministic and the plan pins the
+// whole decision surface (`make replay` checks it):
 //
 //	hetsim -app BlackScholes -strategy SP-Single -plan-out plan.json
 //	hetsim -plan-in plan.json
@@ -59,6 +61,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -74,7 +77,6 @@ func main() {
 	var (
 		appName   = flag.String("app", "", "application name")
 		stratName = flag.String("strategy", "", "strategy name (SP-Single, SP-Unified, SP-Varied, DP-Perf, DP-Dep, DP-Converted, Only-CPU, Only-GPU)")
-		syncMode  = flag.String("sync", "default", "inter-kernel sync variant: default|forced|none")
 		m         = flag.Int("m", 12, "CPU worker threads")
 		n         = flag.Int64("n", 0, "problem size (0 = paper default)")
 		iters     = flag.Int("iters", 0, "loop iterations (0 = paper default)")
@@ -87,7 +89,7 @@ func main() {
 		sweep     = flag.Bool("sweep", false, "sweep mode: fan the cross product of -strategy (comma-separated, empty = all) and -sizes over a worker pool")
 		parallel  = flag.Int("parallel", 1, "worker pool width for -sweep (1 = sequential)")
 		sizes     = flag.String("sizes", "", "comma-separated problem sizes for -sweep (empty = the single -n)")
-		planOut   = flag.String("plan-out", "", "write the decided execution plan (JSON) to this file before running it")
+		planOut   = flag.String("plan-out", "", "write the executed plan (JSON) to this file after the run")
 		planIn    = flag.String("plan-in", "", "execute a saved execution plan instead of deciding one (-app/-n/-iters default from the plan)")
 		serveAddr = flag.String("serve", "", "after the run, serve live telemetry (/metrics, /healthz, /spans, /runs, /debug/pprof) on this address")
 		recordOut = flag.String("record-out", "", "write a flight-recorder bundle of the run into this directory (implies trace, metrics and span collection)")
@@ -100,6 +102,8 @@ func main() {
 		calibOut  = flag.String("calibrate-out", "", "fit a CalibrationReport from the run's recorded chunk spans and write it (stable JSON) to this file")
 		calibR    = flag.Int("calibrate-rounds", 0, "run the calibration loop for up to this many rounds against the resolved platform as ground truth, then exit (DESIGN.md §14)")
 	)
+	var sync heteropart.SyncMode
+	flag.TextVar(&sync, "sync", heteropart.SyncDefault, "inter-kernel sync variant: default|forced|none")
 	flag.Parse()
 	if *recordIn != "" {
 		if flag.NArg() != 1 {
@@ -138,17 +142,6 @@ func main() {
 	if *appName == "" || (*stratName == "" && !*sweep && loaded == nil && *calibR == 0) {
 		fmt.Fprintln(os.Stderr, "hetsim: -app and -strategy are required")
 		os.Exit(2)
-	}
-
-	sync := heteropart.SyncDefault
-	switch *syncMode {
-	case "default":
-	case "forced":
-		sync = heteropart.SyncForced
-	case "none":
-		sync = heteropart.SyncNone
-	default:
-		fatal(fmt.Errorf("unknown -sync %q", *syncMode))
 	}
 
 	var sched *heteropart.FaultSchedule
@@ -203,72 +196,37 @@ func main() {
 		writeFaultOut()
 		return
 	}
-	app, err := heteropart.AppByName(*appName)
-	fatal(err)
-	problem, err := app.Build(heteropart.Variant{
-		N: *n, Iters: *iters, Sync: sync, Compute: *compute,
-		Spaces: 1 + len(plat.Accels),
-	})
-	fatal(err)
-
 	// -record-out, -serve and -calibrate-out imply full observability:
 	// trace, metrics and span collection (the calibration fit ingests
 	// the recorded chunk spans).
 	observe := *recordOut != "" || *serveAddr != "" || *calibOut != ""
-	var reg *heteropart.Metrics
-	if *showMx || observe {
-		reg = heteropart.NewMetrics()
-	}
 	var tracer *heteropart.SpanTracer
 	if observe {
 		tracer = heteropart.NewSpanTracer()
 	}
-	opts := heteropart.Options{
-		Chunks: *chunks, Compute: *compute,
+	// Every single run goes through the runner: a decided run replans
+	// on the survivors when an injected fault loses a device, and a
+	// -plan-in replay executes the saved plan as is.
+	r := heteropart.NewRunner(heteropart.RunnerConfig{Workers: 1, Spans: tracer})
+	spec := heteropart.RunSpec{
+		App: *appName, Strategy: *stratName, Sync: sync, N: *n, Iters: *iters,
+		Plat: plat, Chunks: *chunks, Compute: *compute,
 		CollectTrace: *showTrace || *traceOut != "" || observe,
-		Metrics:      reg,
-		Spans:        tracer,
+		WithMetrics:  *showMx || observe,
+		Fault:        sched,
 	}
-	pl := loaded
-	verify := problem.Verify
-	writePlanOut := func(pl *heteropart.ExecutionPlan) {
-		if *planOut == "" {
-			return
-		}
+	var res *heteropart.RunResult
+	if loaded != nil {
+		res, err = r.ExecuteContext(context.Background(), spec, loaded)
+	} else {
+		res, err = r.Run(spec)
+	}
+	fatal(err)
+	out, pl, reg := res.Outcome, res.Plan, res.Metrics
+	if *planOut != "" {
 		data, err := pl.JSON()
 		fatal(err)
 		fatal(os.WriteFile(*planOut, data, 0o644))
-	}
-	var out *heteropart.Outcome
-	if sched != nil {
-		// Faulted runs go through the sweep runner: its execution path
-		// owns the device-loss recovery policy (replan on survivors),
-		// so an injected loss degrades the run instead of killing it.
-		r := heteropart.NewRunner(heteropart.RunnerConfig{Workers: 1, Spans: tracer})
-		res, err := r.Run(heteropart.RunSpec{
-			App: *appName, Strategy: *stratName, Sync: sync, N: *n, Iters: *iters,
-			Plat: plat, Chunks: *chunks, Compute: *compute,
-			CollectTrace: opts.CollectTrace, WithMetrics: reg != nil,
-			Fault: sched,
-		})
-		fatal(err)
-		out, pl, verify = res.Outcome, res.Plan, res.Verify
-		if res.Metrics != nil {
-			reg = res.Metrics
-		}
-		// The executed plan is only known after a faulted run (a
-		// device loss replans), so -plan-out writes afterwards here.
-		writePlanOut(pl)
-	} else {
-		if pl == nil {
-			strat, err := heteropart.StrategyByName(*stratName)
-			fatal(err)
-			pl, err = strat.Plan(problem, plat, opts)
-			fatal(err)
-		}
-		writePlanOut(pl)
-		out, err = heteropart.ExecutePlan(pl, problem, plat, opts)
-		fatal(err)
 	}
 
 	fmt.Printf("%s on %s (%s)\n", out.Strategy, *appName, plat)
@@ -312,9 +270,9 @@ func main() {
 		}
 	}
 	if *compute {
-		if verify == nil {
+		if res.Verify == nil {
 			fmt.Println("  verify:     (timing-only problem)")
-		} else if err := verify(); err != nil {
+		} else if err := res.Verify(); err != nil {
 			fatal(fmt.Errorf("verification failed: %w", err))
 		} else {
 			fmt.Println("  verify:     OK (matches sequential reference)")

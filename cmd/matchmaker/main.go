@@ -29,7 +29,6 @@ func main() {
 		appName  = flag.String("app", "", "application name (see -list)")
 		structur = flag.String("structure", "", `classify a kernel structure without running it, e.g. "loop[10]{copy; scale} !sync"`)
 		list     = flag.Bool("list", false, "list bundled applications and exit")
-		syncMode = flag.String("sync", "default", "inter-kernel sync variant: default|forced|none")
 		m        = flag.Int("m", 12, "CPU worker threads")
 		n        = flag.Int64("n", 0, "problem size (0 = paper default)")
 		iters    = flag.Int("iters", 0, "loop iterations (0 = paper default)")
@@ -39,6 +38,8 @@ func main() {
 		showMx   = flag.Bool("metrics", false, "print the executed run's metrics registry (Prometheus text exposition)")
 		platName = flag.String("platform", "", "match against a named catalog platform instead of the paper's (empty = paper)")
 	)
+	var sync heteropart.SyncMode
+	flag.TextVar(&sync, "sync", heteropart.SyncDefault, "inter-kernel sync variant: default|forced|none")
 	flag.Parse()
 
 	if *list {
@@ -64,17 +65,6 @@ func main() {
 
 	app, err := heteropart.AppByName(*appName)
 	fatal(err)
-
-	sync := heteropart.SyncDefault
-	switch *syncMode {
-	case "default":
-	case "forced":
-		sync = heteropart.SyncForced
-	case "none":
-		sync = heteropart.SyncNone
-	default:
-		fatal(fmt.Errorf("unknown -sync %q", *syncMode))
-	}
 
 	plat := heteropart.PaperPlatform(*m)
 	if *platName != "" {

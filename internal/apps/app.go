@@ -43,6 +43,33 @@ const (
 	SyncNone
 )
 
+// syncNames spells each SyncMode for flags and request fields.
+var syncNames = [...]string{SyncDefault: "default", SyncForced: "forced", SyncNone: "none"}
+
+// MarshalText spells the mode "default", "forced" or "none".
+func (m SyncMode) MarshalText() ([]byte, error) {
+	if m < 0 || int(m) >= len(syncNames) {
+		return nil, fmt.Errorf("apps: unknown sync mode %d", int(m))
+	}
+	return []byte(syncNames[m]), nil
+}
+
+// UnmarshalText reads "default", "forced" or "none"; the empty string
+// reads as SyncDefault.
+func (m *SyncMode) UnmarshalText(text []byte) error {
+	if len(text) == 0 {
+		*m = SyncDefault
+		return nil
+	}
+	for i, name := range syncNames {
+		if string(text) == name {
+			*m = SyncMode(i)
+			return nil
+		}
+	}
+	return fmt.Errorf("apps: unknown sync mode %q (want default, forced or none)", string(text))
+}
+
 // Variant parameterizes one problem instantiation.
 type Variant struct {
 	// N is the problem size in iteration-space elements; 0 uses the

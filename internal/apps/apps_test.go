@@ -373,6 +373,33 @@ func TestVariantDefaults(t *testing.T) {
 	}
 }
 
+// TestSyncModeText pins the one spelling of the sync modes the CLIs'
+// -sync flags and the service's request field read: each mode round
+// trips, the empty string reads as the default, anything else is an
+// error, and a mode outside the three has no spelling.
+func TestSyncModeText(t *testing.T) {
+	for m, name := range map[SyncMode]string{SyncDefault: "default", SyncForced: "forced", SyncNone: "none"} {
+		text, err := m.MarshalText()
+		if err != nil || string(text) != name {
+			t.Errorf("MarshalText(%d) = %q, %v; want %q", int(m), text, err, name)
+		}
+		back := SyncMode(-1)
+		if err := back.UnmarshalText([]byte(name)); err != nil || back != m {
+			t.Errorf("UnmarshalText(%q) = %d, %v; want %d", name, int(back), err, int(m))
+		}
+	}
+	m := SyncForced
+	if err := m.UnmarshalText(nil); err != nil || m != SyncDefault {
+		t.Errorf("UnmarshalText(empty) = %d, %v; want the default", int(m), err)
+	}
+	if err := m.UnmarshalText([]byte("sometimes")); err == nil {
+		t.Error(`UnmarshalText("sometimes") accepted`)
+	}
+	if _, err := SyncMode(3).MarshalText(); err == nil {
+		t.Error("MarshalText(3) spelled an unknown mode")
+	}
+}
+
 func TestProblemHelpers(t *testing.T) {
 	p, _ := NewStreamSeq().Build(Variant{N: 1024})
 	if p.KernelByName("triad") == nil || p.KernelByName("nosuch") != nil {

@@ -1,14 +1,15 @@
 package calib
 
 import (
+	"context"
 	"fmt"
 
-	"heteropart/internal/analyzer"
 	"heteropart/internal/apierr"
 	"heteropart/internal/apps"
 	"heteropart/internal/device"
 	"heteropart/internal/metrics"
 	"heteropart/internal/plan"
+	"heteropart/internal/runner"
 	"heteropart/internal/strategy"
 	"heteropart/internal/telemetry"
 )
@@ -94,8 +95,10 @@ func Converge(cfg Config, truth, believed *device.Platform) (*Report, *plan.Exec
 		prevPlan *plan.ExecutionPlan
 		prevMk   int64
 	)
+	ctx := context.Background()
+	decider := runner.New(runner.Config{})
 	for r := 1; r <= cfg.MaxRounds; r++ {
-		pl, problem, err := decide(cfg, believed)
+		pl, _, err := decider.PlanContext(ctx, cfg.spec(believed))
 		if err != nil {
 			return nil, nil, nil, fmt.Errorf("calib: round %d: %w", r, err)
 		}
@@ -105,13 +108,14 @@ func Converge(cfg Config, truth, believed *device.Platform) (*Report, *plan.Exec
 		// are exactly what calibration is measuring).
 		patched := *pl
 		patched.Platform = plan.Fingerprint(truth)
+		// The measurement records into a private tracer: its chunk
+		// spans are the round's observations.
 		private := telemetry.New()
-		out, err := strategy.Execute(&patched, problem, truth, strategy.Options{
-			Chunks: cfg.Chunks, NoSeed: cfg.NoSeed, Spans: private,
-		})
+		res, err := runner.New(runner.Config{Spans: private}).ExecuteContext(ctx, cfg.spec(truth), &patched)
 		if err != nil {
 			return nil, nil, nil, fmt.Errorf("calib: round %d: %w", r, err)
 		}
+		out := res.Outcome
 		obs, err := ObservationsFromSpans(private.Spans())
 		if err != nil {
 			return nil, nil, nil, fmt.Errorf("calib: round %d: %w", r, err)
@@ -158,7 +162,7 @@ func Converge(cfg Config, truth, believed *device.Platform) (*Report, *plan.Exec
 
 	// Decide once more on the converged model: the plan the calibrated
 	// stack would ship.
-	final, _, err := decide(cfg, believed)
+	final, _, err := decider.PlanContext(ctx, cfg.spec(believed))
 	if err != nil {
 		return nil, nil, nil, fmt.Errorf("calib: final plan: %w", err)
 	}
@@ -172,36 +176,14 @@ func Converge(cfg Config, truth, believed *device.Platform) (*Report, *plan.Exec
 	return report, final, believed, nil
 }
 
-// decide builds a fresh problem on the platform and plans it with the
-// configured (or analyzer-selected) strategy.
-func decide(cfg Config, plat *device.Platform) (*plan.ExecutionPlan, *apps.Problem, error) {
-	app, err := apps.ByName(cfg.App)
-	if err != nil {
-		return nil, nil, err
+// spec is the runner spec of one decision or measurement on plat: the
+// configured problem variant under the configured (or, when empty,
+// analyzer-selected) strategy.
+func (c Config) spec(plat *device.Platform) runner.Spec {
+	return runner.Spec{
+		App: c.App, Strategy: c.Strategy, Sync: c.Sync, N: c.N, Iters: c.Iters,
+		Plat: plat, Chunks: c.Chunks, NoSeed: c.NoSeed,
 	}
-	problem, err := app.Build(apps.Variant{
-		N: cfg.N, Iters: cfg.Iters, Sync: cfg.Sync, Spaces: 1 + len(plat.Accels),
-	})
-	if err != nil {
-		return nil, nil, err
-	}
-	name := cfg.Strategy
-	if name == "" {
-		rep, err := analyzer.Analyze(problem)
-		if err != nil {
-			return nil, nil, err
-		}
-		name = rep.Best
-	}
-	strat, err := strategy.ByName(name)
-	if err != nil {
-		return nil, nil, err
-	}
-	pl, err := strat.Plan(problem, plat, strategy.Options{Chunks: cfg.Chunks, NoSeed: cfg.NoSeed})
-	if err != nil {
-		return nil, nil, err
-	}
-	return pl, problem, nil
 }
 
 // record publishes one round's evidence to the configured metrics

@@ -187,17 +187,3 @@ func DetectSync(kernels []*task.Kernel, n int64) bool {
 	}
 	return false
 }
-
-// Describe renders a one-line human-readable classification summary.
-func Describe(s Structure) string {
-	c, err := Classify(s)
-	if err != nil {
-		return "invalid structure: " + err.Error()
-	}
-	sync := "no inter-kernel sync"
-	if s.InterKernelSync {
-		sync = "inter-kernel sync"
-	}
-	return fmt.Sprintf("%s (Class %s), %d kernel(s) %v, %s",
-		c, c.Roman(), len(s.Kernels()), sortedKernels(s), sync)
-}

@@ -128,18 +128,6 @@ func TestStructureKernelsOrderAndCount(t *testing.T) {
 	}
 }
 
-func TestDescribe(t *testing.T) {
-	d := Describe(loopSeq(2, true, "a", "b"))
-	for _, want := range []string{"MK-Loop", "Class IV", "2 kernel", "inter-kernel sync"} {
-		if !strings.Contains(d, want) {
-			t.Fatalf("describe %q missing %q", d, want)
-		}
-	}
-	if !strings.Contains(Describe(Structure{}), "invalid") {
-		t.Fatal("invalid structure not flagged")
-	}
-}
-
 func TestDAGIsChain(t *testing.T) {
 	chain := DAG{Calls: []DAGCall{{Kernel: "a"}, {Kernel: "b", After: []int{0}}}}
 	if !chain.IsChain() {

@@ -17,7 +17,6 @@ package classify
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 )
 
@@ -156,11 +155,4 @@ func (s Structure) CallCount() int {
 		s.Flow.walk(func(string) { n++ })
 	}
 	return n
-}
-
-// sortedKernels is a helper for deterministic diagnostics.
-func sortedKernels(s Structure) []string {
-	ks := s.Kernels()
-	sort.Strings(ks)
-	return ks
 }

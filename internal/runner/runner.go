@@ -25,6 +25,14 @@
 // are immutable and materialize fresh task instances per run, so one
 // cached plan safely backs concurrent executions. The plan cache is a
 // second coalesce.Group under the same rules.
+//
+// The runner is the one code path that turns a spec into an executed
+// run: sweeps, hetsim's single runs, the service's endpoints and the
+// calibration loop all go through it. Every execution is one bounded
+// device-loss recovery (strategy.ExecuteRecover), so a clean run and a
+// faulted one differ only in what the schedule injects. ExecuteContext
+// replays a caller's plan on the same path, uncached and without
+// replanning.
 package runner
 
 import (
@@ -145,7 +153,7 @@ func (r *Runner) Workers() int { return r.workers }
 
 // Run executes (or recalls) one spec.
 func (r *Runner) Run(spec Spec) (*Result, error) {
-	return r.run(context.Background(), spec, 0)
+	return r.RunContext(context.Background(), spec)
 }
 
 // RunContext is Run under a cancellation context. The context bounds
@@ -156,8 +164,10 @@ func (r *Runner) Run(spec Spec) (*Result, error) {
 // for the others, and the execution is abandoned only when every caller
 // waiting on it has given up — its key is then free, so a later
 // identical spec re-executes cleanly instead of recalling the abort.
+// The run span attaches under the span parent ctx carries
+// (telemetry.WithParent), if any.
 func (r *Runner) RunContext(ctx context.Context, spec Spec) (*Result, error) {
-	return r.run(ctx, spec, 0)
+	return r.run(ctx, spec, telemetry.ParentFrom(ctx))
 }
 
 // run is RunContext with a sweep-span parent threaded through.
@@ -166,12 +176,30 @@ func (r *Runner) run(ctx context.Context, spec Spec, parent telemetry.SpanID) (*
 		return nil, err
 	}
 	if r.results == nil {
-		return r.execute(ctx, spec, parent)
+		return r.execute(ctx, spec, nil, parent)
 	}
 	res, _, err := r.results.Do(ctx, spec.Key(), func(ctx context.Context) (*Result, error) {
-		return r.execute(ctx, spec, parent)
+		return r.execute(ctx, spec, nil, parent)
 	})
 	return res, err
+}
+
+// ExecuteContext replays a caller's decided plan as spec's run, through
+// the same worker slot, run span, problem build and options as
+// RunContext. The spec supplies what the plan does not pin: the
+// problem variant, the platform, the observation settings and the
+// fault schedule; its Strategy is taken from the plan. A replay is
+// neither cached nor coalesced, and it never replans: a device loss
+// fails it with an error wrapping apierr.ErrDeviceLost.
+func (r *Runner) ExecuteContext(ctx context.Context, spec Spec, pl *plan.ExecutionPlan) (*Result, error) {
+	if err := apierr.FromContext(ctx); err != nil {
+		return nil, err
+	}
+	if pl == nil {
+		return nil, fmt.Errorf("runner: nil plan: %w", apierr.ErrPlanInvalid)
+	}
+	spec.Strategy = pl.Strategy
+	return r.execute(ctx, spec, pl, telemetry.ParentFrom(ctx))
 }
 
 // RunAll executes every spec, fanning out over the worker pool, and
@@ -231,7 +259,7 @@ func (r *Runner) PlanContext(ctx context.Context, spec Spec) (*plan.ExecutionPla
 	}
 	pl, err := r.planFor(ctx, spec, s, plat, p, strategy.Options{
 		Chunks: spec.Chunks, NoSeed: spec.NoSeed, Spans: r.spans,
-		Faults: spec.Fault,
+		SpanParent: telemetry.ParentFrom(ctx), Faults: spec.Fault,
 	})
 	return pl, rep, err
 }
@@ -239,8 +267,10 @@ func (r *Runner) PlanContext(ctx context.Context, spec Spec) (*plan.ExecutionPla
 // execute performs one run inside a worker slot. Everything mutable —
 // problem, directory, scheduler, engine, trace, metrics — is created
 // here and owned by this call; the platform and the app/strategy
-// registries are read-only.
-func (r *Runner) execute(ctx context.Context, spec Spec, parent telemetry.SpanID) (*Result, error) {
+// registries are read-only. A nil pl resolves and decides the spec's
+// plan, and a device loss replans on the survivors; a given pl is
+// replayed as is, and a device loss fails the run.
+func (r *Runner) execute(ctx context.Context, spec Spec, pl *plan.ExecutionPlan, parent telemetry.SpanID) (*Result, error) {
 	var worker int
 	select {
 	case worker = <-r.sem:
@@ -273,45 +303,37 @@ func (r *Runner) execute(ctx context.Context, spec Spec, parent telemetry.SpanID
 		SpanParent:   runSpan,
 		Faults:       spec.Fault,
 	}
-	// Resolve the strategy first (for matchmade specs through the
-	// analyzer — Analyze is pure, so splitting it from the execution
-	// preserves Matchmake's behaviour), then decide and execute as
-	// separate steps so the decision can come from the plan cache.
-	s, rep, err := spec.resolve(p)
-	if err != nil {
-		return nil, err
+	rebuild := func(surv *device.Platform) (*apps.Problem, error) {
+		return spec.build(surv, spec.Compute)
 	}
-	res.Report = rep
-	r.spans.Annotate(runSpan, "strategy", s.Name())
-	pl, err := r.planFor(ctx, spec, s, plat, p, opts)
-	if err != nil {
-		return nil, err
-	}
-	res.Plan = pl
-	if spec.Fault != nil {
-		// Faulted executions go through the bounded device-loss
-		// recovery: a lost accelerator replans on the survivors, and
-		// the result records the plan that actually executed. A failed
-		// faulted run returns its typed error like any other failure,
-		// and like any other failure it is not memoized.
-		rec, err := strategy.ExecuteRecover(ctx, pl, p, plat, opts,
-			func(surv *device.Platform) (*apps.Problem, error) {
-				return spec.build(surv, spec.Compute)
-			})
+	if pl == nil {
+		// Resolve the strategy first (for matchmade specs through the
+		// analyzer — Analyze is pure, so splitting it from the execution
+		// preserves Matchmake's behaviour), then decide and execute as
+		// separate steps so the decision can come from the plan cache.
+		s, rep, err := spec.resolve(p)
 		if err != nil {
 			return nil, err
 		}
-		res.Plan = rec.Plan
-		res.Outcome = rec.Outcome
-		res.Verify = rec.Problem.Verify
+		res.Report = rep
+		r.spans.Annotate(runSpan, "strategy", s.Name())
+		if pl, err = r.planFor(ctx, spec, s, plat, p, opts); err != nil {
+			return nil, err
+		}
 	} else {
-		out, err := strategy.ExecuteContext(ctx, pl, p, plat, opts)
-		if err != nil {
-			return nil, err
-		}
-		res.Outcome = out
-		res.Verify = p.Verify
+		r.spans.Annotate(runSpan, "strategy", pl.Strategy)
+		rebuild = nil
 	}
+	// Every run is one bounded device-loss recovery: a clean run is its
+	// single attempt, and a lost accelerator replans on the survivors
+	// (unless replaying), with the result recording the plan that
+	// actually executed. A failed run returns its typed error and, like
+	// any failure, is not memoized.
+	rec, err := strategy.ExecuteRecover(ctx, pl, p, plat, opts, rebuild)
+	if err != nil {
+		return nil, err
+	}
+	res.Plan, res.Outcome, res.Verify = rec.Plan, rec.Outcome, rec.Problem.Verify
 	r.runs.Inc()
 	if r.workerRuns != nil {
 		r.workerRuns[worker].Inc()

@@ -34,8 +34,9 @@
 //
 // The package consumes only the public heteropart surface for
 // matchmaking and execution — it is deliberately a client of the API
-// it fronts — plus the internal metrics/telemetry types the facade
-// aliases.
+// it fronts, and every simulating endpoint runs through the facade's
+// Runner — plus internal/metrics and internal/telemetry, whose types
+// the facade aliases.
 package service
 
 import (
@@ -343,69 +344,56 @@ func badRequest(format string, args ...any) *httpErr {
 	return &httpErr{status: http.StatusBadRequest, code: CodeBadRequest, msg: fmt.Sprintf(format, args...)}
 }
 
-// statusFor maps the facade's sentinel errors to HTTP statuses:
-// unknown app/strategy → 404, invalid plan, fault schedule, options or
-// platform → 400, platform mismatch or stale calibration → 409,
-// abandoned by context → 499, anything else (including a run halted by
-// an injected fault) → 500.
-func statusFor(err error) int {
-	var he *httpErr
-	switch {
-	case errors.As(err, &he):
-		return he.status
-	case errors.Is(err, heteropart.ErrUnknownApp),
-		errors.Is(err, heteropart.ErrUnknownStrategy):
-		return http.StatusNotFound
-	case errors.Is(err, heteropart.ErrPlanInvalid),
-		errors.Is(err, heteropart.ErrFaultInvalid),
-		errors.Is(err, heteropart.ErrOptionsInvalid),
-		errors.Is(err, heteropart.ErrPlatformInvalid):
-		return http.StatusBadRequest
-	case errors.Is(err, heteropart.ErrPlatformMismatch),
-		errors.Is(err, heteropart.ErrCalibrationStale):
-		return http.StatusConflict
-	case errors.Is(err, heteropart.ErrCanceled),
-		errors.Is(err, context.Canceled),
-		errors.Is(err, context.DeadlineExceeded):
-		return StatusClientClosedRequest
-	default:
-		return http.StatusInternalServerError
-	}
+// sentinels maps the facade's sentinel errors to an HTTP status and an
+// envelope code: unknown app/strategy → 404, invalid plan, fault
+// schedule, options or platform → 400, stale calibration or platform
+// mismatch → 409, abandoned by context → 499, a run halted by an
+// injected fault → 500. The first matching row wins, which matters
+// where sentinels nest (ErrDeviceLost also matches ErrFaultInjected).
+var sentinels = []struct {
+	err    error
+	status int
+	code   string
+}{
+	{heteropart.ErrUnknownApp, http.StatusNotFound, CodeUnknownApp},
+	{heteropart.ErrUnknownStrategy, http.StatusNotFound, CodeUnknownStrategy},
+	{heteropart.ErrPlanInvalid, http.StatusBadRequest, CodePlanInvalid},
+	{heteropart.ErrFaultInvalid, http.StatusBadRequest, CodeFaultInvalid},
+	{heteropart.ErrOptionsInvalid, http.StatusBadRequest, CodeOptionsInvalid},
+	{heteropart.ErrPlatformInvalid, http.StatusBadRequest, CodePlatformInvalid},
+	{heteropart.ErrCalibrationStale, http.StatusConflict, CodeCalibrationStale},
+	{heteropart.ErrPlatformMismatch, http.StatusConflict, CodePlatformMismatch},
+	{heteropart.ErrCanceled, StatusClientClosedRequest, CodeCanceled},
+	{context.Canceled, StatusClientClosedRequest, CodeCanceled},
+	{context.DeadlineExceeded, StatusClientClosedRequest, CodeCanceled},
+	{heteropart.ErrFaultInjected, http.StatusInternalServerError, CodeFaultInjected},
 }
 
-// codeFor maps an error to its stable envelope code. Order matters
-// where sentinels nest (ErrDeviceLost also matches ErrFaultInjected;
-// specific classification first).
-func codeFor(err error) string {
+// statusCode returns err's status and envelope code: an httpErr's own,
+// else the first matching sentinel row's, else 500 internal.
+func statusCode(err error) (int, string) {
 	var he *httpErr
-	switch {
-	case errors.As(err, &he):
-		return he.code
-	case errors.Is(err, heteropart.ErrUnknownApp):
-		return CodeUnknownApp
-	case errors.Is(err, heteropart.ErrUnknownStrategy):
-		return CodeUnknownStrategy
-	case errors.Is(err, heteropart.ErrPlanInvalid):
-		return CodePlanInvalid
-	case errors.Is(err, heteropart.ErrFaultInvalid):
-		return CodeFaultInvalid
-	case errors.Is(err, heteropart.ErrOptionsInvalid):
-		return CodeOptionsInvalid
-	case errors.Is(err, heteropart.ErrPlatformInvalid):
-		return CodePlatformInvalid
-	case errors.Is(err, heteropart.ErrCalibrationStale):
-		return CodeCalibrationStale
-	case errors.Is(err, heteropart.ErrPlatformMismatch):
-		return CodePlatformMismatch
-	case errors.Is(err, heteropart.ErrCanceled),
-		errors.Is(err, context.Canceled),
-		errors.Is(err, context.DeadlineExceeded):
-		return CodeCanceled
-	case errors.Is(err, heteropart.ErrFaultInjected):
-		return CodeFaultInjected
-	default:
-		return CodeInternal
+	if errors.As(err, &he) {
+		return he.status, he.code
 	}
+	for _, row := range sentinels {
+		if errors.Is(err, row.err) {
+			return row.status, row.code
+		}
+	}
+	return http.StatusInternalServerError, CodeInternal
+}
+
+// statusFor maps an error to its HTTP status (see sentinels).
+func statusFor(err error) int {
+	status, _ := statusCode(err)
+	return status
+}
+
+// codeFor maps an error to its stable envelope code (see sentinels).
+func codeFor(err error) string {
+	_, code := statusCode(err)
+	return code
 }
 
 // ---- request handling -------------------------------------------------
@@ -418,19 +406,6 @@ func decodeRequest(r *http.Request) (*Request, error) {
 		return nil, badRequest("service: decode request: %v", err)
 	}
 	return req, nil
-}
-
-func parseSync(s string) (heteropart.SyncMode, error) {
-	switch s {
-	case "", "default":
-		return heteropart.SyncDefault, nil
-	case "forced":
-		return heteropart.SyncForced, nil
-	case "none":
-		return heteropart.SyncNone, nil
-	default:
-		return heteropart.SyncDefault, badRequest("service: unknown sync mode %q (want default, forced or none)", s)
-	}
 }
 
 // specOf validates a request and turns it into a RunSpec. The platform
@@ -471,10 +446,10 @@ func (s *Service) commonOf(req *Request) (heteropart.RunSpec, error) {
 	if req.Threads < 0 || req.Threads > 1024 {
 		return spec, badRequest("service: threads must be in [0, 1024]")
 	}
-	var err error
-	if spec.Sync, err = parseSync(req.Sync); err != nil {
-		return spec, err
+	if err := spec.Sync.UnmarshalText([]byte(req.Sync)); err != nil {
+		return spec, badRequest("service: %v", err)
 	}
+	var err error
 	if spec.Fault, err = s.faultOf(req); err != nil {
 		return spec, err
 	}
@@ -607,34 +582,23 @@ func (s *Service) handleExecute(w http.ResponseWriter, r *http.Request) {
 		writeError(w, err)
 		return
 	}
-	// The coalescing key hashes the plan's canonical encoding plus
-	// everything else that shapes the execution.
+	spec.App, spec.N, spec.Iters = pl.App, pl.N, pl.Iters
+	// The coalescing key hashes the plan's canonical encoding plus the
+	// spec's decision inputs, which carry everything else that shapes
+	// the execution: sync, platform, calibration and fault schedule.
 	canonical, err := pl.JSON()
 	if err != nil {
 		writeError(w, err)
 		return
 	}
-	sum := sha256.Sum256(append(canonical,
-		[]byte(fmt.Sprintf("|sync=%d|plat=%s|fault=%s",
-			int(spec.Sync), heteropart.PlatformFingerprint(spec.Plat), spec.Fault.Canonical()))...))
+	sum := sha256.Sum256(append(canonical, spec.PlanCanonical(pl.Strategy)...))
 	key := "execute|" + hex.EncodeToString(sum[:])
 	s.serve(w, r, req, key, func(ctx context.Context) (*Response, error) {
-		app, err := heteropart.AppByName(pl.App)
+		res, err := s.runner.ExecuteContext(ctx, spec, pl)
 		if err != nil {
 			return nil, err
 		}
-		p, err := app.Build(heteropart.Variant{
-			N: pl.N, Iters: pl.Iters, Sync: spec.Sync,
-			Spaces: 1 + len(spec.Plat.Accels),
-		})
-		if err != nil {
-			return nil, err
-		}
-		out, err := heteropart.ExecutePlanContext(ctx, pl, p, spec.Plat, heteropart.Options{Faults: spec.Fault})
-		if err != nil {
-			return nil, err
-		}
-		return responseOf(nil, pl, out)
+		return responseOf(nil, pl, res.Outcome)
 	})
 }
 
@@ -740,8 +704,12 @@ func (s *Service) serve(w http.ResponseWriter, r *http.Request, req *Request,
 		writeError(w, errShuttingDown)
 		return
 	}
+	// The flight runs under its own context; it carries the request's
+	// span, so the runner's spans nest under the request that started
+	// the flight.
+	parent := telemetry.ParentFrom(ctx)
 	body, joined, err := s.flights.Do(ctx, key, func(ctx context.Context) ([]byte, error) {
-		return s.fly(ctx, work)
+		return s.fly(telemetry.WithParent(ctx, parent), work)
 	})
 	s.flightCount.SetInt(int64(s.flights.Len()))
 	if err == errAtCapacity {
@@ -920,6 +888,9 @@ func (s *Service) wrap(endpoint string, h http.HandlerFunc) http.HandlerFunc {
 		start := time.Now()
 		reqs.Inc()
 		span := s.spans.Begin(0, telemetry.KindRequest, endpoint)
+		if span != 0 {
+			r = r.WithContext(telemetry.WithParent(r.Context(), span))
+		}
 		rec := &statusRecorder{ResponseWriter: w, code: http.StatusOK}
 		defer func() {
 			if p := recover(); p != nil {

@@ -454,49 +454,82 @@ func TestCoalescingSharesOneExecution(t *testing.T) {
 	}
 }
 
-// TestBackpressure floods a tiny queue and expects 429 with a
-// Retry-After hint; the shed requests must not corrupt the ones that
-// were admitted.
+// TestBackpressure fills a tiny service — one flight holding the only
+// worker, one waiting in the only queue slot — then floods it and
+// expects every further request to be shed with 429 and a Retry-After
+// hint; the shed requests must not corrupt the ones that were admitted.
 func TestBackpressure(t *testing.T) {
 	reg := heteropart.NewMetrics()
-	_, ts := newTestService(t, Config{Workers: 1, Queue: 1, Metrics: reg})
+	svc, ts := newTestService(t, Config{Workers: 1, Queue: 1, Metrics: reg})
+	// Every flight blocks in its worker slot until the flood is over.
+	release := make(chan struct{})
+	unblock := sync.OnceFunc(func() { close(release) })
+	svc.panicHook = func() { <-release }
+
 	const clients = 12
+	statuses := make([]int, clients)
 	var wg sync.WaitGroup
-	var mu sync.Mutex
-	var ok, shed int
-	for c := 0; c < clients; c++ {
+	defer func() { unblock(); wg.Wait() }()
+	post := func(c int) {
+		defer wg.Done()
+		// Distinct bodies so requests cannot coalesce their way
+		// around admission.
+		body := fmt.Sprintf(`{"app":"MatrixMul","n":%d}`, 96+c)
+		resp, err := http.Post(ts.URL+"/v1/matchmake", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Errorf("client %d: %v", c, err)
+			return
+		}
+		defer resp.Body.Close()
+		if resp.StatusCode == http.StatusTooManyRequests && resp.Header.Get("Retry-After") == "" {
+			t.Errorf("client %d: 429 without Retry-After", c)
+		}
+		statuses[c] = resp.StatusCode
+	}
+	waitUntil := func(what string, cond func() bool) {
+		t.Helper()
+		for deadline := time.Now().Add(10 * time.Second); !cond(); time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("timed out waiting for %s", what)
+			}
+		}
+	}
+
+	// Client 0 takes the worker, client 1 the queue slot.
+	wg.Add(1)
+	go post(0)
+	waitUntil("the first flight to hold the worker", func() bool { return svc.inflightN.Load() == 1 })
+	wg.Add(1)
+	go post(1)
+	waitUntil("the second flight to queue", func() bool { return svc.queued.Load() == 1 })
+
+	// The service is full: every other client must be shed.
+	for c := 2; c < clients; c++ {
 		wg.Add(1)
-		go func(c int) {
-			defer wg.Done()
-			// Distinct bodies so requests cannot coalesce their way
-			// around admission.
-			body := fmt.Sprintf(`{"app":"MatrixMul","n":%d}`, 96+c)
-			resp, err := http.Post(ts.URL+"/v1/matchmake", "application/json", strings.NewReader(body))
-			if err != nil {
-				return
-			}
-			defer resp.Body.Close()
-			mu.Lock()
-			defer mu.Unlock()
-			switch resp.StatusCode {
-			case http.StatusOK:
-				ok++
-			case http.StatusTooManyRequests:
-				if resp.Header.Get("Retry-After") == "" {
-					t.Error("429 without Retry-After")
-				}
-				shed++
-			default:
-				t.Errorf("client %d: unexpected status %d", c, resp.StatusCode)
-			}
-		}(c)
+		go post(c)
 	}
+	waitUntil("the flood to be shed", func() bool {
+		return counter(reg, "service_rejected_total") == clients-2
+	})
+	unblock()
 	wg.Wait()
-	if ok == 0 {
-		t.Error("no request succeeded under backpressure")
+
+	var ok, shed int
+	for c, status := range statuses {
+		switch status {
+		case http.StatusOK:
+			ok++
+		case http.StatusTooManyRequests:
+			shed++
+		default:
+			t.Errorf("client %d: unexpected status %d", c, status)
+		}
 	}
-	if shed == 0 {
-		t.Skip("scheduler admitted everything; backpressure not exercised this run")
+	if ok != 2 || statuses[0] != http.StatusOK || statuses[1] != http.StatusOK {
+		t.Errorf("admitted clients answered %d and %d (%d ok), want both 200", statuses[0], statuses[1], ok)
+	}
+	if shed != clients-2 {
+		t.Errorf("%d requests shed, want %d", shed, clients-2)
 	}
 	if got := counter(reg, "service_rejected_total"); got != float64(shed) {
 		t.Errorf("service_rejected_total = %v, want %d", got, shed)

@@ -1,7 +1,5 @@
 package sim
 
-import "fmt"
-
 // Resource models a serially-shared facility (a PCIe link direction, a
 // DMA engine, a GPU command queue). Requests are served FIFO: each
 // acquisition holds the resource for a caller-specified duration, and the
@@ -53,76 +51,4 @@ func (r *Resource) Acquire(dur Duration, onStart, onDone func()) Time {
 		r.eng.At(end, onDone)
 	}
 	return end
-}
-
-// Slots models a pool of k identical servers with FIFO admission (e.g.
-// the cores of a CPU when each core runs one task instance at a time).
-// Like Resource, it tracks per-slot horizons and serves requests in
-// arrival order on the earliest-free slot.
-type Slots struct {
-	eng    *Engine
-	name   string
-	freeAt []Time
-	busy   Duration
-}
-
-// NewSlots creates a k-server pool. k must be >= 1.
-func NewSlots(eng *Engine, name string, k int) (*Slots, error) {
-	if k < 1 {
-		return nil, fmt.Errorf("sim: Slots needs k >= 1, got %d", k)
-	}
-	return &Slots{eng: eng, name: name, freeAt: make([]Time, k)}, nil
-}
-
-// Name returns the pool's diagnostic name.
-func (s *Slots) Name() string { return s.name }
-
-// Width reports the number of servers.
-func (s *Slots) Width() int { return len(s.freeAt) }
-
-// BusyTime reports cumulative hold time summed over all slots.
-func (s *Slots) BusyTime() Duration { return s.busy }
-
-// earliest returns the index of the slot that frees first, breaking ties
-// by lowest index for determinism.
-func (s *Slots) earliest() int {
-	best := 0
-	for i := 1; i < len(s.freeAt); i++ {
-		if s.freeAt[i] < s.freeAt[best] {
-			best = i
-		}
-	}
-	return best
-}
-
-// NextFree reports the earliest time a new request could begin service.
-func (s *Slots) NextFree() Time {
-	t := s.freeAt[s.earliest()]
-	if t < s.eng.Now() {
-		return s.eng.Now()
-	}
-	return t
-}
-
-// Acquire enqueues a hold of one slot for dur. onStart (optional) fires
-// at service begin with the slot index; onDone fires at completion with
-// the slot index. Returns (slot, end time).
-func (s *Slots) Acquire(dur Duration, onStart, onDone func(slot int)) (int, Time) {
-	slot := s.earliest()
-	start := s.freeAt[slot]
-	if start < s.eng.Now() {
-		start = s.eng.Now()
-	}
-	end := start + dur
-	s.freeAt[slot] = end
-	s.busy += dur
-	if onStart != nil {
-		i := slot
-		s.eng.At(start, func() { onStart(i) })
-	}
-	if onDone != nil {
-		i := slot
-		s.eng.At(end, func() { onDone(i) })
-	}
-	return slot, end
 }

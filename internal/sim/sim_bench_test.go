@@ -42,16 +42,3 @@ func BenchmarkResourceAcquire(b *testing.B) {
 		r.Acquire(10, nil, nil)
 	}
 }
-
-// BenchmarkSlotsAcquire measures the k-server pool.
-func BenchmarkSlotsAcquire(b *testing.B) {
-	e := NewEngine()
-	s, err := NewSlots(e, "cpu", 12)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s.Acquire(10, nil, nil)
-	}
-}

@@ -217,51 +217,6 @@ func TestResourceIdleGap(t *testing.T) {
 	}
 }
 
-func TestSlotsParallelism(t *testing.T) {
-	e := NewEngine()
-	s, err := NewSlots(e, "cpu", 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var ends []Time
-	for i := 0; i < 4; i++ {
-		s.Acquire(100, nil, func(int) { ends = append(ends, e.Now()) })
-	}
-	e.Run()
-	// Two slots: jobs finish at 100,100,200,200.
-	want := []Time{100, 100, 200, 200}
-	for i := range want {
-		if ends[i] != want[i] {
-			t.Fatalf("ends = %v, want %v", ends, want)
-		}
-	}
-}
-
-func TestSlotsRejectsZeroWidth(t *testing.T) {
-	e := NewEngine()
-	if _, err := NewSlots(e, "x", 0); err == nil {
-		t.Error("NewSlots(0) did not error")
-	}
-}
-
-func TestSlotsStartCallbackGetsSlotIndex(t *testing.T) {
-	e := NewEngine()
-	s, err := NewSlots(e, "cpu", 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	seen := map[int]bool{}
-	for i := 0; i < 3; i++ {
-		s.Acquire(10, func(slot int) { seen[slot] = true }, nil)
-	}
-	e.Run()
-	for i := 0; i < 3; i++ {
-		if !seen[i] {
-			t.Fatalf("slot %d never used: %v", i, seen)
-		}
-	}
-}
-
 // Property: for any schedule of events, the engine fires them in
 // nondecreasing time order and the clock never goes backwards.
 func TestQuickEngineMonotonicClock(t *testing.T) {
@@ -308,31 +263,6 @@ func TestQuickResourceSerialization(t *testing.T) {
 		return ok && r.BusyTime() == total
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// Property: Slots(k) never runs more than k holds concurrently — the
-// makespan of n equal jobs of length L is ceil(n/k)*L.
-func TestQuickSlotsMakespan(t *testing.T) {
-	f := func(n uint8, k uint8) bool {
-		kk := int(k%4) + 1
-		nn := int(n % 32)
-		e := NewEngine()
-		s, err := NewSlots(e, "p", kk)
-		if err != nil {
-			return false
-		}
-		const L = 100
-		var end Time
-		for i := 0; i < nn; i++ {
-			s.Acquire(L, nil, func(int) { end = e.Now() })
-		}
-		e.Run()
-		want := Time((nn + kk - 1) / kk * L)
-		return end == want || nn == 0
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -411,23 +341,6 @@ func TestResourceAndSlotsNames(t *testing.T) {
 	r := NewResource(e, "link")
 	if r.Name() != "link" {
 		t.Fatal("resource name")
-	}
-	s, err := NewSlots(e, "cpu", 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.Name() != "cpu" || s.Width() != 3 {
-		t.Fatal("slots name/width")
-	}
-	if s.BusyTime() != 0 {
-		t.Fatal("initial busy")
-	}
-	s.Acquire(10, nil, nil)
-	if s.NextFree() != 0 { // two slots still free now
-		t.Fatalf("next free = %v", s.NextFree())
-	}
-	if s.BusyTime() != 10 {
-		t.Fatalf("busy = %v", s.BusyTime())
 	}
 }
 

@@ -29,21 +29,27 @@ import (
 // — only losing a device has a principled recovery (run on what's
 // left); everything else is a terminal, typed outcome.
 //
+// A nil rebuild disables recovery: the first device loss fails the
+// run, which is how a caller's plan is replayed without replanning.
+//
 // It returns a Recovery: the outcome together with the plan that
-// actually executed, the platform it executed on, and the problem it
-// computed (the originals when no loss fired), so callers can verify,
-// record and replay the degraded run faithfully.
+// actually executed and the problem it computed (the originals when no
+// loss fired), so callers can verify, record and replay the degraded
+// run faithfully.
 func ExecuteRecover(ctx context.Context, pl *plan.ExecutionPlan, p *apps.Problem, plat *device.Platform, opts Options,
 	rebuild func(*device.Platform) (*apps.Problem, error)) (*Recovery, error) {
 	original := opts.Faults
 	budget := len(plat.Accels)
+	if rebuild == nil {
+		budget = 0
+	}
 	var degs []fault.Degradation
 	for attempt := 0; ; attempt++ {
 		out, err := ExecuteContext(ctx, pl, p, plat, opts)
 		if err == nil {
 			out.Faults = original
 			out.Degradations = degs
-			return &Recovery{Outcome: out, Plan: pl, Platform: plat, Problem: p}, nil
+			return &Recovery{Outcome: out, Plan: pl, Problem: p}, nil
 		}
 		var dl *fault.DeviceLostError
 		if !errors.As(err, &dl) || attempt >= budget {
@@ -83,8 +89,6 @@ type Recovery struct {
 	// Plan is the plan that actually executed — the replanned one when
 	// a loss fired.
 	Plan *plan.ExecutionPlan
-	// Platform is the (possibly degraded) platform the plan ran on.
-	Platform *device.Platform
 	// Problem is the problem build the run computed; its Verify checks
 	// the surviving run's results.
 	Problem *apps.Problem

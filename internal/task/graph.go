@@ -226,18 +226,3 @@ func IsDAGAcyclic(p *Plan) bool {
 	}
 	return true
 }
-
-// WriteFootprint returns the union of regions an instance writes, per
-// buffer ID.
-func WriteFootprint(in *Instance) map[int]mem.Set {
-	out := make(map[int]mem.Set)
-	for _, a := range in.Accesses {
-		if !a.Mode.Writes() {
-			continue
-		}
-		s := out[a.Buf.ID]
-		s.Add(a.Interval)
-		out[a.Buf.ID] = s
-	}
-	return out
-}

@@ -238,31 +238,6 @@ func TestBuildDepsMultiBuffer(t *testing.T) {
 	}
 }
 
-func TestWriteFootprint(t *testing.T) {
-	d := mem.NewDirectory(1)
-	a := d.Register("a", 100, 8)
-	c := d.Register("c", 100, 8)
-	k := &Kernel{
-		Name: "k", Size: 100,
-		Accesses: func(lo, hi int64) []Access {
-			return []Access{
-				{Buf: a, Interval: mem.Interval{Lo: lo, Hi: hi}, Mode: Read},
-				{Buf: c, Interval: mem.Interval{Lo: lo, Hi: hi}, Mode: Write},
-			}
-		},
-	}
-	var p Plan
-	in := p.Submit(k, 10, 20, Unpinned, -1)
-	fp := WriteFootprint(in)
-	if len(fp) != 1 {
-		t.Fatalf("footprint buffers = %d, want 1", len(fp))
-	}
-	s := fp[c.ID]
-	if !s.Contains(mem.Interval{Lo: 10, Hi: 20}) || s.Len() != 10 {
-		t.Fatalf("footprint = %v", s.String())
-	}
-}
-
 func TestCriticalPathIndependent(t *testing.T) {
 	d := mem.NewDirectory(1)
 	b := d.Register("x", 100, 4)

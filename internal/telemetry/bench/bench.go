@@ -12,8 +12,10 @@
 // stored alongside them.
 //
 // Wall-clock benchmark numbers are host-dependent: reports embed a
-// host fingerprint, and Compare downgrades cross-host comparisons to
-// an advisory note rather than pretending the ratio is meaningful.
+// host fingerprint, and Compare adds a note when the hosts differ. The
+// note does not soften the comparison: series beyond the threshold are
+// still returned as regressions, so a cross-host run can fail on
+// hardware differences alone.
 package bench
 
 import (
@@ -192,10 +194,10 @@ type Regression struct {
 
 // Compare checks cur against base: a series regresses when its ns/op
 // exceeds the baseline's by more than threshold (0.20 = 20%). Series
-// present in only one report and host-fingerprint mismatches are
-// reported as advisory notes, not regressions — a different machine
-// makes the ratios unreliable, and Compare says so rather than
-// failing the build on noise.
+// present in only one report are reported as notes, not regressions.
+// A host-fingerprint mismatch also adds a note saying the ratios are
+// unreliable, but it changes nothing else: every series beyond the
+// threshold is still returned as a regression.
 func Compare(base, cur *Report, threshold float64) (regs []Regression, notes []string) {
 	if base.Host != cur.Host {
 		notes = append(notes, fmt.Sprintf(

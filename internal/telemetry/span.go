@@ -24,6 +24,7 @@
 package telemetry
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"sync"
@@ -245,6 +246,25 @@ func (t *Tracer) Emit(parent SpanID, kind Kind, name string, vstart, vend sim.Ti
 	t.list = append(t.list, sp)
 	t.byID[sp.ID] = sp
 	return sp.ID
+}
+
+// parentKey is the context key WithParent stores a span parent under.
+type parentKey struct{}
+
+// WithParent returns ctx carrying id as the parent of the spans that
+// work started under ctx begins — how a service request's span adopts
+// the runner's run and plan spans. A zero id returns ctx unchanged.
+func WithParent(ctx context.Context, id SpanID) context.Context {
+	if id == 0 {
+		return ctx
+	}
+	return context.WithValue(ctx, parentKey{}, id)
+}
+
+// ParentFrom returns the span parent ctx carries, or 0 for none.
+func ParentFrom(ctx context.Context) SpanID {
+	id, _ := ctx.Value(parentKey{}).(SpanID)
+	return id
 }
 
 // Len reports the number of recorded spans. Safe on nil.
