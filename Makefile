@@ -68,6 +68,7 @@ fuzz:
 	$(GO) test -fuzz FuzzParse -fuzztime $(FUZZTIME) -run '^$$' ./internal/classify
 	$(GO) test -fuzz FuzzSpecFromJSON -fuzztime $(FUZZTIME) -run '^$$' ./internal/device
 	$(GO) test -fuzz FuzzCalibrationFromJSON -fuzztime $(FUZZTIME) -run '^$$' ./internal/calib
+	$(GO) test -fuzz FuzzScheduleFromJSON -fuzztime $(FUZZTIME) -run '^$$' ./internal/fault
 
 # The chaos/property harness: fault-injection determinism matrix,
 # monotonic degradation, cache isolation, device-loss replan, the
@@ -131,7 +132,7 @@ replay:
 	done
 
 # Everything a change must pass before merging.
-check: build vet fmt lint test race service-load chaos fuzz platforms calibrate replay bench-smoke bench-golden bench-report
+check: build vet fmt lint test race service-load chaos fuzz platforms calibrate replay examples bench-smoke bench-golden bench-report
 
 bench:
 	$(GO) test -bench=. -benchmem ./...
@@ -163,6 +164,9 @@ experiments:
 report:
 	$(GO) run ./cmd/experiments -report > EXPERIMENTS.md
 
+# Run every example: stencil fails when the analyzer's pick does not
+# measure fastest, finance when a computed price misses its reference,
+# and quickstart and finance go through the facade's Matchmake.
 examples:
 	$(GO) run ./examples/quickstart
 	$(GO) run ./examples/finance

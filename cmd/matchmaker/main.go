@@ -1,7 +1,8 @@
 // Command matchmaker runs the paper's application analyzer on a
 // bundled application: classify its kernel structure, print Table I's
 // ranking for that class, select the best partitioning strategy, and
-// (unless -dry) execute it on the simulated platform.
+// (unless -dry) execute it on the simulated platform. Every decision,
+// execution and validation goes through the sweep runner.
 //
 // With -explain the matchmaker also decides the winning strategy's
 // execution plan and the runner-up's, and prints what the winner does
@@ -16,10 +17,11 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
-	"sort"
+	"runtime"
 
 	"heteropart"
 )
@@ -74,20 +76,17 @@ func main() {
 	}
 	fmt.Printf("platform: %s\n", plat)
 
-	variant := heteropart.Variant{N: *n, Iters: *iters, Sync: sync, Spaces: 1 + len(plat.Accels)}
+	ctx := context.Background()
+	r := heteropart.NewRunner(heteropart.RunnerConfig{Workers: runtime.NumCPU()})
+	spec := heteropart.RunSpec{App: app.Name(), Sync: sync, N: *n, Iters: *iters, Plat: plat}
 
 	if *validate {
-		val, err := heteropart.ValidateRanking(app, variant, plat, heteropart.Options{})
+		val, err := r.ValidateContext(ctx, spec)
 		fatal(err)
 		fmt.Printf("%s\n", val.Report)
 		fmt.Printf("theoretical: %v\n", val.Ranked)
 		fmt.Printf("empirical:   %v\n", val.Empirical)
-		names := make([]string, 0, len(val.Times))
-		for s := range val.Times {
-			names = append(names, s)
-		}
-		sort.Slice(names, func(i, j int) bool { return val.Times[names[i]] < val.Times[names[j]] })
-		for _, s := range names {
+		for _, s := range val.Empirical {
 			fmt.Printf("  %-11s %10.1f ms\n", s, val.Times[s].Milliseconds())
 		}
 		if val.Matches {
@@ -99,25 +98,24 @@ func main() {
 		return
 	}
 
-	problem, err := app.Build(variant)
+	problem, err := app.Build(heteropart.Variant{N: *n, Iters: *iters, Sync: sync, Spaces: 1 + len(plat.Accels)})
 	fatal(err)
 	report, err := heteropart.Analyze(problem)
 	fatal(err)
 	fmt.Println(report)
+	spec.Strategy = report.Best
 
 	if *explain {
-		best, err := heteropart.StrategyByName(report.Best)
-		fatal(err)
-		bestPlan, err := best.Plan(problem, plat, heteropart.Options{})
+		bestPlan, _, err := r.PlanContext(ctx, spec)
 		fatal(err)
 		fmt.Printf("winning plan: %s — %d phases, %d instances, %s scheduler\n",
 			bestPlan.Strategy, len(bestPlan.Phases), bestPlan.Instances(), bestPlan.Scheduler.Policy)
 		if len(report.Ranked) < 2 {
 			fmt.Println("no runner-up strategy to compare")
 		} else {
-			runnerUp, err := heteropart.StrategyByName(report.Ranked[1])
-			fatal(err)
-			ruPlan, err := runnerUp.Plan(problem, plat, heteropart.Options{})
+			ru := spec
+			ru.Strategy = report.Ranked[1]
+			ruPlan, _, err := r.PlanContext(ctx, ru)
 			fatal(err)
 			fmt.Printf("vs runner-up %s:\n", ruPlan.Strategy)
 			diff := heteropart.DiffPlans(bestPlan, ruPlan)
@@ -133,21 +131,17 @@ func main() {
 		return
 	}
 
-	strat, err := heteropart.StrategyByName(report.Best)
+	spec.WithMetrics = *showMx
+	res, err := r.RunContext(ctx, spec)
 	fatal(err)
-	var reg *heteropart.Metrics
-	if *showMx {
-		reg = heteropart.NewMetrics()
-	}
-	out, err := strat.Run(problem, plat, heteropart.Options{Metrics: reg})
-	fatal(err)
+	out := res.Outcome
 	fmt.Printf("executed %s: %.1f ms, GPU share %.0f%%, %d transfers (%.0f MB out, %.0f MB back)\n",
 		out.Strategy, out.Result.Makespan.Milliseconds(), 100*out.GPURatio(),
 		out.Result.TransferCount,
 		float64(out.Result.HtoDBytes)/1e6, float64(out.Result.DtoHBytes)/1e6)
-	if reg != nil {
+	if res.Metrics != nil {
 		fmt.Println("metrics:")
-		fmt.Print(reg.Text(out.Result.Makespan))
+		fmt.Print(res.Metrics.Text(out.Result.Makespan))
 	}
 }
 

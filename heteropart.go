@@ -37,6 +37,7 @@ package heteropart
 import (
 	"context"
 	"fmt"
+	"reflect"
 
 	"heteropart/internal/analyzer"
 	"heteropart/internal/apierr"
@@ -360,9 +361,10 @@ var (
 	ErrPlanInvalid = apierr.ErrPlanInvalid
 	// ErrPlatformInvalid: a PlatformSpec or Platform describes a
 	// degenerate machine (zero devices, unreachable device,
-	// zero-bandwidth link, unknown model or catalog name), or a spec or
+	// zero-bandwidth link, unknown model or catalog name), a spec or
 	// CalibrationReport carries a link figure or cost factor outside
-	// its bounds.
+	// its bounds, or a CalibrationReport fails to decode or validate
+	// (wrong version, no platform fingerprint, no scales).
 	ErrPlatformInvalid = apierr.ErrPlatformInvalid
 	// ErrPlatformMismatch: a plan was executed on a platform other than
 	// the one it was decided for.
@@ -395,7 +397,7 @@ var (
 // Matchmake analyzes a problem, then runs the selected strategy on the
 // platform.
 func Matchmake(p *Problem, plat *Platform, opts Options) (Report, *Outcome, error) {
-	return analyzer.Matchmake(p, plat, opts)
+	return MatchmakeContext(context.Background(), p, plat, opts)
 }
 
 // MatchmakeContext is Matchmake under a cancellation context: the
@@ -403,13 +405,40 @@ func Matchmake(p *Problem, plat *Platform, opts Options) (Report, *Outcome, erro
 // boundaries and returns an error wrapping ErrCanceled when abandoned.
 // With a background context the result is byte-identical to Matchmake.
 func MatchmakeContext(ctx context.Context, p *Problem, plat *Platform, opts Options) (Report, *Outcome, error) {
-	return analyzer.MatchmakeContext(ctx, p, plat, opts)
+	rep, err := analyzer.Analyze(p)
+	if err != nil {
+		return Report{}, nil, err
+	}
+	s, err := strategy.ByName(rep.Best)
+	if err != nil {
+		return rep, nil, err
+	}
+	out, err := strategy.RunContext(ctx, s, p, plat, opts)
+	return rep, out, err
 }
 
 // ValidateRanking runs every suitable strategy for an application and
-// checks the empirical ordering against Table I.
+// checks the empirical ordering against Table I, on a one-worker
+// Runner (Runner.ValidateContext). An application the registry does
+// not know fails with ErrUnknownApp, and options a RunSpec cannot
+// carry (a Glinda config, Metrics, Spans) with ErrOptionsInvalid.
 func ValidateRanking(app App, v Variant, plat *Platform, opts Options) (*Validation, error) {
-	return analyzer.ValidateRanking(app, v, plat, opts)
+	if reg, err := apps.ByName(app.Name()); err != nil {
+		return nil, err
+	} else if reflect.TypeOf(reg) != reflect.TypeOf(app) {
+		return nil, fmt.Errorf("heteropart: ValidateRanking: %s is not the bundled application: %w", app.Name(), ErrUnknownApp)
+	}
+	if err := opts.Validate(); err != nil {
+		return nil, err
+	}
+	if opts.Glinda != (GlindaConfig{}) || opts.Metrics != nil || opts.Spans != nil {
+		return nil, fmt.Errorf("heteropart: ValidateRanking: a run spec carries no Glinda config, metrics or spans: %w", ErrOptionsInvalid)
+	}
+	return runner.New(runner.Config{Workers: 1}).ValidateContext(context.Background(), RunSpec{
+		App: app.Name(), Sync: v.Sync, N: v.N, Iters: v.Iters, Plat: plat,
+		Chunks: opts.Chunks, NoSeed: opts.NoSeed, Compute: opts.Compute,
+		CollectTrace: opts.CollectTrace, Fault: opts.Faults,
+	})
 }
 
 // ExecutePlan carries out a decided plan on the platform: validation,
@@ -600,7 +629,7 @@ func Converge(cfg ConvergeConfig, truth, believed *Platform) (*CalibrationReport
 }
 
 // CalibrationFromJSON decodes and validates a serialized
-// CalibrationReport.
+// CalibrationReport; failures wrap ErrPlatformInvalid.
 func CalibrationFromJSON(data []byte) (*CalibrationReport, error) { return calib.FromJSON(data) }
 
 // NewExpEnv builds an experiment environment whose internal sweeps

@@ -2,20 +2,19 @@
 // given a parallelized application, it determines the application
 // class from the kernel structure, ranks the suitable partitioning
 // strategies for that class (Table I), and selects the best one — the
-// matchmaking of applications and partitioning strategies.
+// matchmaking of applications and partitioning strategies. It also
+// checks measured makespans against the ranking (CheckRanking). It
+// runs nothing itself: the runner measures the strategies it ranks.
 package analyzer
 
 import (
-	"context"
 	"fmt"
 	"slices"
 	"sort"
 
 	"heteropart/internal/apps"
 	"heteropart/internal/classify"
-	"heteropart/internal/device"
 	"heteropart/internal/sim"
-	"heteropart/internal/strategy"
 )
 
 // Ranking returns Table I: the suitable strategies for a class, best
@@ -94,30 +93,6 @@ func Analyze(p *apps.Problem) (Report, error) {
 	}, nil
 }
 
-// Matchmake runs the full pipeline of Fig. 2: analyze the problem,
-// enable the best partitioning strategy, and execute it.
-func Matchmake(p *apps.Problem, plat *device.Platform, opts strategy.Options) (Report, *strategy.Outcome, error) {
-	return MatchmakeContext(context.Background(), p, plat, opts)
-}
-
-// MatchmakeContext is Matchmake under a cancellation context: analysis
-// is pure and always completes, the selected strategy's execution
-// honours ctx at phase boundaries and returns an error wrapping
-// apierr.ErrCanceled when abandoned. With a background context the
-// result is byte-identical to Matchmake.
-func MatchmakeContext(ctx context.Context, p *apps.Problem, plat *device.Platform, opts strategy.Options) (Report, *strategy.Outcome, error) {
-	rep, err := Analyze(p)
-	if err != nil {
-		return Report{}, nil, err
-	}
-	s, err := strategy.ByName(rep.Best)
-	if err != nil {
-		return rep, nil, err
-	}
-	out, err := strategy.RunContext(ctx, s, p, plat, opts)
-	return rep, out, err
-}
-
 // Validation is the outcome of empirically checking Table I's ranking
 // for one application (the Section IV experiment).
 type Validation struct {
@@ -136,34 +111,11 @@ type Validation struct {
 // STREAM).
 const rankTolerance = 0.05
 
-// ValidateRanking builds a fresh problem per suitable strategy, runs
-// them all, and checks the empirical ordering against Table I.
-func ValidateRanking(app apps.App, v apps.Variant, plat *device.Platform, opts strategy.Options) (*Validation, error) {
-	probe, err := app.Build(v)
-	if err != nil {
-		return nil, err
-	}
-	rep, err := Analyze(probe)
-	if err != nil {
-		return nil, err
-	}
-	val := &Validation{Report: rep, Times: make(map[string]sim.Duration)}
-	for _, name := range rep.Ranked {
-		s, err := strategy.ByName(name)
-		if err != nil {
-			return nil, err
-		}
-		p, err := app.Build(v)
-		if err != nil {
-			return nil, err
-		}
-		out, err := s.Run(p, plat, opts)
-		if err != nil {
-			return nil, fmt.Errorf("analyzer: validating %s with %s: %w", rep.App, name, err)
-		}
-		val.Times[name] = out.Result.Makespan
-	}
-
+// CheckRanking orders the measured makespans of the report's ranked
+// strategies and checks the order against Table I: each strategy must
+// be at most rankTolerance slower than the one ranked after it.
+func CheckRanking(rep Report, times map[string]sim.Duration) *Validation {
+	val := &Validation{Report: rep, Times: times}
 	val.Empirical = append([]string(nil), rep.Ranked...)
 	sort.SliceStable(val.Empirical, func(i, j int) bool {
 		return val.Times[val.Empirical[i]] < val.Times[val.Empirical[j]]
@@ -178,5 +130,5 @@ func ValidateRanking(app apps.App, v apps.Variant, plat *device.Platform, opts s
 			break
 		}
 	}
-	return val, nil
+	return val
 }

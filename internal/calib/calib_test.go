@@ -367,8 +367,13 @@ func TestReportValidate(t *testing.T) {
 		{Version: ReportVersion, Platform: "fp", Scales: []device.Scale{{Device: -2, Factor: 1}}},
 	}
 	for i, r := range cases {
-		if err := r.Validate(); err == nil {
-			t.Errorf("case %d validated", i)
+		if err := r.Validate(); !errors.Is(err, apierr.ErrPlatformInvalid) {
+			t.Errorf("case %d: Validate = %v, want ErrPlatformInvalid", i, err)
+		}
+	}
+	for _, raw := range []string{``, `{`, `[]`, `{"version":"1"}`} {
+		if _, err := FromJSON([]byte(raw)); !errors.Is(err, apierr.ErrPlatformInvalid) {
+			t.Errorf("FromJSON(%q) = %v, want ErrPlatformInvalid", raw, err)
 		}
 	}
 }

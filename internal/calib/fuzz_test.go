@@ -14,7 +14,8 @@ import (
 )
 
 // FuzzCalibrationFromJSON decodes arbitrary bytes as a calibration
-// report. An accepted report is applied to the paper platform under
+// report. A refusal must wrap ErrPlatformInvalid. An accepted report is
+// applied to the paper platform under
 // that platform's fingerprint, and must carry one small simulation to
 // a typed error or to a finite, positive makespan with an encodable
 // plan. The hostile seeds are factors that would zero the makespan and
@@ -36,6 +37,9 @@ func FuzzCalibrationFromJSON(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		r, err := FromJSON(data)
 		if err != nil {
+			if !errors.Is(err, apierr.ErrPlatformInvalid) {
+				t.Fatalf("refusal does not wrap ErrPlatformInvalid: %v", err)
+			}
 			return
 		}
 		r.Platform = paper.Fingerprint()

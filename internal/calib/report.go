@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"strings"
 
+	"heteropart/internal/apierr"
 	"heteropart/internal/device"
 )
 
@@ -52,19 +53,20 @@ type Round struct {
 	PlanDiff []string `json:"plan_diff,omitempty"`
 }
 
-// Validate checks the report's internal coherence.
+// Validate checks the report's internal coherence. Every refusal wraps
+// apierr.ErrPlatformInvalid.
 func (r *Report) Validate() error {
 	if r == nil {
-		return fmt.Errorf("calib: nil report")
+		return fmt.Errorf("calib: nil report: %w", apierr.ErrPlatformInvalid)
 	}
 	if r.Version != ReportVersion {
-		return fmt.Errorf("calib: report version %d, this build reads %d", r.Version, ReportVersion)
+		return fmt.Errorf("calib: report version %d, this build reads %d: %w", r.Version, ReportVersion, apierr.ErrPlatformInvalid)
 	}
 	if r.Platform == "" {
-		return fmt.Errorf("calib: report has no platform fingerprint")
+		return fmt.Errorf("calib: report has no platform fingerprint: %w", apierr.ErrPlatformInvalid)
 	}
 	if len(r.Scales) == 0 {
-		return fmt.Errorf("calib: report has no fitted scales")
+		return fmt.Errorf("calib: report has no fitted scales: %w", apierr.ErrPlatformInvalid)
 	}
 	for i, s := range r.Scales {
 		if err := s.Validate(); err != nil {
@@ -89,10 +91,11 @@ func (r *Report) JSON() ([]byte, error) {
 }
 
 // FromJSON decodes and validates a serialized CalibrationReport.
+// Decode and validation failures wrap apierr.ErrPlatformInvalid.
 func FromJSON(data []byte) (*Report, error) {
 	var r Report
 	if err := json.Unmarshal(data, &r); err != nil {
-		return nil, fmt.Errorf("calib: decode report: %v", err)
+		return nil, fmt.Errorf("calib: decode report: %w: %v", apierr.ErrPlatformInvalid, err)
 	}
 	if err := r.Validate(); err != nil {
 		return nil, err

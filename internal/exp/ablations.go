@@ -72,23 +72,15 @@ func Ablations(env *Env) (*Table, error) {
 		fmt.Sprintf("%s vs %s GPU", pct(aware.GPURatio()), pct(blindRes.GPURatio())))
 
 	// 3. DP-Perf's excluded profiling phase (seeding).
-	app, _ := apps.ByName("MatrixMul")
-	pSeed, err := app.Build(apps.Variant{Spaces: 1 + len(plat.Accels)})
+	seeded, err := env.runOne("MatrixMul", apps.SyncDefault, "DP-Perf")
 	if err != nil {
 		return nil, err
 	}
-	seeded, err := (strategy.DPPerf{}).Run(pSeed, plat, strategy.Options{})
+	cold, err := env.R.Run(runner.Spec{App: "MatrixMul", Strategy: "DP-Perf", NoSeed: true, Plat: plat})
 	if err != nil {
 		return nil, err
 	}
-	pRaw, err := app.Build(apps.Variant{Spaces: 1 + len(plat.Accels)})
-	if err != nil {
-		return nil, err
-	}
-	raw, err := (strategy.DPPerf{}).Run(pRaw, plat, strategy.Options{NoSeed: true})
-	if err != nil {
-		return nil, err
-	}
+	raw := cold.Outcome
 	t.AddRow("DP-Perf profiling phase", "excluded (seeded)", ms(seeded.Result.Makespan), pct(seeded.GPURatio()))
 	t.AddRow("DP-Perf profiling phase", "included (cold)", ms(raw.Result.Makespan), pct(raw.GPURatio()))
 	t.AddCheck("the profiling phase is expensive when included in the measurement",

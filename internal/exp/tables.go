@@ -1,24 +1,25 @@
 package exp
 
 import (
+	"context"
 	"fmt"
 	"math"
+	"strings"
 
-	"heteropart/internal/analyzer"
 	"heteropart/internal/apps"
 	"heteropart/internal/classify"
 	"heteropart/internal/device"
 	"heteropart/internal/glinda"
 	"heteropart/internal/runner"
-	"heteropart/internal/strategy"
 )
 
 // Table1 validates the performance ranking of Table I empirically: for
 // every application variant, run all suitable strategies and check the
 // measured ordering against the theoretical one (Section IV-B5: "The
-// performance ranking ... matches the theoretical ranking").
+// performance ranking ... matches the theoretical ranking"). The runs
+// go through the environment's runner, so those the figures already
+// measured are cache hits.
 func Table1(env *Env) (*Table, error) {
-	plat := env.Plat
 	t := &Table{ID: "table1", Title: "Suitable strategies: theoretical vs empirical ranking",
 		Columns: []string{"app", "class", "sync", "theoretical", "empirical", "match"}}
 	cases := []struct {
@@ -36,11 +37,7 @@ func Table1(env *Env) (*Table, error) {
 	}
 	allMatch := true
 	for _, c := range cases {
-		app, err := apps.ByName(c.app)
-		if err != nil {
-			return nil, err
-		}
-		val, err := analyzer.ValidateRanking(app, apps.Variant{Sync: c.sync, Spaces: 1 + len(plat.Accels)}, plat, strategy.Options{})
+		val, err := env.R.ValidateContext(context.Background(), runner.Spec{App: c.app, Sync: c.sync, Plat: env.Plat})
 		if err != nil {
 			return nil, err
 		}
@@ -54,22 +51,11 @@ func Table1(env *Env) (*Table, error) {
 			sync = "w"
 		}
 		t.AddRow(c.app, val.Class.String(), sync,
-			join(val.Ranked), join(val.Empirical), match)
+			strings.Join(val.Ranked, " > "), strings.Join(val.Empirical, " > "), match)
 	}
 	t.AddCheck("the empirical ranking matches the theoretical ranking for every application",
 		allMatch, "")
 	return t, nil
-}
-
-func join(names []string) string {
-	out := ""
-	for i, n := range names {
-		if i > 0 {
-			out += " > "
-		}
-		out += n
-	}
-	return out
 }
 
 // Table2 reproduces the application table: each evaluation application

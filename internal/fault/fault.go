@@ -115,9 +115,22 @@ type Schedule struct {
 	Faults []Fault `json:"faults"`
 }
 
+// Bounds on what a schedule may compound into the simulator's int64
+// virtual time.
+const (
+	// maxMultiplier bounds, per device, the product of the slowdown
+	// factors and of 1 + amplitude of the jitter and profile noise
+	// aimed at it.
+	maxMultiplier = 1e3
+	// maxStallNs bounds the sum of every transfer_stall's extra_ns.
+	maxStallNs = 1e9
+)
+
 // Validate checks the schedule's internal consistency: version, known
-// kinds, parameter ranges, and that transfer/loss faults target an
-// accelerator. A failure wraps apierr.ErrFaultInvalid.
+// kinds, parameter ranges, that transfer/loss faults target an
+// accelerator, and that no device's compounded duration multiplier
+// exceeds 1e3 and the transfer stalls sum to at most 1e9 ns. A failure
+// wraps apierr.ErrFaultInvalid.
 func (s *Schedule) Validate() error {
 	if err := s.validate(); err != nil {
 		if errors.Is(err, apierr.ErrFaultInvalid) {
@@ -174,6 +187,45 @@ func (s *Schedule) validate() error {
 		default:
 			return fmt.Errorf("fault: fault %d: unknown kind %q", i, f.Kind)
 		}
+	}
+	return s.checkBounds()
+}
+
+// checkBounds refuses a schedule whose perturbations could overflow
+// virtual time (see maxMultiplier and maxStallNs). Faults aimed at
+// AnyDevice compound with those aimed at each device.
+func (s *Schedule) checkBounds() error {
+	everyDev, perDev := 1.0, make(map[int]float64)
+	var stall int64
+	for _, f := range s.Faults {
+		var m float64
+		switch f.Kind {
+		case KindSlowdown:
+			m = f.Factor
+		case KindJitter, KindProfileNoise:
+			m = 1 + f.Amplitude
+		case KindTransferStall:
+			if f.ExtraNs > maxStallNs-stall {
+				return fmt.Errorf("fault: transfer stalls sum past %d ns", int64(maxStallNs))
+			}
+			stall += f.ExtraNs
+			continue
+		default:
+			continue
+		}
+		if f.Device == AnyDevice {
+			everyDev *= m
+		} else {
+			perDev[f.Device] = max(perDev[f.Device], 1) * m
+		}
+	}
+	worst := 1.0
+	for _, m := range perDev {
+		worst = max(worst, m)
+	}
+	// Negated so that a NaN product is refused too.
+	if m := everyDev * worst; !(m <= maxMultiplier) {
+		return fmt.Errorf("fault: a device's compounded duration multiplier %g exceeds %g", m, float64(maxMultiplier))
 	}
 	return nil
 }

@@ -3,6 +3,7 @@ package fault
 import (
 	"bytes"
 	"errors"
+	"math"
 	"strings"
 	"testing"
 
@@ -82,6 +83,15 @@ func TestValidateRejections(t *testing.T) {
 		{"fail on host", func(s *Schedule) { s.Faults[3].Device = 0 }, "accelerator"},
 		{"loss of host", func(s *Schedule) { s.Faults[5].Device = 0 }, "host cannot be lost"},
 		{"device below any", func(s *Schedule) { s.Faults[0].Device = -2 }, "unknown device"},
+		{"slowdown overflowing virtual time", func(s *Schedule) { s.Faults[0].Factor = 1e18 }, "multiplier"},
+		// 800 alone is in bounds; with the jitter and profile noise
+		// aimed at every device it compounds to 1100.
+		{"compounded multiplier", func(s *Schedule) { s.Faults[0].Factor = 800 }, "multiplier"},
+		{"stall overflowing virtual time", func(s *Schedule) { s.Faults[2].ExtraNs = math.MaxInt64 }, "stalls"},
+		{"stall sum", func(s *Schedule) {
+			s.Faults[2].ExtraNs = 6e8
+			s.Faults = append(s.Faults, Fault{Kind: KindTransferStall, Device: 2, ExtraNs: 6e8})
+		}, "stalls"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -98,6 +108,20 @@ func TestValidateRejections(t *testing.T) {
 				t.Fatalf("error %q does not mention %q", err, tc.want)
 			}
 		})
+	}
+}
+
+// TestValidateAcceptsBounds: the bounds are inclusive and per device,
+// so multipliers aimed at different devices do not compound.
+func TestValidateAcceptsBounds(t *testing.T) {
+	s := &Schedule{Version: ScheduleVersion, Faults: []Fault{
+		{Kind: KindSlowdown, Device: 1, Factor: 1e3},
+		{Kind: KindSlowdown, Device: 2, Factor: 500},
+		{Kind: KindJitter, Device: 2, Amplitude: 0.5},
+		{Kind: KindTransferStall, Device: AnyDevice, ExtraNs: 1e9},
+	}}
+	if err := s.Validate(); err != nil {
+		t.Fatalf("schedule at the bounds refused: %v", err)
 	}
 }
 

@@ -1,11 +1,15 @@
 // Package regress pins the paper-platform behavior of the whole
-// decide/execute stack byte-for-byte. The golden file under testdata
+// decide/execute stack byte-for-byte. The golden file paper_pin.golden
 // was generated from the pre-platform-refactor tree; any refactor of
 // the device / cost-model / topology substrate must keep the default
 // (paper) platform's tables, plans and flight bundles identical.
 // Regenerate deliberately with:
 //
 //	go test ./internal/regress -run TestPaperPlatformPinned -update
+//
+// regret.golden pins decision quality on every catalog platform: the
+// analyzer's pick, the measured best and the pick's regret
+// (TestRegretMatrix).
 package regress
 
 import (
@@ -25,7 +29,7 @@ import (
 	"heteropart/internal/telemetry/flight"
 )
 
-var update = flag.Bool("update", false, "rewrite the golden pin file")
+var update = flag.Bool("update", false, "rewrite the golden files")
 
 // pinSizes keeps each run small enough that the full matrix stays
 // fast while still exercising every decision path.

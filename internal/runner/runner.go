@@ -27,8 +27,9 @@
 // second coalesce.Group under the same rules.
 //
 // The runner is the one code path that turns a spec into an executed
-// run: sweeps, hetsim's single runs, the service's endpoints and the
-// calibration loop all go through it. Every execution is one bounded
+// run: sweeps, hetsim's single runs, the matchmaker CLI, the service's
+// endpoints, the calibration loop and Table I's ranking validation
+// (ValidateContext) all go through it. Every execution is one bounded
 // device-loss recovery (strategy.ExecuteRecover), so a clean run and a
 // faulted one differ only in what the schedule injects. ExecuteContext
 // replays a caller's plan on the same path, uncached and without
@@ -48,6 +49,7 @@ import (
 	"heteropart/internal/device"
 	"heteropart/internal/metrics"
 	"heteropart/internal/plan"
+	"heteropart/internal/sim"
 	"heteropart/internal/strategy"
 	"heteropart/internal/telemetry"
 )
@@ -264,6 +266,44 @@ func (r *Runner) PlanContext(ctx context.Context, spec Spec) (*plan.ExecutionPla
 	return pl, rep, err
 }
 
+// ValidateContext checks Table I's ranking for a spec that names no
+// strategy (the Section IV experiment): it analyzes a timing-only
+// build, runs every ranked strategy as a copy of spec through
+// RunAllContext — cached, in parallel and under run spans like any
+// sweep — and hands the makespans to analyzer.CheckRanking. A spec
+// naming a strategy is refused with apierr.ErrOptionsInvalid.
+func (r *Runner) ValidateContext(ctx context.Context, spec Spec) (*analyzer.Validation, error) {
+	if err := apierr.FromContext(ctx); err != nil {
+		return nil, err
+	}
+	if spec.Strategy != "" {
+		return nil, fmt.Errorf("runner: validating %s: the ranking decides the strategies: %w",
+			spec, apierr.ErrOptionsInvalid)
+	}
+	p, err := spec.build(spec.platform(), false)
+	if err != nil {
+		return nil, err
+	}
+	rep, err := analyzer.Analyze(p)
+	if err != nil {
+		return nil, err
+	}
+	specs := make([]Spec, len(rep.Ranked))
+	for i, name := range rep.Ranked {
+		specs[i] = spec
+		specs[i].Strategy = name
+	}
+	results, err := r.RunAllContext(ctx, specs)
+	if err != nil {
+		return nil, err
+	}
+	times := make(map[string]sim.Duration, len(results))
+	for i, res := range results {
+		times[rep.Ranked[i]] = res.Outcome.Result.Makespan
+	}
+	return analyzer.CheckRanking(rep, times), nil
+}
+
 // execute performs one run inside a worker slot. Everything mutable —
 // problem, directory, scheduler, engine, trace, metrics — is created
 // here and owned by this call; the platform and the app/strategy
@@ -348,7 +388,7 @@ func (r *Runner) execute(ctx context.Context, spec Spec, pl *plan.ExecutionPlan,
 func (r *Runner) planFor(ctx context.Context, spec Spec, s strategy.Strategy, plat *device.Platform,
 	p *apps.Problem, opts strategy.Options) (*plan.ExecutionPlan, error) {
 	if r.plans == nil || spec.WithMetrics {
-		return r.planInSpan(s, p, plat, opts)
+		return strategy.PlanInSpan(s, p, plat, opts)
 	}
 	pl, _, err := r.plans.Do(ctx, spec.PlanKey(s.Name()), func(context.Context) (*plan.ExecutionPlan, error) {
 		return r.decide(spec, s, plat, opts.SpanParent)
@@ -367,18 +407,9 @@ func (r *Runner) decide(spec Spec, s strategy.Strategy, plat *device.Platform,
 	if err != nil {
 		return nil, err
 	}
-	return r.planInSpan(s, p, plat, strategy.Options{
+	return strategy.PlanInSpan(s, p, plat, strategy.Options{
 		Chunks: spec.Chunks, NoSeed: spec.NoSeed,
 		Spans: r.spans, SpanParent: parent,
 		Faults: spec.Fault,
 	})
-}
-
-// planInSpan decides s on p inside a plan span under opts.SpanParent.
-func (r *Runner) planInSpan(s strategy.Strategy, p *apps.Problem, plat *device.Platform,
-	opts strategy.Options) (*plan.ExecutionPlan, error) {
-	planSpan := r.spans.Begin(opts.SpanParent, telemetry.KindPlan, "plan "+s.Name())
-	defer r.spans.End(planSpan)
-	opts.SpanParent = planSpan
-	return s.Plan(p, plat, opts)
 }

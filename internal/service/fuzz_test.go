@@ -1,7 +1,7 @@
 package service
 
 import (
-	"errors"
+	"fmt"
 	"net/http/httptest"
 	"strings"
 	"testing"
@@ -10,10 +10,11 @@ import (
 )
 
 // FuzzServiceRequest is the HTTP-boundary fuzz target: arbitrary
-// request bodies through decode → validation → spec construction must
-// never panic and must fail only with typed errors that statusFor can
-// map (an *httpErr or a facade sentinel) — never a bare 500 from a
-// malformed body.
+// request bodies through decode → validation → spec construction, and
+// the plan and calibration they carry through their decoders, must
+// never panic and must fail only with errors the service maps to a
+// status and code of their own (an *httpErr or a facade sentinel) —
+// never a bare 500 internal from a malformed body.
 func FuzzServiceRequest(f *testing.F) {
 	svc := New(Config{Workers: 1, AllowFaults: true})
 	f.Cleanup(svc.Close)
@@ -37,21 +38,22 @@ func FuzzServiceRequest(f *testing.F) {
 	f.Add(`{"fault":{"version":99}}`)
 	f.Add(`{"fault":{"version":1,"seed":1,"faults":[{"kind":"slowdown","factor":0.1}]}}`)
 	f.Add(`{"fault":` + strings.Repeat(`{"fault":`, 50) + `}`)
+	f.Add(`{"app":"MatrixMul","platform":"nope"}`)
+	// /v1/calibrate bodies: valid, wrong version, no scales, a factor
+	// outside the bounds.
+	report := func(version, scales string) string {
+		return fmt.Sprintf(`{"platform":"paper","calibration":{"version":%s,"app":"BlackScholes","platform":%q,"scales":[%s]}}`,
+			version, heteropart.PlatformFingerprint(heteropart.PaperPlatform(0)), scales)
+	}
+	f.Add(report("1", `{"device":1,"factor":1.5}`))
+	f.Add(report("2", `{"device":1,"factor":1.5}`))
+	f.Add(report("1", ``))
+	f.Add(report("1", `{"device":1,"factor":1e300}`))
 
 	typed := func(t *testing.T, stage string, err error) {
 		t.Helper()
-		var he *httpErr
-		switch {
-		case errors.As(err, &he):
-		case errors.Is(err, heteropart.ErrFaultInvalid),
-			errors.Is(err, heteropart.ErrPlanInvalid),
-			errors.Is(err, heteropart.ErrUnknownApp),
-			errors.Is(err, heteropart.ErrUnknownStrategy):
-		default:
-			t.Fatalf("%s returned an untyped error: %v", stage, err)
-		}
-		if code := statusFor(err); code < 400 || code > 599 {
-			t.Fatalf("%s error %v maps to non-error status %d", stage, err, code)
+		if status, code := statusCode(err); code == CodeInternal || status < 400 || status > 599 {
+			t.Fatalf("%s error %v maps to %d %s", stage, err, status, code)
 		}
 	}
 
@@ -68,6 +70,11 @@ func FuzzServiceRequest(f *testing.F) {
 		if len(req.Plan) > 0 {
 			if _, err := heteropart.PlanFromJSON(req.Plan); err != nil {
 				typed(t, "PlanFromJSON", err)
+			}
+		}
+		if len(req.Calibration) > 0 {
+			if _, err := heteropart.CalibrationFromJSON(req.Calibration); err != nil {
+				typed(t, "CalibrationFromJSON", err)
 			}
 		}
 	})

@@ -354,3 +354,21 @@ func TestHostileCalibrationRefused(t *testing.T) {
 		t.Errorf("matchmake after refused reports: status %d, answer changed\nbefore: %s\nafter:  %s", status, before, after)
 	}
 }
+
+// TestCalibrateRefusalsAreBadRequest: a report the decoder refuses,
+// whatever the reason, answers 400 bad_request.
+func TestCalibrateRefusalsAreBadRequest(t *testing.T) {
+	_, ts := newTestService(t, Config{Workers: 1})
+	fp := heteropart.PlatformFingerprint(heteropart.PaperPlatform(0))
+	for name, report := range map[string]string{
+		"version":        `{"version":2,"platform":"` + fp + `","scales":[{"device":1,"factor":1.5}]}`,
+		"no scales":      `{"version":1,"platform":"` + fp + `","scales":[]}`,
+		"no fingerprint": `{"version":1,"scales":[{"device":1,"factor":1.5}]}`,
+		"decode":         `{"version":"1"}`,
+	} {
+		status, _, eb := postJSON(t, ts.URL+"/v1/calibrate", `{"calibration":`+report+`}`)
+		if status != http.StatusBadRequest || eb == nil || eb.Code != CodeBadRequest {
+			t.Errorf("%s: status %d (%+v), want 400 %s", name, status, eb, CodeBadRequest)
+		}
+	}
+}

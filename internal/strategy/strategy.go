@@ -335,17 +335,20 @@ func RunContext(ctx context.Context, s Strategy, p *apps.Problem, plat *device.P
 	if err := opts.Validate(); err != nil {
 		return nil, err
 	}
-	planSpan := opts.Spans.Begin(opts.SpanParent, telemetry.KindPlan, "plan "+s.Name())
-	planOpts := opts
-	if planSpan != 0 {
-		planOpts.SpanParent = planSpan
-	}
-	pl, err := s.Plan(p, plat, planOpts)
-	opts.Spans.End(planSpan)
+	pl, err := PlanInSpan(s, p, plat, opts)
 	if err != nil {
 		return nil, err
 	}
 	return ExecuteContext(ctx, pl, p, plat, opts)
+}
+
+// PlanInSpan decides s on p inside a plan span under opts.SpanParent,
+// with the strategy's own spans (Glinda probes) beneath it.
+func PlanInSpan(s Strategy, p *apps.Problem, plat *device.Platform, opts Options) (*plan.ExecutionPlan, error) {
+	planSpan := opts.Spans.Begin(opts.SpanParent, telemetry.KindPlan, "plan "+s.Name())
+	defer opts.Spans.End(planSpan)
+	opts.SpanParent = planSpan
+	return s.Plan(p, plat, opts)
 }
 
 // newPlan assembles the plan envelope around decided phases.
