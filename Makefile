@@ -119,6 +119,7 @@ replay:
 		STREAM-Loop:SP-Varied:4096:tri-asym-p2p \
 		STREAM-Loop:SP-Varied:4096:dual-gpu-bus \
 		Cholesky:DP-Dep:512:paper \
+		Triangular:SP-Single:8192:paper \
 		MatrixMul:SP-Unified:256:dual-gpu-bus \
 		Nbody:DP-Perf:1024:tri-asym-p2p:-trace:-metrics; do \
 		set -- $$(echo "$$run" | tr ':' ' '); app=$$1 strat=$$2 n=$$3 plat=$$4; shift 4; \

@@ -390,7 +390,11 @@ var (
 	// on. Correction factors do not transfer across machines.
 	ErrCalibrationStale = apierr.ErrCalibrationStale
 	// ErrOptionsInvalid: an Options combination was rejected by
-	// Options.Validate before any work ran.
+	// Options.Validate before any work ran, or a problem cannot be
+	// built or run: an App's Build refuses a size whose element or
+	// byte counts overflow int64, a trip count above 1<<16 or a size
+	// Cholesky cannot tile, and a run fails when its host work would
+	// finish past the last representable virtual instant.
 	ErrOptionsInvalid = apierr.ErrOptionsInvalid
 )
 

@@ -68,7 +68,11 @@ var (
 	// rejected before any work runs (strategy.Options.Validate): a
 	// negative chunk count, a Glinda configuration with inverted
 	// cutoffs, a span parent without a tracer, an invalid fault
-	// schedule.
+	// schedule. It also reports a problem that cannot be built or run:
+	// a size whose element or byte counts pass MaxInt64 (apps' Build,
+	// mem.Directory.Register), a trip count above 1<<16, a size
+	// Cholesky cannot tile, or host work that would finish past the
+	// last representable virtual instant (rt.Execute).
 	ErrOptionsInvalid = errors.New("invalid options")
 )
 

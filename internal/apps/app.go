@@ -21,6 +21,7 @@ package apps
 
 import (
 	"fmt"
+	"math"
 	"strings"
 
 	"heteropart/internal/apierr"
@@ -87,7 +88,17 @@ type Variant struct {
 	Compute bool
 }
 
-func (v Variant) withDefaults(defN int64, defIters int) Variant {
+// maxIters caps a variant's loop trip count, as strategy.Options caps
+// chunks: Build unrolls every iteration into phases.
+const maxIters = 1 << 16
+
+// withDefaults fills zero fields with the application's defaults. It
+// refuses a trip count above maxIters with an error wrapping
+// apierr.ErrOptionsInvalid.
+func (v Variant) withDefaults(defN int64, defIters int) (Variant, error) {
+	if v.Iters > maxIters {
+		return v, fmt.Errorf("apps: %d iterations exceed the %d cap: %w", v.Iters, maxIters, apierr.ErrOptionsInvalid)
+	}
 	if v.N <= 0 {
 		v.N = defN
 	}
@@ -97,7 +108,17 @@ func (v Variant) withDefaults(defN int64, defIters int) Variant {
 	if v.Spaces <= 0 {
 		v.Spaces = 2
 	}
-	return v
+	return v, nil
+}
+
+// elems returns a·b, the element count of an a×b array, refusing a
+// negative factor or a product past MaxInt64 with an error wrapping
+// apierr.ErrOptionsInvalid.
+func elems(app string, a, b int64) (int64, error) {
+	if a < 0 || b < 0 || (a > 0 && b > math.MaxInt64/a) {
+		return 0, fmt.Errorf("apps: %s size %d×%d overflows an element count: %w", app, a, b, apierr.ErrOptionsInvalid)
+	}
+	return a * b, nil
 }
 
 // Phase is one kernel invocation in the unrolled program order.

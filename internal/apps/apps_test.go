@@ -1,8 +1,11 @@
 package apps
 
 import (
+	"errors"
+	"math"
 	"testing"
 
+	"heteropart/internal/apierr"
 	"heteropart/internal/classify"
 	"heteropart/internal/device"
 	"heteropart/internal/rt"
@@ -362,14 +365,65 @@ func TestCholeskyRejectsBadSizes(t *testing.T) {
 	}
 }
 
-func TestVariantDefaults(t *testing.T) {
-	v := Variant{}.withDefaults(100, 5)
-	if v.N != 100 || v.Iters != 5 || v.Spaces != 2 {
-		t.Fatalf("defaults = %+v", v)
+// TestBuildRefusesOverflowingSizes: every registered app refuses, with
+// ErrOptionsInvalid, a size whose element or byte count passes
+// MaxInt64 and a trip count past the cap; sizes just inside the counts
+// still build.
+func TestBuildRefusesOverflowingSizes(t *testing.T) {
+	refused := map[string][]int64{
+		"MatrixMul":    {2_000_000_000, 4_000_000_000}, // n²·4 B, then n²
+		"BlackScholes": {1 << 62},                      // n·4 B
+		"Nbody":        {1 << 60},                      // n·16 B
+		"HotSpot":      {4_000_000_000},                // rows·cols
+		"STREAM-Seq":   {1 << 62},                      // n·4 B
+		"STREAM-Loop":  {1 << 62},                      // n·4 B
+		"Cholesky":     {1 << 32},                      // the n×n matrix
+		"Convolution":  {4_000_000_000},                // rows·cols
+		"Triangular":   {3_000_000_000, math.MaxInt64}, // packed·4 B, then n+1
 	}
-	v2 := Variant{N: 7, Iters: 2, Spaces: 3}.withDefaults(100, 5)
-	if v2.N != 7 || v2.Iters != 2 || v2.Spaces != 3 {
-		t.Fatalf("overrides lost = %+v", v2)
+	for _, a := range Registry() {
+		sizes, ok := refused[a.Name()]
+		if !ok {
+			t.Fatalf("%s has no overflowing size in the table", a.Name())
+		}
+		for _, n := range sizes {
+			if _, err := a.Build(Variant{N: n}); !errors.Is(err, apierr.ErrOptionsInvalid) {
+				t.Errorf("%s n=%d: %v, want ErrOptionsInvalid", a.Name(), n, err)
+			}
+		}
+		if _, err := a.Build(Variant{Iters: maxIters + 1}); !errors.Is(err, apierr.ErrOptionsInvalid) {
+			t.Errorf("%s iters=%d: %v, want ErrOptionsInvalid", a.Name(), maxIters+1, err)
+		}
+	}
+	fits := map[string]int64{
+		"MatrixMul": 1 << 30, "BlackScholes": 1 << 60, "Nbody": 1 << 58,
+		"HotSpot": 1 << 30, "STREAM-Loop": 1 << 60, "Convolution": 1 << 30, "Triangular": 1 << 30,
+	}
+	for name, n := range fits {
+		a, err := ByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := a.Build(Variant{N: n}); err != nil {
+			t.Errorf("%s n=%d refused: %v", name, n, err)
+		}
+	}
+}
+
+func TestVariantDefaults(t *testing.T) {
+	v, err := Variant{}.withDefaults(100, 5)
+	if err != nil || v.N != 100 || v.Iters != 5 || v.Spaces != 2 {
+		t.Fatalf("defaults = %+v, %v", v, err)
+	}
+	v2, err := Variant{N: 7, Iters: 2, Spaces: 3}.withDefaults(100, 5)
+	if err != nil || v2.N != 7 || v2.Iters != 2 || v2.Spaces != 3 {
+		t.Fatalf("overrides lost = %+v, %v", v2, err)
+	}
+	if _, err := (Variant{Iters: maxIters}).withDefaults(100, 5); err != nil {
+		t.Fatalf("iters at the cap refused: %v", err)
+	}
+	if _, err := (Variant{Iters: maxIters + 1}).withDefaults(100, 5); !errors.Is(err, apierr.ErrOptionsInvalid) {
+		t.Fatalf("iters past the cap: %v, want ErrOptionsInvalid", err)
 	}
 }
 

@@ -69,7 +69,10 @@ func bsPrice(s, x, t float64) (call, put float64) {
 
 // Build implements App.
 func (b BlackScholes) Build(v Variant) (*Problem, error) {
-	v = v.withDefaults(b.DefaultN(), 1)
+	v, err := v.withDefaults(b.DefaultN(), 1)
+	if err != nil {
+		return nil, err
+	}
 	n := v.N
 	dir := mem.NewDirectory(v.Spaces)
 	spot := dir.Register("spot", n, 4)
@@ -77,6 +80,9 @@ func (b BlackScholes) Build(v Variant) (*Problem, error) {
 	expiry := dir.Register("expiry", n, 4)
 	call := dir.Register("call", n, 4)
 	put := dir.Register("put", n, 4)
+	if err := dir.Err(); err != nil {
+		return nil, err
+	}
 
 	kernel := &task.Kernel{
 		Name:      "black_scholes",

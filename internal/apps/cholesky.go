@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 
+	"heteropart/internal/apierr"
 	"heteropart/internal/classify"
 	"heteropart/internal/device"
 	"heteropart/internal/mem"
@@ -40,16 +41,23 @@ const choleskyTile = 512
 // Build implements App. The tile size shrinks for small problems so
 // compute-mode tests stay cheap.
 func (ch Cholesky) Build(v Variant) (*Problem, error) {
-	v = v.withDefaults(ch.DefaultN(), 1)
+	v, err := v.withDefaults(ch.DefaultN(), 1)
+	if err != nil {
+		return nil, err
+	}
 	n := v.N
 	ts := int64(choleskyTile)
 	if n < ts*2 {
 		ts = n / 4
 	}
 	if ts < 1 || n%ts != 0 {
-		return nil, fmt.Errorf("apps: Cholesky needs n divisible into tiles (n=%d, ts=%d)", n, ts)
+		return nil, fmt.Errorf("apps: Cholesky needs n divisible into tiles (n=%d, ts=%d): %w", n, ts, apierr.ErrOptionsInvalid)
 	}
 	T := n / ts // tiles per dimension
+	// The tiles cover the n×n matrix, so its count bounds ts² too.
+	if _, err := elems(ch.Name(), n, n); err != nil {
+		return nil, err
+	}
 
 	dir := mem.NewDirectory(v.Spaces)
 	tileBuf := make(map[[2]int64]*mem.Buffer)
@@ -57,6 +65,9 @@ func (ch Cholesky) Build(v Variant) (*Problem, error) {
 		for j := int64(0); j <= i; j++ {
 			tileBuf[[2]int64{i, j}] = dir.Register(fmt.Sprintf("t%d_%d", i, j), ts*ts, 8)
 		}
+	}
+	if err := dir.Err(); err != nil {
+		return nil, err
 	}
 
 	var tiles map[[2]int64][]float64

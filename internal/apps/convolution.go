@@ -58,14 +58,24 @@ func abs(v int) int {
 
 // Build implements App.
 func (cv Convolution) Build(v Variant) (*Problem, error) {
-	v = v.withDefaults(cv.DefaultN(), 1)
+	v, err := v.withDefaults(cv.DefaultN(), 1)
+	if err != nil {
+		return nil, err
+	}
 	rows := v.N
 	cols := rows
+	cells, err := elems(cv.Name(), rows, cols)
+	if err != nil {
+		return nil, err
+	}
 
 	dir := mem.NewDirectory(v.Spaces)
-	src := dir.Register("src", rows*cols, 4)
-	tmp := dir.Register("tmp", rows*cols, 4)
-	dst := dir.Register("dst", rows*cols, 4)
+	src := dir.Register("src", cells, 4)
+	tmp := dir.Register("tmp", cells, 4)
+	dst := dir.Register("dst", cells, 4)
+	if err := dir.Err(); err != nil {
+		return nil, err
+	}
 
 	var in, mid, out []float32
 	if v.Compute {

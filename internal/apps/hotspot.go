@@ -37,17 +37,27 @@ const (
 
 // Build implements App.
 func (h HotSpot) Build(v Variant) (*Problem, error) {
-	v = v.withDefaults(h.DefaultN(), h.DefaultIters())
+	v, err := v.withDefaults(h.DefaultN(), h.DefaultIters())
+	if err != nil {
+		return nil, err
+	}
 	rows := v.N
 	cols := rows
 	iters := v.Iters
+	cells, err := elems(h.Name(), rows, cols)
+	if err != nil {
+		return nil, err
+	}
 
 	dir := mem.NewDirectory(v.Spaces)
 	tempBuf := [2]*mem.Buffer{
-		dir.Register("temp0", rows*cols, 4),
-		dir.Register("temp1", rows*cols, 4),
+		dir.Register("temp0", cells, 4),
+		dir.Register("temp1", cells, 4),
 	}
-	powerBuf := dir.Register("power", rows*cols, 4)
+	powerBuf := dir.Register("power", cells, 4)
+	if err := dir.Err(); err != nil {
+		return nil, err
+	}
 
 	// Real state (compute mode) — allocated before the per-iteration
 	// kernels close over it.

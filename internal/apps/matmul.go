@@ -31,12 +31,22 @@ func (MatrixMul) DefaultIters() int { return 1 }
 
 // Build implements App.
 func (m MatrixMul) Build(v Variant) (*Problem, error) {
-	v = v.withDefaults(m.DefaultN(), 1)
+	v, err := v.withDefaults(m.DefaultN(), 1)
+	if err != nil {
+		return nil, err
+	}
 	n := v.N
+	nn, err := elems(m.Name(), n, n)
+	if err != nil {
+		return nil, err
+	}
 	dir := mem.NewDirectory(v.Spaces)
-	bufA := dir.Register("A", n*n, 4)
-	bufB := dir.Register("B", n*n, 4)
-	bufC := dir.Register("C", n*n, 4)
+	bufA := dir.Register("A", nn, 4)
+	bufB := dir.Register("B", nn, 4)
+	bufC := dir.Register("C", nn, 4)
+	if err := dir.Err(); err != nil {
+		return nil, err
+	}
 
 	kernel := &task.Kernel{
 		Name:      "matrix_mul",
@@ -52,7 +62,7 @@ func (m MatrixMul) Build(v Variant) (*Problem, error) {
 		Accesses: func(lo, hi int64) []task.Access {
 			return []task.Access{
 				rw(bufA, lo*n, hi*n, task.Read),
-				rw(bufB, 0, n*n, task.Read), // full B: the broadcast input
+				rw(bufB, 0, nn, task.Read), // full B: the broadcast input
 				rw(bufC, lo*n, hi*n, task.Write),
 			}
 		},

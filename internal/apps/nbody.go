@@ -47,7 +47,10 @@ const (
 
 // Build implements App.
 func (nb Nbody) Build(v Variant) (*Problem, error) {
-	v = v.withDefaults(nb.DefaultN(), nb.DefaultIters())
+	v, err := v.withDefaults(nb.DefaultN(), nb.DefaultIters())
+	if err != nil {
+		return nil, err
+	}
 	n := v.N
 	iters := v.Iters
 	window := int64(nbodyWindow)
@@ -60,6 +63,9 @@ func (nb Nbody) Build(v Variant) (*Problem, error) {
 	// (x, y, z, mass), 12 B of velocity.
 	posBuf := [2]*mem.Buffer{dir.Register("pos0", n, 16), dir.Register("pos1", n, 16)}
 	velBuf := dir.Register("vel", n, 12)
+	if err := dir.Err(); err != nil {
+		return nil, err
+	}
 
 	// Real state (compute mode) — allocated before the per-iteration
 	// kernels close over it.

@@ -62,7 +62,10 @@ func (s *streamApp) DefaultIters() int { return s.iters }
 
 // Build implements App.
 func (s *streamApp) Build(v Variant) (*Problem, error) {
-	v = v.withDefaults(s.DefaultN(), s.DefaultIters())
+	v, err := v.withDefaults(s.DefaultN(), s.DefaultIters())
+	if err != nil {
+		return nil, err
+	}
 	if !s.loop {
 		v.Iters = 1
 	}
@@ -74,6 +77,9 @@ func (s *streamApp) Build(v Variant) (*Problem, error) {
 	bufA := dir.Register("a", n, 4)
 	bufB := dir.Register("b", n, 4)
 	bufC := dir.Register("c", n, 4)
+	if err := dir.Err(); err != nil {
+		return nil, err
+	}
 
 	var a, b, c []float32
 

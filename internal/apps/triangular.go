@@ -15,7 +15,10 @@ import (
 // row is n times the lightest. A uniform partitioning model misplaces
 // the split badly here; the weighted pipeline
 // (glinda.AnalyzeImbalanced) balances weight, not elements, and the
-// CPU-side chunks are cut weight-equal so all m threads stay busy.
+// CPU-side chunks are cut weight-equal (glinda.CutWeighted) so all m
+// threads stay busy. Both price weight over ranges with Flops, which
+// is exact in float64 up to n ≈ 4.7·10^7 rows (8·triOff(n) < 2^53),
+// so a range's weight equals the sum of its rows' weights.
 type Triangular struct{}
 
 // NewTriangular returns the application.
@@ -37,13 +40,23 @@ func triOff(r int64) int64 { return r * (r + 1) / 2 }
 
 // Build implements App.
 func (tr Triangular) Build(v Variant) (*Problem, error) {
-	v = v.withDefaults(tr.DefaultN(), 1)
+	v, err := v.withDefaults(tr.DefaultN(), 1)
+	if err != nil {
+		return nil, err
+	}
 	n := v.N
+	// triOff(r) computes r·(r+1) for every row r <= n.
+	if _, err := elems(tr.Name(), n, n+1); err != nil {
+		return nil, err
+	}
 	packed := triOff(n)
 
 	dir := mem.NewDirectory(v.Spaces)
 	data := dir.Register("tri", packed, 4)
 	out := dir.Register("out", n, 4)
+	if err := dir.Err(); err != nil {
+		return nil, err
+	}
 
 	kernel := &task.Kernel{
 		Name:      "tri_reduce",

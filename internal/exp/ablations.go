@@ -353,10 +353,11 @@ func ImbalancedApp(env *Env) (*Table, error) {
 		return nil, err
 	}
 	k := p.Unique[0]
-	dec, err := glinda.Analyze(plat, p.Dir, k, 1, glinda.Config{})
+	est, err := glinda.Profile(plat, p.Dir, k, 1, glinda.Config{})
 	if err != nil {
 		return nil, err
 	}
+	dec := glinda.Decide(est, k.Size, plat.Device(1), glinda.Config{})
 	var tp task.Plan
 	if dec.NG > 0 {
 		tp.Submit(k, 0, dec.NG, 1, -1)

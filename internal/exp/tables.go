@@ -272,6 +272,13 @@ func MultiAccel(*Env) (*Table, error) {
 	return t, nil
 }
 
+// uniformWeight and ascendingWeight price a range [lo, hi) of the
+// imbalance experiment's two weight profiles: element i weighs 1, or
+// i+1 (a triangular profile, light rows first).
+func uniformWeight(lo, hi int64) float64 { return float64(hi - lo) }
+
+func ascendingWeight(lo, hi int64) float64 { return float64(hi*(hi+1)/2 - lo*(lo+1)/2) }
+
 // Imbalance exercises the imbalanced-workload extension (Glinda
 // ICS'14): a triangular per-element weight profile moves the split
 // point past the uniform one.
@@ -279,19 +286,13 @@ func Imbalance(*Env) (*Table, error) {
 	t := &Table{ID: "imbalance", Title: "Imbalanced-workload partitioning (extension)",
 		Columns: []string{"weight profile", "split point", "GPU share of elements"}}
 	n := int64(1 << 20)
-	uniform := make([]float64, n+1)
-	ascending := make([]float64, n+1)
-	for i := int64(1); i <= n; i++ {
-		uniform[i] = uniform[i-1] + 1
-		ascending[i] = ascending[i-1] + float64(i)
-	}
 	// Synthetic rates: GPU 4x the CPU in weight units.
 	rg, rc := 4.0e9, 1.0e9
-	su, err := glinda.SolveImbalanced(uniform, rg, rc, 0, 0, 0)
+	su, err := glinda.SolveImbalanced(n, uniformWeight, nil, rg, rc, 0)
 	if err != nil {
 		return nil, err
 	}
-	sa, err := glinda.SolveImbalanced(ascending, rg, rc, 0, 0, 0)
+	sa, err := glinda.SolveImbalanced(n, ascendingWeight, nil, rg, rc, 0)
 	if err != nil {
 		return nil, err
 	}

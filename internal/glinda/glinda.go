@@ -23,6 +23,14 @@
 //  3. Decision: pick Only-CPU, Only-GPU or CPU+GPU by checking whether
 //     the predicted partition gives each processor enough useful work,
 //     then round the GPU share up to a warp multiple (footnote 5).
+//
+// Profile and Decide are the two halves; SolveMulti water-fills one
+// kernel across several accelerators. For a kernel whose per-element
+// cost varies (Glinda ICS'14, reference [9]), AnalyzeImbalanced
+// balances weight instead of elements and returns the same Decision
+// type as Decide: SolveImbalanced, the one weighted solver, prices
+// weight over ranges with the kernel's Flops, and CutWeighted cuts the
+// host's rest weight-equal.
 package glinda
 
 import (
@@ -232,7 +240,8 @@ func (h HWConfig) String() string {
 // Decision is the outcome of the Glinda pipeline for one kernel.
 type Decision struct {
 	Config HWConfig
-	// Beta is the model's raw optimal GPU fraction.
+	// Beta is the model's raw optimal GPU fraction; for an imbalanced
+	// kernel (AnalyzeImbalanced) it is the GPU's share of the weight.
 	Beta float64
 	// NG and NC are the final element counts after warp rounding
 	// (NG + NC = N).
@@ -402,14 +411,4 @@ func accessBytes(k *task.Kernel, s int64) (in, out int64) {
 		}
 	}
 	return in, out
-}
-
-// Analyze is the whole Glinda pipeline for one kernel: profile, then
-// decide. This is what SP-Single calls.
-func Analyze(plat *device.Platform, dir *mem.Directory, k *task.Kernel, accelID int, cfg Config) (Decision, error) {
-	est, err := Profile(plat, dir, k, accelID, cfg)
-	if err != nil {
-		return Decision{}, err
-	}
-	return Decide(est, k.Size, plat.Device(accelID), cfg), nil
 }

@@ -239,10 +239,11 @@ func TestAnalyzeEndToEnd(t *testing.T) {
 	dir := mem.NewDirectory(2)
 	buf := dir.Register("a", 1<<20, 8)
 	k := computeKernel(buf, 1000)
-	dec, err := Analyze(plat, dir, k, 1, Config{})
+	est, err := Profile(plat, dir, k, 1, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	dec := Decide(est, k.Size, plat.Device(1), Config{})
 	if dec.Config != Hybrid {
 		t.Fatalf("config = %v", dec.Config)
 	}
@@ -377,12 +378,9 @@ func TestSolveMultiErrors(t *testing.T) {
 
 func TestSolveImbalancedUniformMatchesBalanced(t *testing.T) {
 	n := int64(1000)
-	prefix := make([]float64, n+1)
-	for i := int64(1); i <= n; i++ {
-		prefix[i] = prefix[i-1] + 1
-	}
+	uniform := func(lo, hi int64) float64 { return float64(hi - lo) }
 	// No transfers, GPU 9x CPU: expect split at ~900.
-	s, err := SolveImbalanced(prefix, 900, 100, 0, 0, 0)
+	s, err := SolveImbalanced(n, uniform, nil, 900, 100, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -398,7 +396,8 @@ func TestSolveImbalancedTriangular(t *testing.T) {
 	for i := int64(1); i <= n; i++ {
 		prefix[i] = prefix[i-1] + float64(i)
 	}
-	s, err := SolveImbalanced(prefix, 900, 100, 0, 0, 0)
+	weight := func(lo, hi int64) float64 { return prefix[hi] - prefix[lo] }
+	s, err := SolveImbalanced(n, weight, nil, 900, 100, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -422,20 +421,22 @@ func TestSolveImbalancedTriangular(t *testing.T) {
 }
 
 func TestSolveImbalancedErrors(t *testing.T) {
-	if _, err := SolveImbalanced(nil, 1, 1, 0, 0, 0); err == nil {
-		t.Fatal("empty prefix accepted")
+	unit := func(lo, hi int64) float64 { return float64(hi - lo) }
+	if _, err := SolveImbalanced(-1, unit, nil, 1, 1, 0); err == nil {
+		t.Fatal("negative size accepted")
 	}
-	if _, err := SolveImbalanced([]float64{0, 2, 1}, 1, 1, 0, 0, 0); err == nil {
-		t.Fatal("decreasing prefix accepted")
-	}
-	if s, _ := SolveImbalanced([]float64{0, 1}, 0, 1, 0, 0, 0); s != 0 {
+	if s, _ := SolveImbalanced(1, unit, nil, 0, 1, 0); s != 0 {
 		t.Fatal("dead GPU should give CPU everything")
 	}
-	if s, _ := SolveImbalanced([]float64{0, 1}, 1, 0, 0, 0, 0); s != 1 {
+	if s, _ := SolveImbalanced(1, unit, nil, 1, 0, 0); s != 1 {
 		t.Fatal("dead CPU should give GPU everything")
 	}
-	if _, err := SolveImbalanced([]float64{0, 1}, 0, 0, 0, 0, 0); err == nil {
+	if _, err := SolveImbalanced(1, unit, nil, 0, 0, 0); err == nil {
 		t.Fatal("dead platform accepted")
+	}
+	// Without a transfer term the bytes function is never called.
+	if s, err := SolveImbalanced(0, unit, nil, 1, 1, 0); err != nil || s != 0 {
+		t.Fatalf("empty space = %d, %v", s, err)
 	}
 }
 

@@ -15,7 +15,9 @@ import (
 // per-element cost varies across the iteration space, a single β is
 // the wrong abstraction — the partition point must balance *weighted*
 // work, and the CPU's own chunks must be weight-equal rather than
-// element-equal.
+// element-equal. Weight is priced over ranges by the kernel's Flops,
+// as transfer bytes are by its accesses, so no per-element array is
+// built: a decision makes O(log n) cost calls and a cut O(m log n).
 
 // ImbalanceRatio measures how uneven a kernel's iteration space is:
 // the per-element cost of the heaviest sampled end over the lightest.
@@ -36,19 +38,6 @@ func ImbalanceRatio(k *task.Kernel, sample int64) float64 {
 	return tail / head
 }
 
-// WeightPrefix builds the weight prefix sums P[0..n] of a kernel's
-// iteration space, using the declared flops as the weight measure
-// (bandwidth-bound kernels may use bytes; flops is the ICS'14 choice).
-// P[i] is the total weight of [0, i).
-func WeightPrefix(k *task.Kernel) []float64 {
-	n := k.Size
-	p := make([]float64, n+1)
-	for i := int64(0); i < n; i++ {
-		p[i+1] = p[i] + k.Flops(i, i+1)
-	}
-	return p
-}
-
 // prefixBytes is the transfer bytes of the accelerator's share
 // [0, s): reads in plus writes out. The share runs as one instance over
 // the range, so this is exactly what the runtime moves for it, and one
@@ -58,41 +47,37 @@ func prefixBytes(k *task.Kernel, s int64) float64 {
 	return float64(in + out)
 }
 
-// DecisionImbalanced is the weighted analogue of Decision.
-type DecisionImbalanced struct {
-	// Split is the partition point: the accelerator takes [0, Split),
-	// the host [Split, N).
-	Split int64
-	// GPUWeightShare is the fraction of total weight on the
-	// accelerator.
-	GPUWeightShare float64
-	// Prefix holds the weight prefix sums for downstream chunking.
-	Prefix []float64
-	N      int64
-}
-
 // CutWeighted divides [lo, hi) into at most m spans of roughly equal
-// weight using the prefix sums — the host-side chunking that keeps all
-// m worker threads equally busy on an imbalanced range.
-func (d *DecisionImbalanced) CutWeighted(lo, hi int64, m int) []mem.Interval {
+// weight — the host-side chunking that keeps all m worker threads
+// equally busy on an imbalanced range. Span i ends at the first
+// element whose weight prefix k.Flops(0, end) reaches i/m of the
+// range's weight; a binary search finds it, so a cut makes
+// O(m log n) cost calls.
+func CutWeighted(k *task.Kernel, lo, hi int64, m int) []mem.Interval {
 	if hi <= lo || m < 1 {
 		return nil
 	}
-	total := d.Prefix[hi] - d.Prefix[lo]
+	base := k.Flops(0, lo)
+	total := k.Flops(0, hi) - base
 	if total <= 0 {
 		// Weightless range: fall back to equal elements.
 		return mem.Interval{Lo: lo, Hi: hi}.AppendSplit(nil, m)
 	}
-	var out []mem.Interval
+	out := make([]mem.Interval, 0, min(int64(m), hi-lo))
 	at := lo
 	for i := 1; i <= m && at < hi; i++ {
-		target := d.Prefix[lo] + total*float64(i)/float64(m)
-		end := at + 1
-		for end < hi && d.Prefix[end] < target {
-			end++
-		}
-		if i == m {
-			end = hi
+		end := hi
+		if i < m {
+			target := base + total*float64(i)/float64(m)
+			// The first end in (at, hi) whose prefix reaches the
+			// target, else hi.
+			for e := at + 1; e < end; {
+				if mid := e + (end-e)/2; k.Flops(0, mid) >= target {
+					end = mid
+				} else {
+					e = mid + 1
+				}
+			}
 		}
 		out = append(out, mem.Interval{Lo: at, Hi: end})
 		at = end
@@ -101,15 +86,18 @@ func (d *DecisionImbalanced) CutWeighted(lo, hi int64, m int) []mem.Interval {
 }
 
 // AnalyzeImbalanced runs the weighted pipeline for a single kernel:
-// profile both devices (rates in weight units per second), build the
-// weight prefix, and solve for the minimax split point.
-func AnalyzeImbalanced(plat *device.Platform, dir *mem.Directory, k *task.Kernel, accelID int, cfg Config) (DecisionImbalanced, error) {
+// profile both devices (rates in weight units per second) and solve
+// for the minimax split point, pricing weight with k.Flops and the
+// accelerator's bytes with its accesses, both over ranges. The
+// decision is Hybrid: the accelerator takes [0, NG), the host
+// [NG, N), and Beta is the accelerator's share of the weight.
+func AnalyzeImbalanced(plat *device.Platform, dir *mem.Directory, k *task.Kernel, accelID int, cfg Config) (Decision, error) {
 	if k.Flops == nil {
-		return DecisionImbalanced{}, fmt.Errorf("glinda: kernel %q has no cost function", k.Name)
+		return Decision{}, fmt.Errorf("glinda: kernel %q has no cost function", k.Name)
 	}
 	est, err := Profile(plat, dir, k, accelID, cfg)
 	if err != nil {
-		return DecisionImbalanced{}, err
+		return Decision{}, err
 	}
 	n := k.Size
 	s := cfg.Defaults().probeSize(n)
@@ -117,25 +105,24 @@ func AnalyzeImbalanced(plat *device.Platform, dir *mem.Directory, k *task.Kernel
 	// weight density (the probes ran over [0, s)).
 	sampleWeight := k.Flops(0, s)
 	if sampleWeight <= 0 {
-		return DecisionImbalanced{}, fmt.Errorf("glinda: kernel %q has zero weight over the sample", k.Name)
+		return Decision{}, fmt.Errorf("glinda: kernel %q has zero weight over the sample", k.Name)
 	}
 	rcw := est.Rc * sampleWeight / float64(s)
 	rgw := est.Rg * sampleWeight / float64(s)
 
-	prefix := WeightPrefix(k)
 	b := est.B
 	if math.IsInf(b, 1) {
 		b = 0
 	}
 	bytes := func(s int64) float64 { return prefixBytes(k, s) }
-	split, err := SolveImbalancedPrefix(prefix, bytes, rgw, rcw, b)
+	split, err := SolveImbalanced(n, k.Flops, bytes, rgw, rcw, b)
 	if err != nil {
-		return DecisionImbalanced{}, err
+		return Decision{}, err
 	}
 	split = plat.Device(accelID).RoundUpWarp(split, n)
-	d := DecisionImbalanced{Split: split, Prefix: prefix, N: n}
-	if prefix[n] > 0 {
-		d.GPUWeightShare = prefix[split] / prefix[n]
+	d := Decision{Config: Hybrid, NG: split, NC: n - split}
+	if total := k.Flops(0, n); total > 0 {
+		d.Beta = k.Flops(0, split) / total
 	}
 	return d, nil
 }

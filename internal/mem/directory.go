@@ -1,6 +1,11 @@
 package mem
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+
+	"heteropart/internal/apierr"
+)
 
 // Space identifies a memory space: HostSpace (0) is the CPU's memory,
 // space i >= 1 is the private memory of accelerator i. Space numbering
@@ -98,7 +103,8 @@ func (d *Directory) Spaces() int { return d.spaces }
 // Register adds a buffer. Its full extent starts valid in the host
 // space only. Invalid dimensions are recorded as a deferred error and
 // clamped (elems to 0, elemSize to 1) so the returned buffer is still
-// usable as a handle.
+// usable as a handle; a byte count past MaxInt64 is one, wrapping
+// apierr.ErrOptionsInvalid.
 func (d *Directory) Register(name string, elems, elemSize int64) *Buffer {
 	if elems < 0 || elemSize <= 0 {
 		d.setErr(fmt.Errorf("mem: bad buffer %q: elems=%d elemSize=%d", name, elems, elemSize))
@@ -108,6 +114,10 @@ func (d *Directory) Register(name string, elems, elemSize int64) *Buffer {
 		if elemSize <= 0 {
 			elemSize = 1
 		}
+	} else if elems > math.MaxInt64/elemSize {
+		d.setErr(fmt.Errorf("mem: buffer %q of %d elements of %d B overflows a byte count: %w",
+			name, elems, elemSize, apierr.ErrOptionsInvalid))
+		elems = 0
 	}
 	b := &Buffer{ID: len(d.buffers), Name: name, Elems: elems, ElemSize: elemSize}
 	st := &bufState{buf: b, valid: make([]Set, d.spaces)}

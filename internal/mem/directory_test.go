@@ -1,8 +1,12 @@
 package mem
 
 import (
+	"errors"
+	"math"
 	"math/rand"
 	"testing"
+
+	"heteropart/internal/apierr"
 )
 
 func newDir(t *testing.T) (*Directory, *Buffer) {
@@ -82,6 +86,23 @@ func TestRegisterRejectsBadShape(t *testing.T) {
 		if b == nil || b.Elems < 0 || b.ElemSize <= 0 {
 			t.Errorf("Register(%d,%d) returned an unusable handle %+v", c.elems, c.size, b)
 		}
+	}
+}
+
+// TestRegisterRefusesByteOverflow: a buffer whose byte count passes
+// MaxInt64 faults the directory with ErrOptionsInvalid; one that just
+// fits does not.
+func TestRegisterRefusesByteOverflow(t *testing.T) {
+	d := NewDirectory(1)
+	if b := d.Register("fits", math.MaxInt64/8, 8); d.Err() != nil || b.Bytes(b.Whole()) != math.MaxInt64/8*8 {
+		t.Fatalf("MaxInt64/8 elements of 8 B: %v", d.Err())
+	}
+	b := d.Register("huge", math.MaxInt64/8+1, 8)
+	if !errors.Is(d.Err(), apierr.ErrOptionsInvalid) {
+		t.Fatalf("byte overflow recorded %v, want ErrOptionsInvalid", d.Err())
+	}
+	if b.Elems != 0 || b.ElemSize != 8 {
+		t.Fatalf("overflowing buffer handle = %+v, want clamped to 0 elements", b)
 	}
 }
 

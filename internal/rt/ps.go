@@ -1,6 +1,9 @@
 package rt
 
 import (
+	"fmt"
+
+	"heteropart/internal/apierr"
 	"heteropart/internal/sim"
 	"heteropart/internal/task"
 )
@@ -71,7 +74,9 @@ func (p *psExec) advance() {
 	}
 }
 
-// reschedule arms the timer for the earliest completion.
+// reschedule arms the timer for the earliest completion. A completion
+// past sim.MaxTime can never happen, so it fails the run with an error
+// wrapping apierr.ErrOptionsInvalid instead.
 func (p *psExec) reschedule() {
 	p.timer.Cancel()
 	k := len(p.jobs)
@@ -87,8 +92,13 @@ func (p *psExec) reschedule() {
 	if minRem < 0 {
 		minRem = 0
 	}
-	wait := sim.Duration(minRem*float64(k) + 0.999)
-	p.timer = p.eng.After(wait, p.fireFn)
+	wait := minRem*float64(k) + 0.999
+	if wait >= float64(sim.MaxTime-p.eng.Now()) {
+		p.eng.Fail(fmt.Errorf("rt: host work would finish past the end of virtual time (%v): %w",
+			sim.MaxTime, apierr.ErrOptionsInvalid))
+		return
+	}
+	p.timer = p.eng.After(sim.Duration(wait), p.fireFn)
 }
 
 // fire completes every job whose demand has drained.

@@ -10,8 +10,9 @@ import (
 )
 
 // FuzzServiceRequest is the HTTP-boundary fuzz target: arbitrary
-// request bodies through decode → validation → spec construction, and
-// the plan and calibration they carry through their decoders, must
+// request bodies through decode → validation → spec construction →
+// the spec's timing-only problem build, and the plan and calibration
+// they carry through their decoders, must
 // never panic and must fail only with errors the service maps to a
 // status and code of their own (an *httpErr or a facade sentinel) —
 // never a bare 500 internal from a malformed body.
@@ -49,6 +50,10 @@ func FuzzServiceRequest(f *testing.F) {
 	f.Add(report("2", `{"device":1,"factor":1.5}`))
 	f.Add(report("1", ``))
 	f.Add(report("1", `{"device":1,"factor":1e300}`))
+	// Sizes whose element or byte counts overflow int64.
+	f.Add(`{"app":"MatrixMul","n":2000000000,"strategy":"SP-Single"}`)
+	f.Add(`{"app":"MatrixMul","n":4000000000,"strategy":"SP-Single"}`)
+	f.Add(`{"app":"Triangular","n":3000000000,"strategy":"DP-Perf"}`)
 
 	typed := func(t *testing.T, stage string, err error) {
 		t.Helper()
@@ -64,8 +69,12 @@ func FuzzServiceRequest(f *testing.F) {
 			typed(t, "decodeRequest", err)
 			return
 		}
-		if _, err := svc.specOf(req); err != nil {
+		if spec, err := svc.specOf(req); err != nil {
 			typed(t, "specOf", err)
+		} else if app, err := heteropart.AppByName(spec.App); err != nil {
+			typed(t, "AppByName", err)
+		} else if _, err := app.Build(heteropart.Variant{N: spec.N, Iters: spec.Iters, Sync: spec.Sync}); err != nil {
+			typed(t, "Build", err)
 		}
 		if len(req.Plan) > 0 {
 			if _, err := heteropart.PlanFromJSON(req.Plan); err != nil {

@@ -355,6 +355,32 @@ func TestHostileCalibrationRefused(t *testing.T) {
 	}
 }
 
+// TestHostileSizesAnswer400: a host run that would end past the last
+// representable virtual time, sizes whose element or byte counts
+// overflow, a trip count past the cap and a size Cholesky cannot tile
+// answer 400 options_invalid at once, and the one worker then serves
+// an honest body.
+func TestHostileSizesAnswer400(t *testing.T) {
+	_, ts := newTestService(t, Config{Workers: 1})
+	for _, body := range []string{
+		`{"app":"BlackScholes","strategy":"Only-CPU","n":2000000000000000000,"timeout_ms":1000}`,
+		`{"app":"BlackScholes","strategy":"SP-Single","n":2000000000000000000,"timeout_ms":1000}`,
+		`{"app":"MatrixMul","n":2000000000,"strategy":"SP-Single"}`,
+		`{"app":"MatrixMul","n":4000000000,"strategy":"SP-Single"}`,
+		`{"app":"Triangular","n":3000000000,"strategy":"DP-Perf"}`,
+		`{"app":"STREAM-Loop","iters":65537}`,
+		`{"app":"Cholesky","n":1100}`,
+	} {
+		status, _, eb := postJSON(t, ts.URL+"/v1/matchmake", body)
+		if status != http.StatusBadRequest || eb.Code != CodeOptionsInvalid {
+			t.Errorf("%s: %d %+v, want 400 %s", body, status, eb, CodeOptionsInvalid)
+		}
+	}
+	if status, _, eb := postJSON(t, ts.URL+"/v1/matchmake", `{"app":"MatrixMul","n":128,"timeout_ms":3000}`); status != http.StatusOK {
+		t.Fatalf("honest body after the hostile ones: %d %+v", status, eb)
+	}
+}
+
 // TestCalibrateRefusalsAreBadRequest: a report the decoder refuses,
 // whatever the reason, answers 400 bad_request.
 func TestCalibrateRefusalsAreBadRequest(t *testing.T) {

@@ -182,10 +182,7 @@ func (e *Engine) Pending() int { return len(e.queue) }
 // returns a handle to nothing, which stays safe to use.
 func (e *Engine) At(t Time, fn func()) Event {
 	if t < e.now {
-		if e.err == nil {
-			e.err = fmt.Errorf("sim: scheduling at %v before now %v", t, e.now)
-		}
-		e.Halt()
+		e.Fail(fmt.Errorf("sim: scheduling at %v before now %v", t, e.now))
 		return Event{at: t}
 	}
 	var ev *event
@@ -209,9 +206,18 @@ func (e *Engine) recycle(ev *event) {
 	e.free = append(e.free, ev)
 }
 
-// Err reports the first scheduling fault, or nil. A non-nil error means
-// the run loop halted early and the simulation state is suspect.
+// Err reports the first fault, or nil. A non-nil error means the run
+// loop halted early and the simulation state is suspect.
 func (e *Engine) Err() error { return e.err }
+
+// Fail records err as the run's fault unless one is already recorded,
+// and halts the run loop.
+func (e *Engine) Fail(err error) {
+	if e.err == nil {
+		e.err = err
+	}
+	e.Halt()
+}
 
 // After schedules fn to run d nanoseconds from now.
 func (e *Engine) After(d Duration, fn func()) Event {

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"errors"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -111,6 +112,19 @@ func TestEnginePastSchedulingErrors(t *testing.T) {
 	}
 	if reached {
 		t.Error("run loop continued past the scheduling fault")
+	}
+}
+
+// TestEngineFail: Fail halts the run loop and keeps the first fault.
+func TestEngineFail(t *testing.T) {
+	e := NewEngine()
+	first, second := errors.New("first"), errors.New("second")
+	reached := false
+	e.At(1, func() { e.Fail(first); e.Fail(second) })
+	e.At(2, func() { reached = true })
+	e.Run()
+	if e.Err() != first || reached {
+		t.Fatalf("Err = %v, reached = %v; want the first fault and a halted loop", e.Err(), reached)
 	}
 }
 

@@ -55,20 +55,17 @@ func (s DPConverted) Plan(p *apps.Problem, plat *device.Platform, opts Options) 
 	}
 	// Step 1: the static ratio, from the fused model (multi-kernel)
 	// or the single kernel.
-	var dec glinda.Decision
+	var est glinda.Estimate
+	var err error
 	if len(p.Unique) == 1 {
-		d, err := glinda.Analyze(plat, p.Dir, p.Unique[0], 1, opts.glindaCfg())
-		if err != nil {
-			return nil, err
-		}
-		dec = d
+		est, err = glinda.Profile(plat, p.Dir, p.Unique[0], 1, opts.glindaCfg())
 	} else {
-		est, err := glinda.ProfileFused(plat, p.Dir, p.Unique, 1, opts.glindaCfg())
-		if err != nil {
-			return nil, err
-		}
-		dec = glinda.Decide(est, p.Unique[0].Size, plat.Device(1), opts.glindaCfg())
+		est, err = glinda.ProfileFused(plat, p.Dir, p.Unique, 1, opts.glindaCfg())
 	}
+	if err != nil {
+		return nil, err
+	}
+	dec := glinda.Decide(est, p.Unique[0].Size, plat.Device(1), opts.glindaCfg())
 
 	// Step 2: ratio -> instance counts.
 	m := opts.chunks(plat)

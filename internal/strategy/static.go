@@ -98,20 +98,14 @@ func (s SPSingle) planImbalanced(p *apps.Problem, plat *device.Platform, opts Op
 		return nil, err
 	}
 	m := opts.chunks(plat)
-	shares := []int64{dec.Split}
+	shares := []int64{dec.NG}
 	phases := grid{
 		m:      m,
 		shares: func(apps.Phase) []int64 { return shares },
 		pin:    onHost,
-		cut:    func(rest mem.Interval) []mem.Interval { return dec.CutWeighted(rest.Lo, rest.Hi, m) },
+		cut:    func(rest mem.Interval) []mem.Interval { return glinda.CutWeighted(k, rest.Lo, rest.Hi, m) },
 	}.phases(p)
-	decs := map[string]glinda.Decision{"": {
-		Config: glinda.Hybrid,
-		Beta:   dec.GPUWeightShare,
-		NG:     dec.Split,
-		NC:     k.Size - dec.Split,
-	}}
-	return newPlan(s.Name(), p, plat, staticSpec, phases, decs), nil
+	return newPlan(s.Name(), p, plat, staticSpec, phases, map[string]glinda.Decision{"": dec}), nil
 }
 
 // decideShares splits one kernel's size elements between the host and
