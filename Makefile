@@ -121,7 +121,8 @@ replay:
 		Cholesky:DP-Dep:512:paper \
 		Triangular:SP-Single:8192:paper \
 		MatrixMul:SP-Unified:256:dual-gpu-bus \
-		Nbody:DP-Perf:1024:tri-asym-p2p:-trace:-metrics; do \
+		Nbody:DP-Perf:1024:tri-asym-p2p:-trace:-metrics \
+		BlackScholes:SP-Single:16384:tri-asym-p2p:-calibrate-in:internal/calib/testdata/make_calibrate_fit.json; do \
 		set -- $$(echo "$$run" | tr ':' ' '); app=$$1 strat=$$2 n=$$3 plat=$$4; shift 4; \
 		"$$tmp/hetsim" -app $$app -strategy $$strat -n $$n -platform $$plat "$$@" -plan-out "$$tmp/plan.json" > "$$tmp/decided.out" && \
 		"$$tmp/hetsim" -plan-in "$$tmp/plan.json" -platform $$plat "$$@" > "$$tmp/replayed.out" || exit 1; \

@@ -323,7 +323,7 @@ func main() {
 		fmt.Printf("flight bundle written to %s\n", path)
 	}
 	if *calibOut != "" {
-		report, err := heteropart.Calibrate([]*heteropart.FlightBundle{bundle}, plat, heteropart.CalibrationFitConfig{})
+		report, err := heteropart.Calibrate([]*heteropart.FlightBundle{bundle}, plat)
 		fatal(err)
 		data, err := report.JSON()
 		fatal(err)

@@ -189,8 +189,6 @@ type (
 	Report = analyzer.Report
 	// Validation is an empirical Table-I ranking check.
 	Validation = analyzer.Validation
-	// GlindaConfig tunes the static-partitioning pipeline.
-	GlindaConfig = glinda.Config
 	// GlindaDecision is a hardware-configuration + partitioning
 	// decision.
 	GlindaDecision = glinda.Decision
@@ -425,7 +423,7 @@ func MatchmakeContext(ctx context.Context, p *Problem, plat *Platform, opts Opti
 // checks the empirical ordering against Table I, on a one-worker
 // Runner (Runner.ValidateContext). An application the registry does
 // not know fails with ErrUnknownApp, and options a RunSpec cannot
-// carry (a Glinda config, Metrics, Spans) with ErrOptionsInvalid.
+// carry (Metrics, Spans) with ErrOptionsInvalid.
 func ValidateRanking(app App, v Variant, plat *Platform, opts Options) (*Validation, error) {
 	if reg, err := apps.ByName(app.Name()); err != nil {
 		return nil, err
@@ -435,8 +433,8 @@ func ValidateRanking(app App, v Variant, plat *Platform, opts Options) (*Validat
 	if err := opts.Validate(); err != nil {
 		return nil, err
 	}
-	if opts.Glinda != (GlindaConfig{}) || opts.Metrics != nil || opts.Spans != nil {
-		return nil, fmt.Errorf("heteropart: ValidateRanking: a run spec carries no Glinda config, metrics or spans: %w", ErrOptionsInvalid)
+	if opts.Metrics != nil || opts.Spans != nil {
+		return nil, fmt.Errorf("heteropart: ValidateRanking: a run spec carries no metrics or spans: %w", ErrOptionsInvalid)
 	}
 	return runner.New(runner.Config{Workers: 1}).ValidateContext(context.Background(), RunSpec{
 		App: app.Name(), Sync: v.Sync, N: v.N, Iters: v.Iters, Plat: plat,
@@ -602,9 +600,6 @@ type (
 	CalibrationRound = calib.Round
 	// CalibrationEntry is one fitted (kernel, device) group.
 	CalibrationEntry = calib.Entry
-	// CalibrationFitConfig tunes the robust fit (min samples per group,
-	// outlier ratio guard).
-	CalibrationFitConfig = calib.FitConfig
 	// CalibrationObservation is one measured chunk execution extracted
 	// from a span tree.
 	CalibrationObservation = calib.Observation
@@ -617,8 +612,8 @@ type (
 // tree and per-(kernel, device) correction factors are fitted (median
 // of ratios). Bundles recorded on a different platform are refused
 // with an error wrapping ErrCalibrationStale.
-func Calibrate(bundles []*FlightBundle, plat *Platform, cfg CalibrationFitConfig) (*CalibrationReport, error) {
-	return calib.Calibrate(bundles, plat, cfg)
+func Calibrate(bundles []*FlightBundle, plat *Platform) (*CalibrationReport, error) {
+	return calib.Calibrate(bundles, plat)
 }
 
 // Converge runs the profile-guided calibration loop: decide a plan on

@@ -3,6 +3,7 @@ package apps
 import (
 	"errors"
 	"math"
+	"runtime"
 	"testing"
 
 	"heteropart/internal/apierr"
@@ -362,6 +363,24 @@ func TestCholeskyRejectsBadSizes(t *testing.T) {
 	}
 	if _, err := NewCholesky().Build(Variant{N: 4096, Compute: true}); err == nil {
 		t.Fatal("huge compute-mode cholesky accepted")
+	}
+	// The unrolled DAG grows with n³: 72 tiles a side give 64,824
+	// phases, inside the 1<<16 cap; 73 give 67,525. A refusal comes
+	// before any tile is registered.
+	if _, err := NewCholesky().Build(Variant{N: 72 * choleskyTile}); err != nil {
+		t.Fatalf("n=%d refused: %v", 72*choleskyTile, err)
+	}
+	for _, n := range []int64{73 * choleskyTile, 131072} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := NewCholesky().Build(Variant{N: n})
+		runtime.ReadMemStats(&after)
+		if !errors.Is(err, apierr.ErrOptionsInvalid) {
+			t.Errorf("n=%d: %v, want ErrOptionsInvalid", n, err)
+		}
+		if b := after.TotalAlloc - before.TotalAlloc; b > 1<<20 {
+			t.Errorf("n=%d: the refusal allocated %d bytes", n, b)
+		}
 	}
 }
 

@@ -58,6 +58,14 @@ func (ch Cholesky) Build(v Variant) (*Problem, error) {
 	if _, err := elems(ch.Name(), n, n); err != nil {
 		return nil, err
 	}
+	// Step k unrolls one potrf, T-1-k trsm and syrk and C(T-1-k, 2)
+	// gemm phases: T² + T(T-1)(T-2)/6 in all, capped as a loop's trip
+	// count is. Float64 holds the count exactly below the cap and
+	// cannot overflow above it.
+	if phases := float64(T*T) + float64(T)*float64(T-1)*float64(T-2)/6; phases > maxIters {
+		return nil, fmt.Errorf("apps: Cholesky n=%d unrolls %.0f phases, past the %d cap: %w",
+			n, phases, maxIters, apierr.ErrOptionsInvalid)
+	}
 
 	dir := mem.NewDirectory(v.Spaces)
 	tileBuf := make(map[[2]int64]*mem.Buffer)

@@ -88,7 +88,7 @@ func TestMedianAndFitRatios(t *testing.T) {
 		{kernel: "k", dev: 0, ratio: 1.4},
 		{kernel: "k", dev: 1, ratio: 1.6},
 	}
-	scales, entries, err := fitRatios(samples, FitConfig{})
+	scales, entries, err := fitRatios(samples)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,16 +105,8 @@ func TestMedianAndFitRatios(t *testing.T) {
 		t.Fatalf("entry samples = %d / %d, want 3 / 1", entries[0].Samples, entries[1].Samples)
 	}
 
-	// The min-sample guard drops thin groups.
-	scales, _, err = fitRatios(samples, FitConfig{MinSamples: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(scales) != 1 || scales[0].Device != 0 {
-		t.Fatalf("min-sample guard kept %+v", scales)
-	}
-	if _, _, err := fitRatios(samples, FitConfig{MinSamples: 10}); err == nil {
-		t.Fatal("fit with no surviving group succeeded")
+	if _, _, err := fitRatios(nil); err == nil {
+		t.Fatal("fit with no group succeeded")
 	}
 }
 
@@ -303,7 +295,7 @@ func TestCalibrateFromBundle(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	report, err := Calibrate([]*flight.Bundle{bundle}, believed, FitConfig{})
+	report, err := Calibrate([]*flight.Bundle{bundle}, believed)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -341,13 +333,13 @@ func TestCalibrateFromBundle(t *testing.T) {
 	// A bundle recorded on another machine is refused.
 	foreign := *bundle
 	foreign.Platform = device.PaperPlatform(4).Fingerprint()
-	if _, err := Calibrate([]*flight.Bundle{&foreign}, believed, FitConfig{}); !errors.Is(err, apierr.ErrCalibrationStale) {
+	if _, err := Calibrate([]*flight.Bundle{&foreign}, believed); !errors.Is(err, apierr.ErrCalibrationStale) {
 		t.Fatalf("foreign bundle = %v, want ErrCalibrationStale", err)
 	}
 	// A bundle recorded without spans carries no evidence.
 	mute := *bundle
 	mute.Spans = nil
-	if _, err := Calibrate([]*flight.Bundle{&mute}, believed, FitConfig{}); err == nil {
+	if _, err := Calibrate([]*flight.Bundle{&mute}, believed); err == nil {
 		t.Fatal("span-less bundle accepted")
 	}
 }
@@ -437,11 +429,11 @@ func TestBaseFingerprint(t *testing.T) {
 // TestRoundsRecordPlanDiffs checks that from the second round on, a
 // changed decision shows up in the round's PlanDiff. With a 1.6x
 // slower GPU the calibrated model must shift work toward the CPU, so
-// the round-2 plan differs from round 1's.
+// the round-2 plan differs from round 1's. Round 1 has no previous
+// makespan to settle against, so at least two rounds run.
 func TestRoundsRecordPlanDiffs(t *testing.T) {
 	truth, believed := perturbed()
-	cfg := Config{App: "BlackScholes", Strategy: "SP-Single", N: 16384, MaxRounds: 3,
-		DeltaPct: 0.0001} // force all rounds to run
+	cfg := Config{App: "BlackScholes", Strategy: "SP-Single", N: 16384, MaxRounds: 3}
 	report, _, _, err := Converge(cfg, truth, believed)
 	if err != nil {
 		t.Fatal(err)

@@ -19,7 +19,7 @@ import (
 // observations). Observations from all bundles are fitted jointly;
 // per-bundle evidence is recorded as one Round each, with the joint
 // fit attached to the last.
-func Calibrate(bundles []*flight.Bundle, plat *device.Platform, cfg FitConfig) (*Report, error) {
+func Calibrate(bundles []*flight.Bundle, plat *device.Platform) (*Report, error) {
 	if len(bundles) == 0 {
 		return nil, fmt.Errorf("calib: no bundles to fit from")
 	}
@@ -58,7 +58,7 @@ func Calibrate(bundles []*flight.Bundle, plat *device.Platform, cfg FitConfig) (
 		if err != nil {
 			return nil, fmt.Errorf("calib: bundle %d: %w", i, err)
 		}
-		s, err := ratioSamples(obs, kernels, base, cfg)
+		s, err := ratioSamples(obs, kernels, base)
 		if err != nil {
 			return nil, fmt.Errorf("calib: bundle %d: %w", i, err)
 		}
@@ -67,7 +67,7 @@ func Calibrate(bundles []*flight.Bundle, plat *device.Platform, cfg FitConfig) (
 			Round: i + 1, Samples: n, MeanAbsRelErr: meanErr, MakespanNs: b.MakespanNs,
 		})
 	}
-	scales, entries, err := fitRatios(samples, cfg)
+	scales, entries, err := fitRatios(samples)
 	if err != nil {
 		return nil, err
 	}

@@ -7,12 +7,15 @@ import (
 	"heteropart/internal/apierr"
 	"heteropart/internal/apps"
 	"heteropart/internal/device"
-	"heteropart/internal/metrics"
 	"heteropart/internal/plan"
 	"heteropart/internal/runner"
-	"heteropart/internal/strategy"
 	"heteropart/internal/telemetry"
 )
+
+// deltaPct is the convergence criterion: the loop stops early once a
+// round's measured makespan is within deltaPct percent of the previous
+// round's.
+const deltaPct = 1
 
 // Config drives one Converge loop.
 type Config struct {
@@ -25,30 +28,15 @@ type Config struct {
 	Sync  apps.SyncMode
 	N     int64
 	Iters int
-	// Chunks and NoSeed are forwarded to the per-round runs.
+	// Chunks is forwarded to the per-round runs.
 	Chunks int
-	NoSeed bool
 	// MaxRounds bounds the loop. Default 3.
 	MaxRounds int
-	// DeltaPct is the convergence criterion: the loop stops early once
-	// a round's measured makespan is within DeltaPct percent of the
-	// previous round's. Default 1.
-	DeltaPct float64
-	// Fit tunes the per-round fit.
-	Fit FitConfig
-	// Metrics, when non-nil, receives the calib_* instruments.
-	Metrics *metrics.Registry
-	// Spans, when non-nil, receives one KindRun span per round carrying
-	// the round's virtual makespan.
-	Spans *telemetry.Tracer
 }
 
 func (c Config) defaults() Config {
 	if c.MaxRounds <= 0 {
 		c.MaxRounds = 3
-	}
-	if c.DeltaPct <= 0 {
-		c.DeltaPct = 1
 	}
 	return c
 }
@@ -59,7 +47,7 @@ func (c Config) defaults() Config {
 // standing in for the real machine), fits correction factors from the
 // observed chunk times, and folds them into the believed model for the
 // next round. The loop stops when the measured makespan settles within
-// cfg.DeltaPct percent or cfg.MaxRounds is reached, then decides one
+// deltaPct percent or cfg.MaxRounds is reached, then decides one
 // final plan on the converged model.
 //
 // It returns the calibration report (one Round of evidence per
@@ -115,7 +103,6 @@ func Converge(cfg Config, truth, believed *device.Platform) (*Report, *plan.Exec
 		if err != nil {
 			return nil, nil, nil, fmt.Errorf("calib: round %d: %w", r, err)
 		}
-		out := res.Outcome
 		obs, err := ObservationsFromSpans(private.Spans())
 		if err != nil {
 			return nil, nil, nil, fmt.Errorf("calib: round %d: %w", r, err)
@@ -129,14 +116,14 @@ func Converge(cfg Config, truth, believed *device.Platform) (*Report, *plan.Exec
 		if err != nil {
 			return nil, nil, nil, fmt.Errorf("calib: round %d: %w", r, err)
 		}
-		fitted, entries, err := Fit(obs, kernels, base, cfg.Fit)
+		fitted, entries, err := Fit(obs, kernels, base)
 		if err != nil {
 			return nil, nil, nil, fmt.Errorf("calib: round %d: %w", r, err)
 		}
 		current = device.MergeScales(current, fitted)
 		believed = base.WithCost(&device.Calibrated{Base: base.Cost, Scales: current})
 
-		mk := int64(out.Result.Makespan)
+		mk := int64(res.Outcome.Result.Makespan)
 		round := Round{
 			Round: r, Samples: n, MeanAbsRelErr: meanErr,
 			MakespanNs: mk, Fitted: entries,
@@ -145,15 +132,13 @@ func Converge(cfg Config, truth, believed *device.Platform) (*Report, *plan.Exec
 			round.PlanDiff = plan.Diff(prevPlan, pl)
 		}
 		rounds = append(rounds, round)
-		record(cfg, round, len(current), out)
 
 		if prevMk > 0 {
 			delta := float64(mk-prevMk) / float64(prevMk) * 100
 			if delta < 0 {
 				delta = -delta
 			}
-			if delta <= cfg.DeltaPct {
-				prevPlan, prevMk = pl, mk
+			if delta <= deltaPct {
 				break
 			}
 		}
@@ -182,29 +167,6 @@ func Converge(cfg Config, truth, believed *device.Platform) (*Report, *plan.Exec
 func (c Config) spec(plat *device.Platform) runner.Spec {
 	return runner.Spec{
 		App: c.App, Strategy: c.Strategy, Sync: c.Sync, N: c.N, Iters: c.Iters,
-		Plat: plat, Chunks: c.Chunks, NoSeed: c.NoSeed,
-	}
-}
-
-// record publishes one round's evidence to the configured metrics
-// registry and span tracer.
-func record(cfg Config, round Round, scales int, out *strategy.Outcome) {
-	if cfg.Metrics != nil {
-		cfg.Metrics.Counter("calib_rounds_total",
-			"calibration rounds executed").Inc()
-		cfg.Metrics.Gauge("calib_mean_abs_rel_err_pct",
-			"mean |actual-predicted|/predicted of the last round, percent").Set(round.MeanAbsRelErr * 100)
-		cfg.Metrics.Gauge("calib_samples",
-			"chunk observations in the last calibration round").SetInt(int64(round.Samples))
-		cfg.Metrics.Gauge("calib_makespan_ns",
-			"measured makespan of the last calibration round").SetInt(round.MakespanNs)
-		cfg.Metrics.Gauge("calib_scales",
-			"fitted correction factors currently applied").SetInt(int64(scales))
-	}
-	if cfg.Spans != nil {
-		id := cfg.Spans.Begin(0, telemetry.KindRun, fmt.Sprintf("calib round %d", round.Round))
-		cfg.Spans.Annotate(id, "samples", fmt.Sprintf("%d", round.Samples))
-		cfg.Spans.Virtual(id, 0, out.Result.Makespan)
-		cfg.Spans.End(id)
+		Plat: plat, Chunks: c.Chunks,
 	}
 }

@@ -8,29 +8,11 @@ import (
 	"heteropart/internal/task"
 )
 
-// FitConfig tunes the robust fit.
-type FitConfig struct {
-	// MinSamples is the per-(kernel, device) observation floor: groups
-	// with fewer chunks are not fitted (their evidence is too thin to
-	// override the analytic model). Default 1 — a GPU often runs a
-	// kernel as a single chunk.
-	MinSamples int
-	// MaxRatio is the outlier guard: observed/predicted ratios outside
-	// [1/MaxRatio, MaxRatio] are dropped before the median — a chunk
-	// that ran 16× off the base model is evidence of interference (or
-	// an injected fault), not of a miscalibrated rate. Default 16.
-	MaxRatio float64
-}
-
-func (c FitConfig) defaults() FitConfig {
-	if c.MinSamples <= 0 {
-		c.MinSamples = 1
-	}
-	if c.MaxRatio <= 1 {
-		c.MaxRatio = 16
-	}
-	return c
-}
+// maxRatio is the fit's outlier guard: observed/predicted ratios
+// outside [1/maxRatio, maxRatio] are dropped before the median — a
+// chunk that ran 16× off the base model is evidence of interference
+// (or an injected fault), not of a miscalibrated rate.
+const maxRatio = 16.0
 
 // Entry is one fitted correction, reported per (kernel, device) group.
 type Entry struct {
@@ -56,8 +38,7 @@ type ratioSample struct {
 
 // ratioSamples prices observations through the base (calibration-free)
 // model and keeps the ratios surviving the outlier guard.
-func ratioSamples(obs []Observation, kernels map[string]*task.Kernel, base *device.Platform, cfg FitConfig) ([]ratioSample, error) {
-	cfg = cfg.defaults()
+func ratioSamples(obs []Observation, kernels map[string]*task.Kernel, base *device.Platform) ([]ratioSample, error) {
 	base = base.Uncalibrated()
 	var out []ratioSample
 	for _, o := range obs {
@@ -69,7 +50,7 @@ func ratioSamples(obs []Observation, kernels map[string]*task.Kernel, base *devi
 			continue
 		}
 		r := float64(o.ActualNs) / float64(pred)
-		if r < 1/cfg.MaxRatio || r > cfg.MaxRatio {
+		if r < 1/maxRatio || r > maxRatio {
 			continue
 		}
 		out = append(out, ratioSample{kernel: o.Kernel, dev: o.Device, ratio: r})
@@ -77,13 +58,12 @@ func ratioSamples(obs []Observation, kernels map[string]*task.Kernel, base *devi
 	return out, nil
 }
 
-// fitRatios groups priced samples by (kernel, device), applies the
-// min-sample guard, and emits one exact device.Scale per surviving
-// group with the group's median ratio as its factor. Groups are
-// processed in sorted order and the outputs are sorted, so the fit is
-// deterministic.
-func fitRatios(samples []ratioSample, cfg FitConfig) ([]device.Scale, []Entry, error) {
-	cfg = cfg.defaults()
+// fitRatios groups priced samples by (kernel, device) and emits one
+// exact device.Scale per group with the group's median ratio as its
+// factor — a GPU often runs a kernel as a single chunk, so one sample
+// is evidence enough. Groups are processed in sorted order and the
+// outputs are sorted, so the fit is deterministic.
+func fitRatios(samples []ratioSample) ([]device.Scale, []Entry, error) {
 	type group struct {
 		kernel string
 		dev    int
@@ -107,9 +87,6 @@ func fitRatios(samples []ratioSample, cfg FitConfig) ([]device.Scale, []Entry, e
 	var entries []Entry
 	for _, g := range groups {
 		rs := ratios[g]
-		if len(rs) < cfg.MinSamples {
-			continue
-		}
 		m := median(rs)
 		if m <= 0 {
 			continue
@@ -121,7 +98,7 @@ func fitRatios(samples []ratioSample, cfg FitConfig) ([]device.Scale, []Entry, e
 		})
 	}
 	if len(scales) == 0 {
-		return nil, nil, fmt.Errorf("calib: no (kernel, device) group has %d usable observations", cfg.MinSamples)
+		return nil, nil, fmt.Errorf("calib: no (kernel, device) group has a usable observation")
 	}
 	return scales, entries, nil
 }
@@ -129,18 +106,17 @@ func fitRatios(samples []ratioSample, cfg FitConfig) ([]device.Scale, []Entry, e
 // Fit computes per-(kernel, device) correction factors from chunk
 // observations: each observation's actual duration is divided by the
 // *base* (calibration-free) model's prediction, ratios are grouped by
-// (kernel, device), outliers beyond cfg.MaxRatio are dropped, groups
-// below cfg.MinSamples are skipped, and each surviving group
-// contributes one exact device.Scale whose factor is the group's
+// (kernel, device), outliers beyond maxRatio are dropped, and each
+// group contributes one exact device.Scale whose factor is the group's
 // median ratio (robust to processor-sharing tails in ways a mean is
 // not). Factors are absolute against the base model — fitting never
 // compounds with an existing calibration.
-func Fit(obs []Observation, kernels map[string]*task.Kernel, base *device.Platform, cfg FitConfig) ([]device.Scale, []Entry, error) {
-	samples, err := ratioSamples(obs, kernels, base, cfg)
+func Fit(obs []Observation, kernels map[string]*task.Kernel, base *device.Platform) ([]device.Scale, []Entry, error) {
+	samples, err := ratioSamples(obs, kernels, base)
 	if err != nil {
 		return nil, nil, err
 	}
-	return fitRatios(samples, cfg)
+	return fitRatios(samples)
 }
 
 // median returns the middle of the sorted values (midpoint average for

@@ -147,14 +147,18 @@ func (c *Calibrated) factor(kernel string, dev int) float64 {
 // ExecTime prices through the base model, then applies the most
 // specific matching override factor to the whole predicted duration
 // (launch overhead included — calibration measures wall time, which
-// does not separate the two).
+// does not separate the two). A scaled duration past sim.MaxTime
+// saturates there instead of wrapping.
 func (c *Calibrated) ExecTime(d *Device, kernel string, w Work, eff Efficiency, div float64) sim.Duration {
 	t := c.base().ExecTime(d, kernel, w, eff, div)
 	f := c.factor(kernel, d.ID)
 	if f == 1 {
 		return t
 	}
-	return sim.Duration(float64(t) * f)
+	if s := float64(t) * f; s < float64(sim.MaxTime) {
+		return sim.Duration(s)
+	}
+	return sim.MaxTime
 }
 
 // Canonical renders the model content-deterministically: base

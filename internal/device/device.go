@@ -189,7 +189,7 @@ func (d *Device) execTime(w Work, eff Efficiency, div float64) sim.Duration {
 	if tm > t {
 		t = tm
 	}
-	return d.LaunchOverhead + sim.DurationOf(t)
+	return d.LaunchOverhead.Add(sim.DurationOf(t))
 }
 
 // Throughput reports the modeled steady-state throughput of one executor
@@ -250,5 +250,5 @@ func (l Link) TransferTime(bytes int64, hostToDev bool) sim.Duration {
 	if bw <= 0 {
 		return sim.MaxTime
 	}
-	return l.Latency + sim.DurationOf(float64(bytes)/(bw*1e9))
+	return l.Latency.Add(sim.DurationOf(float64(bytes) / (bw * 1e9)))
 }

@@ -78,6 +78,27 @@ func TestExecTimeZeroWorkPaysLaunch(t *testing.T) {
 	}
 }
 
+// TestDurationsSaturate: a kernel or transfer priced past the last
+// representable virtual time saturates at sim.MaxTime once the launch
+// overhead, the link latency or a calibration factor is applied; it
+// used to wrap negative.
+func TestDurationsSaturate(t *testing.T) {
+	d := &Device{Model: TeslaK20m(), ID: 1, Share: 1}
+	huge := Work{Flops: 1e30, Precision: SP}
+	if got := d.ExecTime(huge, DefaultEfficiency); got != sim.MaxTime {
+		t.Errorf("ExecTime of 1e30 flops = %d, want sim.MaxTime", int64(got))
+	}
+	nearEnd := Work{Flops: 3519.3e9 * 8e9, Precision: SP} // ~8e18 ns at full efficiency
+	cal := &Calibrated{Scales: []Scale{{Device: -1, Factor: 1e3}}}
+	if got := cal.ExecTime(d, "k", nearEnd, Efficiency{Compute: 1, Memory: 1}, 1); got != sim.MaxTime {
+		t.Errorf("calibrated ExecTime = %d, want sim.MaxTime", int64(got))
+	}
+	slow := Link{HtoDGBps: 1e-3, Latency: 10 * sim.Microsecond}
+	if got := slow.TransferTime(math.MaxInt64, true); got != sim.MaxTime {
+		t.Errorf("TransferTime of MaxInt64 bytes at 1 MB/s = %d, want sim.MaxTime", int64(got))
+	}
+}
+
 func TestExecTimeInvalidEfficiencyFallsBack(t *testing.T) {
 	d := &Device{Model: XeonE5_2620(), ID: 0, Share: 1}
 	w := Work{Flops: 1e9, Precision: SP}

@@ -357,7 +357,7 @@ func ImbalancedApp(env *Env) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	dec := glinda.Decide(est, k.Size, plat.Device(1), glinda.Config{})
+	dec := glinda.Decide(est, k.Size, plat.Device(1))
 	var tp task.Plan
 	if dec.NG > 0 {
 		tp.Submit(k, 0, dec.NG, 1, -1)

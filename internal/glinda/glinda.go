@@ -47,18 +47,21 @@ import (
 	"heteropart/internal/telemetry"
 )
 
-// Config tunes profiling and decision thresholds.
+// The profiling and decision constants. A probe runs sampleFrac of
+// the iteration space per device, at least minSample elements.
+// Decide's Only-CPU / Only-GPU thresholds on β*: at or below lowCut
+// the GPU partition cannot amortize its fixed overheads, at or above
+// highCut the CPU partition cannot keep a single core usefully busy.
+const (
+	sampleFrac = 0.02
+	minSample  = 256
+	lowCut     = 0.03
+	highCut    = 0.97
+)
+
+// Config carries the sinks and faults a profiling pass reports to and
+// runs under; a zero Config profiles silently on a clean platform.
 type Config struct {
-	// SampleFrac is the fraction of the iteration space probed per
-	// device (low-cost profiling). Default 0.02.
-	SampleFrac float64
-	// MinSample is the probe floor in elements. Default 256.
-	MinSample int64
-	// LowCut and HighCut are the Only-CPU / Only-GPU thresholds on
-	// β*: below LowCut the GPU partition cannot amortize its fixed
-	// overheads, above HighCut the CPU partition cannot keep a single
-	// core usefully busy. Defaults 0.03 and 0.97.
-	LowCut, HighCut float64
 	// Metrics, when non-nil, receives per-kernel profiling gauges
 	// (probe throughputs, effective bandwidth, probe counts).
 	Metrics *metrics.Registry
@@ -76,28 +79,10 @@ type Config struct {
 	Faults *fault.Schedule
 }
 
-// Defaults fills zero fields with default values.
-func (c Config) Defaults() Config {
-	if c.SampleFrac <= 0 {
-		c.SampleFrac = 0.02
-	}
-	if c.MinSample <= 0 {
-		c.MinSample = 256
-	}
-	if c.LowCut <= 0 {
-		c.LowCut = 0.03
-	}
-	if c.HighCut <= 0 {
-		c.HighCut = 0.97
-	}
-	return c
-}
-
 // probeSize is the probe sample of an n-element iteration space:
-// SampleFrac of it, at least MinSample elements, at most all n. c must
-// have its defaults filled.
-func (c Config) probeSize(n int64) int64 {
-	return min(max(int64(c.SampleFrac*float64(n)), c.MinSample), n)
+// sampleFrac of it, at least minSample elements, at most all n.
+func probeSize(n int64) int64 {
+	return min(max(int64(sampleFrac*float64(n)), minSample), n)
 }
 
 // Estimate holds the profiled quantities for one kernel on one
@@ -255,8 +240,7 @@ type Decision struct {
 // Decide turns an estimate into a practical decision for problem size n
 // on the given accelerator device: the Only-CPU / Only-GPU thresholds,
 // the device-memory capacity cap, and warp rounding (footnote 5).
-func Decide(e Estimate, n int64, accel *device.Device, cfg Config) Decision {
-	cfg = cfg.Defaults()
+func Decide(e Estimate, n int64, accel *device.Device) Decision {
 	beta := e.OptimalBeta()
 	r, g := e.Metrics()
 	d := Decision{Beta: beta, R: r, G: g, Est: e}
@@ -277,10 +261,10 @@ func Decide(e Estimate, n int64, accel *device.Device, cfg Config) Decision {
 	}
 
 	switch {
-	case beta <= cfg.LowCut:
+	case beta <= lowCut:
 		d.Config = OnlyCPU
 		d.NG, d.NC = 0, n
-	case beta >= cfg.HighCut && maxElems >= n:
+	case beta >= highCut && maxElems >= n:
 		d.Config = OnlyGPU
 		d.NG, d.NC = n, 0
 	default:
@@ -304,14 +288,13 @@ func Decide(e Estimate, n int64, accel *device.Device, cfg Config) Decision {
 // instance on cold data, so the makespan splits into transfer + exec).
 // The directory is Reset afterwards, so profiling leaves no footprint.
 func Profile(plat *device.Platform, dir *mem.Directory, k *task.Kernel, accelID int, cfg Config) (Estimate, error) {
-	cfg = cfg.Defaults()
 	if accelID < 1 || accelID > len(plat.Accels) {
 		return Estimate{}, fmt.Errorf("glinda: no accelerator %d", accelID)
 	}
 	span := cfg.Spans.Begin(cfg.SpanParent, telemetry.KindProfile, "profile "+k.Name)
 	defer cfg.Spans.End(span)
 	n := k.Size
-	s := cfg.probeSize(n)
+	s := probeSize(n)
 	if s <= 0 {
 		return Estimate{}, fmt.Errorf("glinda: kernel %q has empty iteration space", k.Name)
 	}

@@ -90,7 +90,6 @@ func TestQuickOptimalBetaMonotoneInRg(t *testing.T) {
 func TestQuickDecidePartitions(t *testing.T) {
 	plat := testPlatform(4)
 	gpu := plat.Device(1)
-	cfg := Config{}.Defaults()
 	f := func(rc16, rg16, n16 uint16) bool {
 		n := int64(n16) + 1
 		e := Estimate{
@@ -99,7 +98,7 @@ func TestQuickDecidePartitions(t *testing.T) {
 			B:  math.Inf(1),
 			N:  n,
 		}
-		d := Decide(e, n, gpu, cfg)
+		d := Decide(e, n, gpu)
 		if d.NG+d.NC != n || d.NG < 0 || d.NC < 0 {
 			return false
 		}

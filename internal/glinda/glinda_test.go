@@ -151,9 +151,8 @@ func TestPredictTimesEdges(t *testing.T) {
 func TestDecideThresholdsAndRounding(t *testing.T) {
 	plat := testPlatform(4)
 	gpu := plat.Device(1)
-	cfg := Config{}.Defaults()
 
-	hybrid := Decide(Estimate{Rc: 100, Rg: 900, B: math.Inf(1), N: 1000}, 1000, gpu, cfg)
+	hybrid := Decide(Estimate{Rc: 100, Rg: 900, B: math.Inf(1), N: 1000}, 1000, gpu)
 	if hybrid.Config != Hybrid {
 		t.Fatalf("config = %v, want hybrid", hybrid.Config)
 	}
@@ -168,12 +167,12 @@ func TestDecideThresholdsAndRounding(t *testing.T) {
 		t.Fatalf("NG = %d, want 928 (900 rounded up to warp)", hybrid.NG)
 	}
 
-	onlyGPU := Decide(Estimate{Rc: 1, Rg: 1e6, B: math.Inf(1), N: 1000}, 1000, gpu, cfg)
+	onlyGPU := Decide(Estimate{Rc: 1, Rg: 1e6, B: math.Inf(1), N: 1000}, 1000, gpu)
 	if onlyGPU.Config != OnlyGPU || onlyGPU.NG != 1000 || onlyGPU.NC != 0 {
 		t.Fatalf("decision = %+v, want Only-GPU", onlyGPU)
 	}
 
-	onlyCPU := Decide(Estimate{Rc: 1e6, Rg: 1, B: math.Inf(1), N: 1000}, 1000, gpu, cfg)
+	onlyCPU := Decide(Estimate{Rc: 1e6, Rg: 1, B: math.Inf(1), N: 1000}, 1000, gpu)
 	if onlyCPU.Config != OnlyCPU || onlyCPU.NC != 1000 || onlyCPU.NG != 0 {
 		t.Fatalf("decision = %+v, want Only-CPU", onlyCPU)
 	}
@@ -243,7 +242,7 @@ func TestAnalyzeEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dec := Decide(est, k.Size, plat.Device(1), Config{})
+	dec := Decide(est, k.Size, plat.Device(1))
 	if dec.Config != Hybrid {
 		t.Fatalf("config = %v", dec.Config)
 	}
@@ -444,10 +443,9 @@ func TestDecideMemoryCapacityCap(t *testing.T) {
 	plat := testPlatform(4)
 	gpu := plat.Device(1)
 	gpu.MemCapacityGB = 0.001 // 1 MB of device memory
-	cfg := Config{}.Defaults()
 	// 1M elements at 16 B/elem footprint: only ~62500 fit.
 	e := Estimate{Rc: 100, Rg: 900, B: 1e9, InSlope: 8, OutSlope: 8, N: 1 << 20}
-	d := Decide(e, 1<<20, gpu, cfg)
+	d := Decide(e, 1<<20, gpu)
 	if d.Config != Hybrid {
 		t.Fatalf("config = %v", d.Config)
 	}
@@ -463,9 +461,8 @@ func TestDecideCapacityForcesOnlyCPU(t *testing.T) {
 	plat := testPlatform(4)
 	gpu := plat.Device(1)
 	gpu.MemCapacityGB = 1e-9 // effectively no device memory
-	cfg := Config{}.Defaults()
 	e := Estimate{Rc: 1, Rg: 1e6, B: math.Inf(1), InSlope: 8, OutSlope: 8, N: 1000}
-	d := Decide(e, 1000, gpu, cfg)
+	d := Decide(e, 1000, gpu)
 	if d.Config != OnlyCPU || d.NG != 0 {
 		t.Fatalf("decision = %+v, want Only-CPU when nothing fits", d)
 	}
@@ -475,10 +472,9 @@ func TestDecideCapacityBlocksOnlyGPU(t *testing.T) {
 	plat := testPlatform(4)
 	gpu := plat.Device(1)
 	gpu.MemCapacityGB = 4e-6 // 4 KB: half of the 8 KB footprint fits
-	cfg := Config{}.Defaults()
 	// beta would be ~1 (Only-GPU), but the capacity cap forces hybrid.
 	e := Estimate{Rc: 1, Rg: 1e6, B: math.Inf(1), InSlope: 4, OutSlope: 4, N: 1000}
-	d := Decide(e, 1000, gpu, cfg)
+	d := Decide(e, 1000, gpu)
 	if d.Config != Hybrid {
 		t.Fatalf("decision = %v, want hybrid under the capacity cap", d.Config)
 	}

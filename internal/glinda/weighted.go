@@ -100,7 +100,7 @@ func AnalyzeImbalanced(plat *device.Platform, dir *mem.Directory, k *task.Kernel
 		return Decision{}, err
 	}
 	n := k.Size
-	s := cfg.Defaults().probeSize(n)
+	s := probeSize(n)
 	// Convert element rates to weight rates using the sampled range's
 	// weight density (the probes ran over [0, s)).
 	sampleWeight := k.Flops(0, s)

@@ -264,7 +264,7 @@ func TestAnalyzeImbalancedMatchesPrefixPipeline(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			s := Config{}.Defaults().probeSize(n)
+			s := probeSize(n)
 			density := k.Flops(0, s) / float64(s)
 			prefix := weightPrefixOracle(k)
 			b := est.B

@@ -70,6 +70,16 @@ func max64(a, b int64) int64 {
 	return b
 }
 
+// SplitLen is the number of pieces AppendSplit(dst, m) appends, found
+// without building them.
+func (iv Interval) SplitLen(m int) int64 {
+	if iv.Empty() || m < 1 {
+		return 0
+	}
+	step := (iv.Len() + int64(m) - 1) / int64(m)
+	return (iv.Len() + step - 1) / step
+}
+
 func min64(a, b int64) int64 {
 	if a < b {
 		return a

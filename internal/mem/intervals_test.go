@@ -31,8 +31,9 @@ func TestIntervalBasics(t *testing.T) {
 }
 
 // TestAppendSplit: pieces tile the interval in order, there are at
-// most m of them, every piece but the last has ceil(len/m) elements,
-// degenerate input appends nothing, and the caller's buffer is reused.
+// most m of them, SplitLen counts them, every piece but the last has
+// ceil(len/m) elements, degenerate input appends nothing, and the
+// caller's buffer is reused.
 func TestAppendSplit(t *testing.T) {
 	for _, tc := range []struct {
 		in   Interval
@@ -58,6 +59,9 @@ func TestAppendSplit(t *testing.T) {
 		}
 		if len(got) > max(tc.m, 0) {
 			t.Errorf("%v into %d: %d pieces", tc.in, tc.m, len(got))
+		}
+		if n := tc.in.SplitLen(tc.m); n != int64(len(got)) {
+			t.Errorf("%v.SplitLen(%d) = %d, want %d", tc.in, tc.m, n, len(got))
 		}
 		step := (tc.in.Len() + int64(tc.m) - 1) / int64(max(tc.m, 1))
 		at := tc.in.Lo

@@ -8,6 +8,15 @@ import (
 	"heteropart/internal/task"
 )
 
+// errPastEnd fails work that would complete at or past sim.MaxTime —
+// host work, an accelerator chunk or a transfer alike: no run reaches
+// that time, so the size that asked for it is refused as invalid
+// options.
+func errPastEnd(what string) error {
+	return fmt.Errorf("rt: %s would finish past the end of virtual time (%v): %w",
+		what, sim.MaxTime, apierr.ErrOptionsInvalid)
+}
+
 // psExec is an egalitarian processor-sharing executor: the k instances
 // currently running on the device each progress at 1/k of the device's
 // full capability. This models a multicore whose aggregate compute and
@@ -75,8 +84,8 @@ func (p *psExec) advance() {
 }
 
 // reschedule arms the timer for the earliest completion. A completion
-// past sim.MaxTime can never happen, so it fails the run with an error
-// wrapping apierr.ErrOptionsInvalid instead.
+// past sim.MaxTime can never happen, so it fails the run with
+// errPastEnd instead.
 func (p *psExec) reschedule() {
 	p.timer.Cancel()
 	k := len(p.jobs)
@@ -94,8 +103,7 @@ func (p *psExec) reschedule() {
 	}
 	wait := minRem*float64(k) + 0.999
 	if wait >= float64(sim.MaxTime-p.eng.Now()) {
-		p.eng.Fail(fmt.Errorf("rt: host work would finish past the end of virtual time (%v): %w",
-			sim.MaxTime, apierr.ErrOptionsInvalid))
+		p.eng.Fail(errPastEnd("host work"))
 		return
 	}
 	p.timer = p.eng.After(sim.Duration(wait), p.fireFn)

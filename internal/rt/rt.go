@@ -736,7 +736,7 @@ func (e *engine) runTransfer(tr mem.Transfer, done func()) {
 	lr := e.links[accel]
 	dur := lr.link.TransferTime(tr.Bytes(), toDev)
 	if extra > 0 {
-		dur += sim.Duration(extra)
+		dur = dur.Add(sim.Duration(extra))
 		e.mx.faultStalled(extra)
 	}
 	e.issue(tr, accel, toDev, false, lr.res(toDev), dur, done)
@@ -755,7 +755,7 @@ func (e *engine) runP2P(tr mem.Transfer, lr *linkRes, fwd bool, done func()) {
 	}
 	dur := lr.link.TransferTime(tr.Bytes(), fwd)
 	if extra > 0 {
-		dur += sim.Duration(extra)
+		dur = dur.Add(sim.Duration(extra))
 		e.mx.faultStalled(extra)
 	}
 	e.issue(tr, int(tr.To), true, true, lr.res(fwd), dur, done)
@@ -764,6 +764,10 @@ func (e *engine) runP2P(tr mem.Transfer, lr *linkRes, fwd bool, done func()) {
 // issue registers an in-flight record for tr and holds the link for
 // dur; the record lands when the hold ends.
 func (e *engine) issue(tr mem.Transfer, dev int, toDev, p2p bool, link *sim.Resource, dur sim.Duration, done func()) {
+	if dur >= sim.MaxTime-link.FreeAt() {
+		e.fail(errPastEnd("transfer"))
+		return
+	}
 	var fl *inflightXfer
 	if n := len(e.spare); n > 0 {
 		fl = e.spare[n-1]
@@ -976,17 +980,25 @@ func (e *engine) exec(in *task.Instance, d *device.Device) {
 		e.mx.faultPerturbed()
 	}
 	startAt := e.eng.Now()
+	if dur >= sim.MaxTime-startAt {
+		e.fail(errPastEnd("accelerator chunk"))
+		return
+	}
 	e.eng.After(dur, func() { e.complete(in, d, startAt, dur) })
 }
 
-// perturb scales a duration by the injector's factor. float64 holds
-// any realistic virtual duration exactly enough, and Go float
-// arithmetic is deterministic, so the result is reproducible.
+// perturb scales a duration by the injector's factor, saturating at
+// sim.MaxTime. float64 holds any realistic virtual duration exactly
+// enough, and Go float arithmetic is deterministic, so the result is
+// reproducible.
 func perturb(dur sim.Duration, factor float64) sim.Duration {
 	if factor == 1 {
 		return dur
 	}
-	return sim.Duration(float64(dur)*factor + 0.5)
+	if p := float64(dur)*factor + 0.5; p < float64(sim.MaxTime) {
+		return sim.Duration(p)
+	}
+	return sim.MaxTime
 }
 
 // faultFired halts the engine with an injected failure, recording the

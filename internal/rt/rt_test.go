@@ -1,9 +1,12 @@
 package rt
 
 import (
+	"errors"
 	"testing"
 
+	"heteropart/internal/apierr"
 	"heteropart/internal/device"
+	"heteropart/internal/fault"
 	"heteropart/internal/mem"
 	"heteropart/internal/sched"
 	"heteropart/internal/sim"
@@ -428,5 +431,46 @@ func TestDecisionOverheadSlowsDynamic(t *testing.T) {
 	dynamic := makespan(sched.NewDep(), task.Unpinned)
 	if dynamic <= static {
 		t.Fatalf("dynamic (%v) not slower than static (%v) on a 1-thread CPU", dynamic, static)
+	}
+}
+
+// TestPastEndFailsTyped: an accelerator chunk or a transfer that would
+// complete at or past the last representable virtual time fails the
+// run with ErrOptionsInvalid, as host work does. Their durations used
+// to wrap negative when the launch overhead, the link latency or a
+// slowdown factor was applied to a saturated time, and the run then
+// ended early with a short makespan or an untyped scheduling error.
+func TestPastEndFailsTyped(t *testing.T) {
+	base := testPlatform(2)
+	slowGPU := base.Accels[0].Model
+	slowGPU.LaunchOverhead = sim.Microsecond
+	slow, err := device.NewPlatform(base.Host.Model, 2, device.Attachment{Model: slowGPU,
+		Link: device.Link{HtoDGBps: 1e-3, DtoHGBps: 1e-3, Latency: sim.Microsecond, Duplex: true}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	slowdown := &fault.Schedule{Version: fault.ScheduleVersion,
+		Faults: []fault.Fault{{Kind: fault.KindSlowdown, Device: 1, Factor: 1e3}}}
+	for _, c := range []struct {
+		name         string
+		plat         *device.Platform
+		elems        int64
+		flopsPerElem float64
+		faults       *fault.Schedule
+	}{
+		{"transfer", slow, 1 << 59, 0, nil},
+		{"accelerator chunk", slow, 1, 1e30, nil},
+		{"slowed chunk", base, 1 << 20, 1e13, slowdown},
+	} {
+		dir := mem.NewDirectory(2)
+		k := flopsKernel("k", dir.Register("a", c.elems, 8), c.flopsPerElem)
+		var p task.Plan
+		p.Submit(k, 0, c.elems, 1, -1)
+		p.Barrier()
+		_, err := Execute(Config{Platform: c.plat, Scheduler: sched.NewStatic(),
+			Faults: fault.NewInjector(c.faults, fault.ScopeExecute)}, &p, dir)
+		if !errors.Is(err, apierr.ErrOptionsInvalid) {
+			t.Errorf("%s: %v, want ErrOptionsInvalid", c.name, err)
+		}
 	}
 }

@@ -32,7 +32,10 @@ type Spec struct {
 	// Plat is the platform to run on; nil selects the paper platform
 	// with its default thread count. Platforms are immutable after
 	// construction, so sharing one across concurrent runs is safe; the
-	// cache key uses the platform fingerprint, not the pointer.
+	// cache key uses the platform fingerprint, not the pointer. A
+	// calibrated run is a run on a calibrated platform
+	// (calib.Report.Apply): the fingerprint's cost segment carries the
+	// scales, so it never shares a cache key with a clean run.
 	Plat *device.Platform
 	// Chunks is the dynamic task count m (0 = platform thread count).
 	Chunks int
@@ -55,30 +58,14 @@ type Spec struct {
 	// since injection is as deterministic as the simulator, caching a
 	// faulted run's outcome under its own key stays sound.
 	Fault *fault.Schedule
-	// Calib, when non-empty, runs the spec with the platform's cost
-	// model recalibrated: the resolved platform is stripped to its base
-	// model and re-wrapped with these scales (calib.Report.Apply
-	// semantics — replace, never stack). The scales' canonical encoding
-	// participates in both cache keys, so calibrated runs never alias
-	// uncalibrated ones.
-	Calib []device.Scale
 }
 
-// platform resolves the spec's platform, defaulting to the paper's and
-// applying the spec's calibration scales, if any.
+// platform resolves the spec's platform, defaulting to the paper's.
 func (s Spec) platform() *device.Platform {
-	p := s.Plat
-	if p == nil {
-		p = device.PaperPlatform(0)
+	if s.Plat == nil {
+		return device.PaperPlatform(0)
 	}
-	if len(s.Calib) > 0 {
-		base := p.Uncalibrated()
-		p = base.WithCost(&device.Calibrated{
-			Base:   base.Cost,
-			Scales: append([]device.Scale(nil), s.Calib...),
-		})
-	}
-	return p
+	return s.Plat
 }
 
 // build makes the spec's problem with one memory space per device of
@@ -156,16 +143,9 @@ func (s Spec) PlanCanonical(resolved string) string {
 // fields (compute, trace, metrics), which only Canonical renders; they
 // sit before seed. A new decision field is added here, once.
 func (s Spec) canonical(prefix, strategy, obs string) string {
-	enc := fmt.Sprintf("%sapp=%s|strategy=%s|sync=%d|n=%d|iters=%d|plat=%s|chunks=%d|noseed=%t|%sseed=%d|fault=%s",
+	return fmt.Sprintf("%sapp=%s|strategy=%s|sync=%d|n=%d|iters=%d|plat=%s|chunks=%d|noseed=%t|%sseed=%d|fault=%s",
 		prefix, s.App, strategy, int(s.Sync), s.N, s.Iters,
 		PlatformFingerprint(s.platform()), s.Chunks, s.NoSeed, obs, s.Seed, s.Fault.Canonical())
-	// Calibration-free specs encode exactly as they did before the
-	// field existed: no empty calib segment.
-	if len(s.Calib) > 0 {
-		c := device.Calibrated{Scales: s.Calib}
-		enc += "|calib=" + c.Canonical()
-	}
-	return enc
 }
 
 // PlanKey is the content address of the decision inputs; the plan

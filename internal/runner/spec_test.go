@@ -77,56 +77,59 @@ func TestPlatformFingerprintContents(t *testing.T) {
 	}
 }
 
+// calibrated is the paper platform at m threads with its cost model
+// recalibrated by scales, as calib.Report.Apply builds it.
+func calibrated(m int, scales ...device.Scale) *device.Platform {
+	base := device.PaperPlatform(m)
+	return base.WithCost(&device.Calibrated{Base: base.Cost, Scales: scales})
+}
+
 // TestCalibratedSpecNeverAliasesUncalibrated pins the cache-soundness
-// contract: a spec carrying calibration scales must never share a
-// result or plan cache key with the same spec without them — a
-// recalibrated cost model is a different simulated world.
+// contract: a spec on a calibrated platform must never share a result
+// or plan cache key with the same spec on the clean platform — a
+// recalibrated cost model is a different simulated world, and the
+// platform fingerprint's cost segment says so.
 func TestCalibratedSpecNeverAliasesUncalibrated(t *testing.T) {
 	plain := Spec{App: "BlackScholes", Strategy: "SP-Single"}
-	calibrated := plain
-	calibrated.Calib = []device.Scale{{Device: 1, Factor: 1.6}}
+	cal := plain
+	cal.Plat = calibrated(0, device.Scale{Device: 1, Factor: 1.6})
 
-	if plain.Key() == calibrated.Key() {
+	if plain.Key() == cal.Key() {
 		t.Fatal("calibrated spec aliased the uncalibrated result cache key")
 	}
-	if plain.PlanKey("SP-Single") == calibrated.PlanKey("SP-Single") {
+	if plain.PlanKey("SP-Single") == cal.PlanKey("SP-Single") {
 		t.Fatal("calibrated spec aliased the uncalibrated plan cache key")
 	}
-	if !strings.Contains(calibrated.Canonical(), "|calib=calibrated[") {
-		t.Fatalf("calibrated canonical missing the calib segment: %q", calibrated.Canonical())
+	if !strings.Contains(cal.Canonical(), "+cost=calibrated[:1:1.6]|") {
+		t.Fatalf("calibrated canonical missing the cost segment: %q", cal.Canonical())
 	}
-	// Calibration-free specs must encode exactly as before the field
-	// existed — no empty |calib= suffix.
-	if strings.Contains(plain.Canonical(), "calib=") {
-		t.Fatalf("uncalibrated canonical grew a calib segment: %q", plain.Canonical())
+	// Calibration-free specs carry no cost segment at all.
+	if strings.Contains(plain.Canonical(), "cost=") {
+		t.Fatalf("uncalibrated canonical grew a cost segment: %q", plain.Canonical())
 	}
 
 	// Different scales are different worlds too.
 	other := plain
-	other.Calib = []device.Scale{{Device: 1, Factor: 1.7}}
-	if other.Key() == calibrated.Key() {
+	other.Plat = calibrated(0, device.Scale{Device: 1, Factor: 1.7})
+	if other.Key() == cal.Key() {
 		t.Fatal("different calibration scales aliased")
 	}
 	// ...but scale order is not: the canonical encoding sorts.
 	perm := plain
-	perm.Calib = []device.Scale{{Device: 0, Factor: 1.25}, {Device: 1, Factor: 1.6}}
+	perm.Plat = calibrated(0, device.Scale{Device: 0, Factor: 1.25}, device.Scale{Device: 1, Factor: 1.6})
 	swap := plain
-	swap.Calib = []device.Scale{{Device: 1, Factor: 1.6}, {Device: 0, Factor: 1.25}}
+	swap.Plat = calibrated(0, device.Scale{Device: 1, Factor: 1.6}, device.Scale{Device: 0, Factor: 1.25})
 	if perm.Key() != swap.Key() {
 		t.Fatal("scale order changed the cache key")
 	}
 
-	// The resolved platform actually carries the calibration (and the
-	// spec's fingerprint shows it), replacing any pre-existing one.
-	pre := Spec{App: "BlackScholes", Strategy: "SP-Single",
-		Plat:  device.PaperPlatform(0).WithCost(&device.Calibrated{Scales: []device.Scale{{Device: 0, Factor: 2}}}),
-		Calib: []device.Scale{{Device: 1, Factor: 1.6}}}
-	cal, ok := pre.platform().Cost.(*device.Calibrated)
+	// The resolved platform is the calibrated one the spec names.
+	got, ok := cal.platform().Cost.(*device.Calibrated)
 	if !ok {
-		t.Fatalf("resolved platform cost = %T", pre.platform().Cost)
+		t.Fatalf("resolved platform cost = %T", cal.platform().Cost)
 	}
-	if len(cal.Scales) != 1 || cal.Scales[0].Device != 1 {
-		t.Fatalf("spec calibration did not replace the platform's: %+v", cal.Scales)
+	if len(got.Scales) != 1 || got.Scales[0].Device != 1 {
+		t.Fatalf("resolved platform lost its calibration: %+v", got.Scales)
 	}
 }
 
@@ -148,14 +151,13 @@ func TestSpecCanonicalMatchmakeSentinel(t *testing.T) {
 func TestSpecCanonicalPinned(t *testing.T) {
 	full := Spec{
 		App: "MatrixMul", Strategy: "DP-Perf", Sync: apps.SyncForced, N: 4096, Iters: 3,
-		Plat: device.PaperPlatform(6), Chunks: 24, NoSeed: true,
+		Plat: calibrated(6, device.Scale{Device: 1, Factor: 1.6}), Chunks: 24, NoSeed: true,
 		Compute: true, CollectTrace: true, WithMetrics: true, Seed: 7,
 		Fault: &fault.Schedule{Version: fault.ScheduleVersion, Seed: 11,
 			Faults: []fault.Fault{{Kind: fault.KindSlowdown, Device: fault.AnyDevice, Factor: 2}}},
-		Calib: []device.Scale{{Device: 1, Factor: 1.6}},
 	}
 	const plat = `plat=Intel Xeon E5-2620/m=6/384.0/42.6+Nvidia Tesla K20m/3519.3/208.0/link=6.0:6.0:10000:true+cost=calibrated[:1:1.6]`
-	const tail = `seed=7|fault={"version":1,"seed":11,"faults":[{"kind":"slowdown","device":-1,"factor":2}]}|calib=calibrated[:1:1.6]`
+	const tail = `seed=7|fault={"version":1,"seed":11,"faults":[{"kind":"slowdown","device":-1,"factor":2}]}`
 	if got, want := full.Canonical(),
 		`app=MatrixMul|strategy=DP-Perf|sync=1|n=4096|iters=3|`+plat+`|chunks=24|noseed=true|compute=true|trace=true|metrics=true|`+tail; got != want {
 		t.Errorf("Canonical drifted:\n got %s\nwant %s", got, want)
@@ -184,7 +186,7 @@ func TestSpecCanonicalPinned(t *testing.T) {
 		"noseed":   func(s *Spec) { s.NoSeed = false },
 		"seed":     func(s *Spec) { s.Seed = 8 },
 		"fault":    func(s *Spec) { s.Fault = nil },
-		"calib":    func(s *Spec) { s.Calib = []device.Scale{{Device: 1, Factor: 1.7}} },
+		"calib":    func(s *Spec) { s.Plat = calibrated(6, device.Scale{Device: 1, Factor: 1.7}) },
 	}
 	for field, mutate := range decision {
 		v := full

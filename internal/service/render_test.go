@@ -183,6 +183,74 @@ func TestServedBytesMatchOracle(t *testing.T) {
 	}
 }
 
+// TestCalibratedBytesMatchOracle: after POST /v1/calibrate, the
+// matchmake, plan and execute answers are byte-identical to the oracle
+// envelopes of a fresh runner on report.Apply(PaperPlatform(0)): a
+// calibration reaches the runner only through its platform.
+func TestCalibratedBytesMatchOracle(t *testing.T) {
+	svc := New(Config{Workers: 2})
+	t.Cleanup(svc.Close)
+	h := svc.Handler()
+	report := &heteropart.CalibrationReport{
+		Version: 1, App: "BlackScholes",
+		Platform: heteropart.PlatformFingerprint(heteropart.PaperPlatform(0)),
+		Scales:   []heteropart.CostScale{{Device: 0, Factor: 1.2}, {Device: 1, Factor: 1.5}},
+	}
+	rb, err := report.JSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	calBody, _ := json.Marshal(map[string]any{"calibration": json.RawMessage(rb)})
+	if status, _, got := serveBytes(t, h, "POST", "/v1/calibrate", string(calBody)); status != http.StatusOK {
+		t.Fatalf("calibrate: status %d\n%s", status, got)
+	}
+	plat, err := report.Apply(heteropart.PaperPlatform(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	lib := heteropart.NewRunner(heteropart.RunnerConfig{Workers: 1})
+	ctx := context.Background()
+	served := func(name, path, body string, want []byte) {
+		t.Helper()
+		status, _, got := serveBytes(t, h, "POST", path, body)
+		if status != http.StatusOK || !bytes.Equal(got, want) {
+			t.Errorf("%s: status %d, served bytes differ from the oracle\ngot:  %s\nwant: %s", name, status, got, want)
+		}
+	}
+
+	for _, c := range []struct {
+		body string
+		spec heteropart.RunSpec
+	}{
+		{`{"app":"BlackScholes","n":16384}`, heteropart.RunSpec{App: "BlackScholes", N: 16384, Plat: plat}},
+		{`{"app":"HotSpot","n":1024,"strategy":"DP-Perf"}`, heteropart.RunSpec{App: "HotSpot", Strategy: "DP-Perf", N: 1024, Plat: plat}},
+	} {
+		res, err := lib.Run(c.spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		served("matchmake "+c.body, "/v1/matchmake", c.body,
+			oracleEnvelope(t, oracleResponse(t, res.Report, res.Plan, res.Outcome)))
+
+		pl, rep, err := lib.PlanContext(ctx, c.spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		served("plan "+c.body, "/v1/plan", c.body, oracleEnvelope(t, oracleResponse(t, rep, pl, nil)))
+
+		planJSON, err := pl.JSON()
+		if err != nil {
+			t.Fatal(err)
+		}
+		exec, err := lib.ExecuteContext(ctx, heteropart.RunSpec{App: pl.App, N: pl.N, Iters: pl.Iters, Plat: plat}, pl)
+		if err != nil {
+			t.Fatal(err)
+		}
+		execBody, _ := json.Marshal(map[string]any{"plan": json.RawMessage(planJSON)})
+		served("execute "+c.body, "/v1/execute", string(execBody), oracleEnvelope(t, oracleResponse(t, nil, pl, exec.Outcome)))
+	}
+}
+
 // TestEvictedFlightRerendersSameBytes: with room for one memoized
 // flight, a second key evicts the first, and the first key's new
 // flight renders the bytes its evicted flight served.
@@ -355,16 +423,22 @@ func TestHostileCalibrationRefused(t *testing.T) {
 	}
 }
 
-// TestHostileSizesAnswer400: a host run that would end past the last
-// representable virtual time, sizes whose element or byte counts
-// overflow, a trip count past the cap and a size Cholesky cannot tile
-// answer 400 options_invalid at once, and the one worker then serves
-// an honest body.
+// TestHostileSizesAnswer400: a run on any device that would end past
+// the last representable virtual time, sizes whose element or byte
+// counts overflow, a trip count past the cap, a plan past the
+// task-instance cap, a size Cholesky cannot tile and a Cholesky DAG
+// past the phase cap answer 400 options_invalid at once, and the one
+// worker then serves an honest body.
 func TestHostileSizesAnswer400(t *testing.T) {
 	_, ts := newTestService(t, Config{Workers: 1})
 	for _, body := range []string{
 		`{"app":"BlackScholes","strategy":"Only-CPU","n":2000000000000000000,"timeout_ms":1000}`,
 		`{"app":"BlackScholes","strategy":"SP-Single","n":2000000000000000000,"timeout_ms":1000}`,
+		`{"app":"Nbody","strategy":"Only-CPU","n":500000000000000000,"timeout_ms":1000}`,
+		`{"app":"Nbody","strategy":"Only-GPU","n":500000000000000000,"timeout_ms":1000}`,
+		`{"app":"Nbody","strategy":"SP-Single","n":500000000000000000,"timeout_ms":1000}`,
+		`{"app":"STREAM-Loop","strategy":"DP-Perf","iters":65536,"chunks":65536}`,
+		`{"app":"Cholesky","n":131072}`,
 		`{"app":"MatrixMul","n":2000000000,"strategy":"SP-Single"}`,
 		`{"app":"MatrixMul","n":4000000000,"strategy":"SP-Single"}`,
 		`{"app":"Triangular","n":3000000000,"strategy":"DP-Perf"}`,

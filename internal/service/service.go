@@ -433,11 +433,10 @@ func (s *Service) specOf(req *Request) (heteropart.RunSpec, error) {
 // commonOf validates the request fields every simulating endpoint
 // (matchmake, plan, execute) shares — deadline, thread count, sync
 // mode, fault schedule and platform — into the matching RunSpec fields.
-// A calibration installed for the platform is applied to Plat and its
-// scales set in Calib; one fitted for a different fingerprint (e.g. a
-// different threads override) is drift, refused with 409
-// calibration_stale rather than silently served with wrong correction
-// factors.
+// A calibration installed for the platform is applied to Plat; one
+// fitted for a different fingerprint (e.g. a different threads
+// override) is drift, refused with 409 calibration_stale rather than
+// silently served with wrong correction factors.
 func (s *Service) commonOf(req *Request) (heteropart.RunSpec, error) {
 	var spec heteropart.RunSpec
 	if req.TimeoutMs < 0 {
@@ -463,7 +462,6 @@ func (s *Service) commonOf(req *Request) (heteropart.RunSpec, error) {
 		if spec.Plat, err = report.Apply(spec.Plat); err != nil {
 			return spec, err
 		}
-		spec.Calib = report.Scales
 	}
 	return spec, nil
 }
@@ -585,7 +583,8 @@ func (s *Service) handleExecute(w http.ResponseWriter, r *http.Request) {
 	spec.App, spec.N, spec.Iters = pl.App, pl.N, pl.Iters
 	// The coalescing key hashes the plan's canonical encoding plus the
 	// spec's decision inputs, which carry everything else that shapes
-	// the execution: sync, platform, calibration and fault schedule.
+	// the execution: sync, platform (calibration included) and fault
+	// schedule.
 	canonical, err := pl.JSON()
 	if err != nil {
 		writeError(w, err)

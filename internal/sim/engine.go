@@ -29,6 +29,15 @@ const (
 // MaxTime is the largest representable virtual time.
 const MaxTime Time = math.MaxInt64
 
+// Add returns t + d for a non-negative d, saturating at MaxTime instead
+// of wrapping past it.
+func (t Time) Add(d Duration) Time {
+	if t > MaxTime-d {
+		return MaxTime
+	}
+	return t + d
+}
+
 // Seconds converts a virtual duration to float seconds.
 func (t Time) Seconds() float64 { return float64(t) / 1e9 }
 
@@ -224,10 +233,7 @@ func (e *Engine) After(d Duration, fn func()) Event {
 	if d < 0 {
 		d = 0
 	}
-	if e.now > MaxTime-d {
-		return e.At(MaxTime, fn)
-	}
-	return e.At(e.now+d, fn)
+	return e.At(e.now.Add(d), fn)
 }
 
 // Halt stops the run loop after the current event returns.

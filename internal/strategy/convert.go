@@ -65,20 +65,20 @@ func (s DPConverted) Plan(p *apps.Problem, plat *device.Platform, opts Options) 
 	if err != nil {
 		return nil, err
 	}
-	dec := glinda.Decide(est, p.Unique[0].Size, plat.Device(1), opts.glindaCfg())
+	dec := glinda.Decide(est, p.Unique[0].Size, plat.Device(1))
 
 	// Step 2: ratio -> instance counts.
 	m := opts.chunks(plat)
 	_, l := ConvertRatio(dec.Beta, m)
 
 	// Step 3: pin the instance grid accordingly.
-	phases := grid{m: m, pin: func(_ apps.Phase, piece int) int {
+	g := grid{m: m, pin: func(_ apps.Phase, piece int) int {
 		if piece < l {
 			return 1
 		}
 		return 0
-	}}.phases(p)
-	return newPlan(s.Name(), p, plat, staticSpec, phases, map[string]glinda.Decision{"": dec}), nil
+	}}
+	return newPlan(s.Name(), p, plat, staticSpec, g, map[string]glinda.Decision{"": dec})
 }
 
 // Run implements Strategy.

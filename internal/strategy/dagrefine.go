@@ -46,18 +46,18 @@ func (s DPRefinedDAG) Plan(p *apps.Problem, plat *device.Platform, opts Options)
 		}
 	}
 	noSync := false
-	phases := grid{sync: &noSync, pin: func(ph apps.Phase, _ int) int {
+	g := grid{sync: &noSync, pin: func(ph apps.Phase, _ int) int {
 		if dev, ok := s.Pins[ph.Kernel.Name]; ok {
 			return dev
 		}
 		return task.Unpinned
-	}}.phases(p)
+	}}
 	spec := plan.SchedulerSpec{
 		Policy:          plan.PolicyPerf,
 		Seeded:          !opts.NoSeed,
 		WarmupInstances: sched.WarmupInstances,
 	}
-	return newPlan(s.Name(), p, plat, spec, phases, nil), nil
+	return newPlan(s.Name(), p, plat, spec, g, nil)
 }
 
 // Run implements Strategy.

@@ -21,8 +21,8 @@ func (DPDep) Applicable(classify.Class, bool) bool { return true }
 
 // Plan implements Strategy.
 func (s DPDep) Plan(p *apps.Problem, plat *device.Platform, opts Options) (*plan.ExecutionPlan, error) {
-	phases := grid{m: opts.chunks(plat), pin: unpinned}.phases(p)
-	return newPlan(s.Name(), p, plat, plan.SchedulerSpec{Policy: plan.PolicyDep}, phases, nil), nil
+	g := grid{m: opts.chunks(plat), pin: unpinned}
+	return newPlan(s.Name(), p, plat, plan.SchedulerSpec{Policy: plan.PolicyDep}, g, nil)
 }
 
 // Run implements Strategy.
@@ -50,13 +50,13 @@ func (DPPerf) Applicable(classify.Class, bool) bool { return true }
 
 // Plan implements Strategy.
 func (s DPPerf) Plan(p *apps.Problem, plat *device.Platform, opts Options) (*plan.ExecutionPlan, error) {
-	phases := grid{m: opts.chunks(plat), pin: unpinned}.phases(p)
+	g := grid{m: opts.chunks(plat), pin: unpinned}
 	spec := plan.SchedulerSpec{
 		Policy:          plan.PolicyPerf,
 		Seeded:          !opts.NoSeed,
 		WarmupInstances: sched.WarmupInstances,
 	}
-	return newPlan(s.Name(), p, plat, spec, phases, nil), nil
+	return newPlan(s.Name(), p, plat, spec, g, nil)
 }
 
 // Run implements Strategy.

@@ -45,7 +45,7 @@ func (s SPSingle) Plan(p *apps.Problem, plat *device.Platform, opts Options) (*p
 	if len(plat.Accels) <= 1 && glinda.ImbalanceRatio(k, imbalanceSample(k)) > ImbalanceThreshold {
 		return s.planImbalanced(p, plat, opts)
 	}
-	shares, dec, err := decideShares(plat, k.Size, opts, func(accel int) (glinda.Estimate, error) {
+	shares, dec, err := decideShares(plat, k.Size, func(accel int) (glinda.Estimate, error) {
 		return glinda.Profile(plat, p.Dir, k, accel, opts.glindaCfg())
 	})
 	if err != nil {
@@ -56,8 +56,8 @@ func (s SPSingle) Plan(p *apps.Problem, plat *device.Platform, opts Options) (*p
 		// A water-filling split is recorded by its shares alone.
 		decs = map[string]glinda.Decision{"": dec}
 	}
-	phases := grid{m: opts.chunks(plat), shares: func(apps.Phase) []int64 { return shares }, pin: onHost}.phases(p)
-	return newPlan(s.Name(), p, plat, staticSpec, phases, decs), nil
+	g := grid{m: opts.chunks(plat), shares: func(apps.Phase) []int64 { return shares }, pin: onHost}
+	return newPlan(s.Name(), p, plat, staticSpec, g, decs)
 }
 
 // Run implements Strategy.
@@ -99,13 +99,13 @@ func (s SPSingle) planImbalanced(p *apps.Problem, plat *device.Platform, opts Op
 	}
 	m := opts.chunks(plat)
 	shares := []int64{dec.NG}
-	phases := grid{
+	g := grid{
 		m:      m,
 		shares: func(apps.Phase) []int64 { return shares },
 		pin:    onHost,
 		cut:    func(rest mem.Interval) []mem.Interval { return glinda.CutWeighted(k, rest.Lo, rest.Hi, m) },
-	}.phases(p)
-	return newPlan(s.Name(), p, plat, staticSpec, phases, map[string]glinda.Decision{"": dec}), nil
+	}
+	return newPlan(s.Name(), p, plat, staticSpec, g, map[string]glinda.Decision{"": dec})
 }
 
 // decideShares splits one kernel's size elements between the host and
@@ -114,14 +114,14 @@ func (s SPSingle) planImbalanced(p *apps.Problem, plat *device.Platform, opts Op
 // accelerator, water-filling across several. It returns the
 // accelerator shares (index i for accelerator i+1) and the decision
 // that summarizes them.
-func decideShares(plat *device.Platform, size int64, opts Options,
+func decideShares(plat *device.Platform, size int64,
 	profile func(accel int) (glinda.Estimate, error)) ([]int64, glinda.Decision, error) {
 	if len(plat.Accels) <= 1 {
 		est, err := profile(1)
 		if err != nil {
 			return nil, glinda.Decision{}, err
 		}
-		dec := glinda.Decide(est, size, plat.Device(1), opts.glindaCfg())
+		dec := glinda.Decide(est, size, plat.Device(1))
 		return []int64{dec.NG}, dec, nil
 	}
 	ests := make([]glinda.Estimate, len(plat.Accels))
@@ -184,7 +184,7 @@ func (s SPUnified) Plan(p *apps.Problem, plat *device.Platform, opts Options) (*
 		return nil, err
 	}
 	steady := p.Class() == classify.MKLoop
-	shares, dec, err := decideShares(plat, p.Unique[0].Size, opts, func(accel int) (glinda.Estimate, error) {
+	shares, dec, err := decideShares(plat, p.Unique[0].Size, func(accel int) (glinda.Estimate, error) {
 		est, err := glinda.ProfileFused(plat, p.Dir, p.Unique, accel, opts.glindaCfg())
 		if steady {
 			// Steady-state iterations move no data: drop the transfer
@@ -199,8 +199,8 @@ func (s SPUnified) Plan(p *apps.Problem, plat *device.Platform, opts Options) (*
 	if err != nil {
 		return nil, err
 	}
-	phases := grid{m: opts.chunks(plat), shares: func(apps.Phase) []int64 { return shares }, pin: onHost}.phases(p)
-	return newPlan(s.Name(), p, plat, staticSpec, phases, map[string]glinda.Decision{"": dec}), nil
+	g := grid{m: opts.chunks(plat), shares: func(apps.Phase) []int64 { return shares }, pin: onHost}
+	return newPlan(s.Name(), p, plat, staticSpec, g, map[string]glinda.Decision{"": dec})
 }
 
 // Run implements Strategy.
@@ -236,7 +236,7 @@ func (s SPVaried) Plan(p *apps.Problem, plat *device.Platform, opts Options) (*p
 	decs := make(map[string]glinda.Decision, len(p.Unique))
 	splits := make(map[string][]int64, len(p.Unique))
 	for _, k := range p.Unique {
-		shares, dec, err := decideShares(plat, k.Size, opts, func(accel int) (glinda.Estimate, error) {
+		shares, dec, err := decideShares(plat, k.Size, func(accel int) (glinda.Estimate, error) {
 			return glinda.Profile(plat, p.Dir, k, accel, opts.glindaCfg())
 		})
 		if err != nil {
@@ -245,13 +245,13 @@ func (s SPVaried) Plan(p *apps.Problem, plat *device.Platform, opts Options) (*p
 		splits[k.Name], decs[k.Name] = shares, dec
 	}
 	force := true
-	phases := grid{
+	g := grid{
 		m:      opts.chunks(plat),
 		shares: func(ph apps.Phase) []int64 { return splits[ph.Kernel.Name] },
 		pin:    onHost,
 		sync:   &force,
-	}.phases(p)
-	return newPlan(s.Name(), p, plat, staticSpec, phases, decs), nil
+	}
+	return newPlan(s.Name(), p, plat, staticSpec, g, decs)
 }
 
 // Run implements Strategy.
@@ -276,15 +276,15 @@ func (s OnlyGPU) Plan(p *apps.Problem, plat *device.Platform, opts Options) (*pl
 		return nil, err
 	}
 	var whole [1]int64 // the grid reads a phase's shares before asking for the next
-	phases := grid{
+	g := grid{
 		m: opts.chunks(plat),
 		shares: func(ph apps.Phase) []int64 {
 			whole[0] = ph.Kernel.Size
 			return whole[:]
 		},
 		pin: onHost,
-	}.phases(p)
-	return newPlan(s.Name(), p, plat, staticSpec, phases, nil), nil
+	}
+	return newPlan(s.Name(), p, plat, staticSpec, g, nil)
 }
 
 // Run implements Strategy.
@@ -305,8 +305,8 @@ func (OnlyCPU) Applicable(classify.Class, bool) bool { return true }
 
 // Plan implements Strategy.
 func (s OnlyCPU) Plan(p *apps.Problem, plat *device.Platform, opts Options) (*plan.ExecutionPlan, error) {
-	phases := grid{m: opts.chunks(plat), pin: onHost}.phases(p)
-	return newPlan(s.Name(), p, plat, staticSpec, phases, nil), nil
+	g := grid{m: opts.chunks(plat), pin: onHost}
+	return newPlan(s.Name(), p, plat, staticSpec, g, nil)
 }
 
 // Run implements Strategy.

@@ -39,8 +39,6 @@ import (
 
 // Options tunes an execution.
 type Options struct {
-	// Glinda configures the static-partitioning pipeline.
-	Glinda glinda.Config
 	// Chunks is the number of task instances per kernel for dynamic
 	// strategies and for the CPU side of static strategies (the
 	// paper's m); 0 uses the platform's CPU thread count.
@@ -99,19 +97,6 @@ func (o Options) Validate() error {
 	if o.Chunks > 1<<16 {
 		return bad("chunks %d exceeds the %d task-instance cap", o.Chunks, 1<<16)
 	}
-	g := o.Glinda
-	if g.SampleFrac < 0 || g.SampleFrac > 1 {
-		return bad("glinda sample fraction %g must be in [0, 1]", g.SampleFrac)
-	}
-	if g.MinSample < 0 {
-		return bad("glinda probe floor %d must be non-negative", g.MinSample)
-	}
-	if g.LowCut < 0 || g.LowCut > 1 || g.HighCut < 0 || g.HighCut > 1 {
-		return bad("glinda cutoffs (%g, %g) must be in [0, 1]", g.LowCut, g.HighCut)
-	}
-	if g.LowCut > 0 && g.HighCut > 0 && g.LowCut >= g.HighCut {
-		return bad("glinda cutoffs are inverted: low %g >= high %g", g.LowCut, g.HighCut)
-	}
 	if o.SpanParent != 0 && o.Spans == nil {
 		return bad("span parent %d set without a tracer", o.SpanParent)
 	}
@@ -130,23 +115,11 @@ func (o Options) chunks(plat *device.Platform) int {
 	return plat.CPUThreads()
 }
 
-// glindaCfg returns the Glinda configuration with the strategy-level
-// metrics registry and span tracer propagated, so one Options.Metrics
-// / Options.Spans instruments the whole pipeline (profiling included)
-// without extra wiring.
+// glindaCfg hands the strategy-level metrics registry, span tracer
+// and fault schedule to Glinda, so one Options instruments and perturbs
+// the whole pipeline (profiling included) without extra wiring.
 func (o Options) glindaCfg() glinda.Config {
-	g := o.Glinda
-	if g.Metrics == nil {
-		g.Metrics = o.Metrics
-	}
-	if g.Spans == nil {
-		g.Spans = o.Spans
-		g.SpanParent = o.SpanParent
-	}
-	if g.Faults == nil {
-		g.Faults = o.Faults
-	}
-	return g
+	return glinda.Config{Metrics: o.Metrics, Spans: o.Spans, SpanParent: o.SpanParent, Faults: o.Faults}
 }
 
 // Outcome is a strategy's measured execution.
@@ -351,9 +324,13 @@ func PlanInSpan(s Strategy, p *apps.Problem, plat *device.Platform, opts Options
 	return s.Plan(p, plat, opts)
 }
 
-// newPlan assembles the plan envelope around decided phases.
+// newPlan assembles the plan envelope around the phases g cuts from p.
 func newPlan(name string, p *apps.Problem, plat *device.Platform, spec plan.SchedulerSpec,
-	phases []plan.PhasePlan, decs map[string]glinda.Decision) *plan.ExecutionPlan {
+	g grid, decs map[string]glinda.Decision) (*plan.ExecutionPlan, error) {
+	phases, err := g.phases(p)
+	if err != nil {
+		return nil, err
+	}
 	return &plan.ExecutionPlan{
 		Version:   plan.Version,
 		App:       p.AppName,
@@ -368,7 +345,7 @@ func newPlan(name string, p *apps.Problem, plat *device.Platform, spec plan.Sche
 		Scheduler: spec,
 		Phases:    phases,
 		Decisions: decs,
-	}
+	}, nil
 }
 
 // execute runs a materialized task plan and wraps the outcome.
@@ -467,8 +444,47 @@ type grid struct {
 func onHost(apps.Phase, int) int   { return 0 }
 func unpinned(apps.Phase, int) int { return task.Unpinned }
 
-// phases assembles one PhasePlan per problem phase.
-func (g grid) phases(p *apps.Problem) []plan.PhasePlan {
+// maxInstances caps the task instances of one plan. Variant.Iters and
+// Options.Chunks are each capped at 1<<16, but a plan's chunk lists
+// grow with their product.
+const maxInstances = 1 << 20
+
+// instances counts the task instances phases would assemble from p,
+// without building them. A weighted cut counts as its bound, one piece
+// per element up to m.
+func (g grid) instances(p *apps.Problem) int64 {
+	var n int64
+	for _, ph := range p.Phases {
+		rest := mem.Interval{Hi: ph.Kernel.Size}
+		if g.shares != nil {
+			for _, s := range g.shares(ph) {
+				if s > 0 {
+					n++
+				}
+				rest.Lo += s
+			}
+		}
+		switch {
+		case rest.Empty():
+		case p.AtomicPhases:
+			n++
+		case g.cut != nil:
+			n += min(int64(g.m), rest.Len())
+		default:
+			n += rest.SplitLen(g.m)
+		}
+	}
+	return n
+}
+
+// phases assembles one PhasePlan per problem phase. A plan of more
+// than maxInstances task instances is refused with an error wrapping
+// apierr.ErrOptionsInvalid before any chunk list is allocated.
+func (g grid) phases(p *apps.Problem) ([]plan.PhasePlan, error) {
+	if n := g.instances(p); n > maxInstances {
+		return nil, fmt.Errorf("strategy: %w: a plan of %d task instances exceeds the %d cap",
+			apierr.ErrOptionsInvalid, n, maxInstances)
+	}
 	out := make([]plan.PhasePlan, len(p.Phases))
 	// Equal cuts reuse one buffer across phases, on the stack for m up
 	// to len(buf).
@@ -512,5 +528,5 @@ func (g grid) phases(p *apps.Problem) []plan.PhasePlan {
 		}
 		out[i] = plan.PhasePlan{Kernel: ph.Kernel.Name, Size: ph.Kernel.Size, Sync: sync, Chunks: chs}
 	}
-	return out
+	return out, nil
 }

@@ -2,6 +2,7 @@ package strategy
 
 import (
 	"errors"
+	"runtime"
 	"testing"
 
 	"heteropart/internal/apierr"
@@ -290,6 +291,51 @@ func TestPlanAssemblyAllocationCeiling(t *testing.T) {
 		}
 		if got > c.ceiling {
 			t.Errorf("%s: %.0f allocations per Plan, ceiling %.0f", c.s.Name(), got, c.ceiling)
+		}
+	}
+}
+
+// TestPlanInstanceCap: a plan of more than 1<<20 task instances is
+// refused with ErrOptionsInvalid before its chunk lists are built:
+// iters and chunks are each capped, but not their product. STREAM-Loop
+// runs four kernels per iteration, so at chunks 1024 iters 256 gives
+// exactly 1<<20 instances and still plans; iters 257 gives 1,052,672.
+func TestPlanInstanceCap(t *testing.T) {
+	plat := device.PaperPlatform(12)
+	app, err := apps.ByName("STREAM-Loop")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		iters   int
+		refused bool
+	}{{256, false}, {257, true}} {
+		p, err := app.Build(apps.Variant{N: 1 << 20, Iters: c.iters})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		pl, err := DPPerf{}.Plan(p, plat, Options{Chunks: 1024})
+		runtime.ReadMemStats(&after)
+		if c.refused {
+			if !errors.Is(err, apierr.ErrOptionsInvalid) {
+				t.Errorf("iters %d: %v, want ErrOptionsInvalid", c.iters, err)
+			}
+			if b := after.TotalAlloc - before.TotalAlloc; b > 1<<20 {
+				t.Errorf("iters %d: the refusal allocated %d bytes", c.iters, b)
+			}
+			continue
+		}
+		if err != nil {
+			t.Fatalf("iters %d: %v", c.iters, err)
+		}
+		n := 0
+		for _, ph := range pl.Phases {
+			n += len(ph.Chunks)
+		}
+		if n != 1<<20 {
+			t.Errorf("iters %d: %d instances, want %d", c.iters, n, 1<<20)
 		}
 	}
 }

@@ -79,7 +79,6 @@ func TestValidateRankingRefusals(t *testing.T) {
 		t.Errorf("renamed app: err = %v, want ErrUnknownApp", err)
 	}
 	for name, opts := range map[string]heteropart.Options{
-		"glinda":  {Glinda: heteropart.GlindaConfig{SampleFrac: 0.05}},
 		"metrics": {Metrics: heteropart.NewMetrics()},
 		"spans":   {Spans: heteropart.NewSpanTracer()},
 		"chunks":  {Chunks: -1},
