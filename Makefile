@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test bench bench-smoke bench-report bench-golden vet fmt lint race race-observe check experiments report examples clean api service-load fuzz chaos platforms calibrate replay
+.PHONY: all build test bench bench-smoke bench-report bench-golden vet fmt lint race race-observe check experiments report examples clean api service-load fuzz chaos platforms calibrate replay loc
 
 # Pinned staticcheck version; CI installs exactly this.
 STATICCHECK_VERSION = 2024.1.1
@@ -132,6 +132,13 @@ replay:
 		diff -u "$$tmp/decided.txt" "$$tmp/replayed.txt" || { echo "replay: $$run differs"; exit 1; }; \
 		echo "replay: $$run ok"; \
 	done
+
+# Go line counts for a change's report (ROADMAP aim 2): production
+# lines (non-test .go files outside perfbench/) and test lines
+# (_test.go files outside perfbench/). A report, not a gate.
+loc:
+	@printf 'production %s\n' "$$(find . -path ./perfbench -prune -o -path './.*' -prune -o -name '*.go' ! -name '*_test.go' -print | xargs cat | wc -l)"
+	@printf 'test %s\n' "$$(find . -path ./perfbench -prune -o -path './.*' -prune -o -name '*_test.go' -print | xargs cat | wc -l)"
 
 # Everything a change must pass before merging.
 check: build vet fmt lint test race service-load chaos fuzz platforms calibrate replay examples bench-smoke bench-golden bench-report

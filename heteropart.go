@@ -87,17 +87,8 @@ type (
 	// catalog entry format, the payload of hetsim -platform-in, and
 	// the body of GET /v1/platforms entries.
 	PlatformSpec = device.Spec
-	// CostModel prices kernel work on a device; the simulator's
-	// virtual clock, Glinda predictions and DP-Perf estimates all go
-	// through the platform's model.
-	CostModel = device.CostModel
-	// RooflineCost is the paper's roofline cost model, the platform
-	// default.
-	RooflineCost = device.Roofline
-	// CalibratedCost wraps a base cost model with per-(kernel, device)
-	// multiplicative overrides from calibration runs.
-	CalibratedCost = device.Calibrated
-	// CostScale is one calibrated override.
+	// CostScale is one calibration factor on a platform's roofline
+	// price (Platform.Scales).
 	CostScale = device.Scale
 )
 

@@ -21,10 +21,10 @@ import (
 // believed platform that still trusts the uncorrected model.
 func perturbed() (truth, believed *device.Platform) {
 	base := device.PaperPlatform(0)
-	truth = base.WithCost(&device.Calibrated{Scales: []device.Scale{
+	truth = base.WithScales([]device.Scale{
 		{Device: 1, Factor: 1.6},
 		{Device: 0, Factor: 1.25},
-	}})
+	})
 	return truth, truth.Uncalibrated()
 }
 
@@ -164,8 +164,8 @@ func TestConvergeReducesError(t *testing.T) {
 	if calibrated.Uncalibrated().Fingerprint() != believed.Fingerprint() {
 		t.Fatal("calibrated platform drifted from the believed base")
 	}
-	if _, ok := calibrated.Cost.(*device.Calibrated); !ok {
-		t.Fatalf("calibrated platform cost = %T, want *device.Calibrated", calibrated.Cost)
+	if len(calibrated.Scales) != len(report.Scales) {
+		t.Fatalf("calibrated platform has %d scales, want the report's %d", len(calibrated.Scales), len(report.Scales))
 	}
 }
 
@@ -244,8 +244,8 @@ func TestApplyStaleness(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := applied.Cost.(*device.Calibrated); !ok {
-		t.Fatalf("applied cost = %T", applied.Cost)
+	if len(applied.Scales) != len(report.Scales) {
+		t.Fatalf("applied platform has %d scales, want the report's %d", len(applied.Scales), len(report.Scales))
 	}
 	// Applying to an already-calibrated platform replaces, never stacks.
 	again, err := report.Apply(applied)
@@ -357,6 +357,7 @@ func TestReportValidate(t *testing.T) {
 		{Version: ReportVersion, Platform: "fp"},
 		{Version: ReportVersion, Platform: "fp", Scales: []device.Scale{{Device: 0, Factor: 0}}},
 		{Version: ReportVersion, Platform: "fp", Scales: []device.Scale{{Device: -2, Factor: 1}}},
+		{Version: ReportVersion, Platform: "fp", Scales: []device.Scale{{Device: 1, Factor: 2}, {Device: 1, Factor: 3}}},
 	}
 	for i, r := range cases {
 		if err := r.Validate(); !errors.Is(err, apierr.ErrPlatformInvalid) {

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 
-	"heteropart/internal/apierr"
 	"heteropart/internal/apps"
 	"heteropart/internal/device"
 	"heteropart/internal/plan"
@@ -65,18 +64,16 @@ func Converge(cfg Config, truth, believed *device.Platform) (*Report, *plan.Exec
 	}
 	base := believed.Uncalibrated()
 	baseFP := base.Fingerprint()
-	if got := truth.Uncalibrated().Fingerprint(); got != baseFP {
-		return nil, nil, nil, fmt.Errorf("calib: %w: believed platform %q, truth %q",
-			apierr.ErrCalibrationStale, baseFP, got)
+	if err := checkSameBase(baseFP, truth); err != nil {
+		return nil, nil, nil, err
 	}
 	kernels, err := kernelsOf(cfg.App, cfg.N, cfg.Iters, cfg.Sync, base)
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	var current []device.Scale
-	if cal, ok := believed.Cost.(*device.Calibrated); ok {
-		current = append(current, cal.Scales...)
-	}
+	// MergeScales returns a new slice, so current never aliases a
+	// platform's scales when it changes.
+	current := believed.Scales
 
 	var (
 		rounds   []Round
@@ -121,7 +118,7 @@ func Converge(cfg Config, truth, believed *device.Platform) (*Report, *plan.Exec
 			return nil, nil, nil, fmt.Errorf("calib: round %d: %w", r, err)
 		}
 		current = device.MergeScales(current, fitted)
-		believed = base.WithCost(&device.Calibrated{Base: base.Cost, Scales: current})
+		believed = base.WithScales(current)
 
 		mk := int64(res.Outcome.Result.Makespan)
 		round := Round{

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"slices"
 	"testing"
 
 	"heteropart/internal/apierr"
@@ -15,11 +16,13 @@ import (
 
 // FuzzCalibrationFromJSON decodes arbitrary bytes as a calibration
 // report. A refusal must wrap ErrPlatformInvalid. An accepted report is
-// applied to the paper platform under
-// that platform's fingerprint, and must carry one small simulation to
-// a typed error or to a finite, positive makespan with an encodable
-// plan. The hostile seeds are factors that would zero the makespan and
-// turn Glinda's split NaN.
+// applied to the paper platform under that platform's fingerprint:
+// Apply must refuse it with ErrPlatformInvalid exactly when a scale
+// names a device the platform lacks, and otherwise give a platform
+// that carries one small simulation to a typed error or to a finite,
+// positive makespan with an encodable plan. The hostile seeds are
+// factors that would zero the makespan and turn Glinda's split NaN,
+// and a scale for a device the platform lacks.
 func FuzzCalibrationFromJSON(f *testing.F) {
 	paper := device.PaperPlatform(0)
 	report := func(factor string) []byte {
@@ -33,6 +36,8 @@ func FuzzCalibrationFromJSON(f *testing.F) {
 	f.Add(report("1e-300"))
 	f.Add([]byte(`{"version":1,"platform":"x","scales":[{"kernel":"bsPrice","device":-1,"factor":2}],` +
 		`"rounds":[{"round":1,"samples":3,"mean_abs_rel_err":0.2,"makespan_ns":100}]}`))
+	f.Add([]byte(fmt.Sprintf(`{"version":1,"app":"BlackScholes","platform":%q,`+
+		`"scales":[{"kernel":"black_scholes","device":7,"factor":2}]}`, paper.Fingerprint())))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		r, err := FromJSON(data)
@@ -43,8 +48,14 @@ func FuzzCalibrationFromJSON(f *testing.F) {
 			return
 		}
 		r.Platform = paper.Fingerprint()
+		foreign := slices.ContainsFunc(r.Scales, func(s device.Scale) bool { return s.Device > len(paper.Accels) })
 		plat, err := r.Apply(paper)
-		if err != nil {
+		switch {
+		case foreign && !errors.Is(err, apierr.ErrPlatformInvalid):
+			t.Fatalf("report scaling a device the platform lacks: Apply = %v, want ErrPlatformInvalid", err)
+		case foreign:
+			return
+		case err != nil:
 			t.Fatalf("accepted report does not apply to the platform it binds to: %v", err)
 		}
 		simulate(t, plat)

@@ -3,6 +3,7 @@ package calib
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 	"strings"
 
 	"heteropart/internal/apierr"
@@ -25,8 +26,8 @@ type Report struct {
 	// whose base fingerprint differs — correction factors do not
 	// transfer across machines (apierr.ErrCalibrationStale).
 	Platform string `json:"platform"`
-	// Scales are the fitted factors, absolute against the base cost
-	// model, sorted by (kernel, device).
+	// Scales are the fitted factors, absolute against the roofline
+	// bound, sorted by (kernel, device).
 	Scales []device.Scale `json:"scales"`
 	// Rounds is the fit evidence, one entry per calibration round (or
 	// per ingested bundle for a single-shot fit).
@@ -53,7 +54,8 @@ type Round struct {
 	PlanDiff []string `json:"plan_diff,omitempty"`
 }
 
-// Validate checks the report's internal coherence. Every refusal wraps
+// Validate checks the report's internal coherence, and its scales
+// against device.ValidateScales on any platform. Every refusal wraps
 // apierr.ErrPlatformInvalid.
 func (r *Report) Validate() error {
 	if r == nil {
@@ -65,13 +67,10 @@ func (r *Report) Validate() error {
 	if r.Platform == "" {
 		return fmt.Errorf("calib: report has no platform fingerprint: %w", apierr.ErrPlatformInvalid)
 	}
-	if len(r.Scales) == 0 {
-		return fmt.Errorf("calib: report has no fitted scales: %w", apierr.ErrPlatformInvalid)
-	}
-	for i, s := range r.Scales {
-		if err := s.Validate(); err != nil {
-			return fmt.Errorf("calib: scale %d: %w", i, err)
-		}
+	// The report names no device count; Apply checks the scales'
+	// devices against the platform it is given.
+	if err := device.ValidateScales(r.Scales, math.MaxInt); err != nil {
+		return fmt.Errorf("calib: report: %w", err)
 	}
 	return nil
 }
@@ -103,31 +102,33 @@ func FromJSON(data []byte) (*Report, error) {
 	return &r, nil
 }
 
-// Apply rebinds a platform's cost model to the report's fitted
-// factors: the platform is stripped to its base model and re-wrapped
-// with the report's scales, so applying a report *replaces* any
-// previous calibration instead of compounding with it. A platform
+// Apply returns the platform priced with a copy of the report's
+// fitted scales in place of its own, so applying a report *replaces*
+// any previous calibration instead of compounding with it. A platform
 // whose base fingerprint differs from the one the report was fitted
 // for is refused with an error wrapping apierr.ErrCalibrationStale —
 // the drift-detection contract the service's per-platform calibration
-// state relies on.
+// state relies on. Scales that break device.ValidateScales on the
+// platform, such as one naming a device it lacks, are refused with
+// apierr.ErrPlatformInvalid.
 func (r *Report) Apply(p *device.Platform) (*device.Platform, error) {
 	if err := r.Validate(); err != nil {
 		return nil, err
 	}
-	base := p.Uncalibrated()
-	if err := checkSameBase(r.Platform, base); err != nil {
+	if err := checkSameBase(r.Platform, p); err != nil {
 		return nil, err
 	}
-	scales := append([]device.Scale(nil), r.Scales...)
-	return base.WithCost(&device.Calibrated{Base: base.Cost, Scales: scales}), nil
+	if err := device.ValidateScales(r.Scales, 1+len(p.Accels)); err != nil {
+		return nil, fmt.Errorf("calib: apply report: %w", err)
+	}
+	return p.WithScales(append([]device.Scale(nil), r.Scales...)), nil
 }
 
-// BaseFingerprint strips the cost-model segment from a full platform
+// BaseFingerprint strips the calibration segment from a full platform
 // fingerprint, leaving the calibration-free identity a report binds
-// to. Fingerprints append the cost segment last and only when a
-// non-default model is present, so the prefix before "+cost=" is
-// exactly the base fingerprint.
+// to. Fingerprints append that segment last and only when the
+// platform has scales, so the prefix before "+cost=" is exactly the
+// base fingerprint.
 func BaseFingerprint(fp string) string {
 	if i := strings.Index(fp, "+cost="); i >= 0 {
 		return fp[:i]

@@ -126,10 +126,11 @@ type P2PEdge struct {
 }
 
 // Platform is a host CPU plus zero or more attached accelerators,
-// joined by a link graph and priced by a cost model. The zero values
-// of the optional fields (nil Buses/P2P/Cost) reproduce the paper's
-// implicit topology — dedicated host links, no peer edges, roofline
-// pricing — byte-for-byte.
+// joined by a link graph and priced by the roofline bound times its
+// calibration scales (ExecCost). The zero values of the optional
+// fields (nil Buses/P2P/Scales) reproduce the paper's implicit
+// topology — dedicated host links, no peer edges, roofline pricing —
+// byte-for-byte.
 type Platform struct {
 	// Host is device 0, the CPU.
 	Host *Device
@@ -142,8 +143,10 @@ type Platform struct {
 	Buses []string
 	// P2P holds the direct accelerator↔accelerator edges, if any.
 	P2P []P2PEdge
-	// Cost prices kernel work; nil means Roofline (the paper's model).
-	Cost CostModel
+	// Scales calibrate the roofline price per (kernel, device); nil
+	// means the paper's roofline. Platforms are shared across
+	// concurrent runs, so the slice is never modified once set.
+	Scales []Scale
 }
 
 // NewPlatform builds a platform. cpuThreads is the number of SMP worker
@@ -251,7 +254,7 @@ func (p *Platform) CPUThreads() int { return p.Host.Share }
 
 // Fingerprint renders the platform's identity from its contents:
 // device models, thread count, link characteristics, and — only when
-// present — bus topology, peer edges, and a non-default cost model.
+// present — bus topology, peer edges, and calibration scales.
 // The paper platform (and every pre-topology platform) renders
 // exactly as it did before the platform layer became pluggable, so
 // existing plans, cache keys and bundles stay valid.
@@ -276,8 +279,8 @@ func (p *Platform) Fingerprint() string {
 		b = strconv.AppendInt(append(b, '-'), int64(e.B), 10)
 		b = appendLink(append(b, ':'), e.Link)
 	}
-	if c := p.CostModelOf().Canonical(); c != "" {
-		b = append(append(b, "+cost="...), c...)
+	if len(p.Scales) > 0 {
+		b = append(appendScales(append(b, "+cost=calibrated["...), p.Scales), ']')
 	}
 	return string(b)
 }
@@ -347,18 +350,18 @@ func (p *Platform) Validate() error {
 // Without returns a copy of the platform with the accelerator of the
 // given ID removed: the survivors renumber contiguously (IDs above the
 // removed one shift down by one, keeping the 1..n invariant every
-// layer assumes), and the link graph renumbers in lockstep — the
-// removed device's bus entry disappears, P2P edges touching it are
-// dropped, and surviving edges re-point at the shifted IDs. The host
-// cannot be removed. The original platform is untouched — devices are
-// copied, so a degraded platform never aliases the one a plan was
-// decided for.
+// layer assumes), and the link graph and calibration renumber in
+// lockstep — the removed device's bus entry disappears, P2P edges and
+// scales naming it are dropped, and surviving ones re-point at the
+// shifted IDs. The host cannot be removed. The original platform is
+// untouched — devices are copied, so a degraded platform never
+// aliases the one a plan was decided for.
 func (p *Platform) Without(id int) (*Platform, error) {
 	if id < 1 || id > len(p.Accels) {
 		return nil, fmt.Errorf("device: platform has no accelerator %d to remove", id)
 	}
 	host := *p.Host
-	out := &Platform{Host: &host, Cost: p.Cost}
+	out := &Platform{Host: &host}
 	anyBus := false
 	for i, a := range p.Accels {
 		if a.ID == id {
@@ -393,37 +396,38 @@ func (p *Platform) Without(id int) (*Platform, error) {
 		}
 		out.P2P = append(out.P2P, P2PEdge{A: shift(e.A), B: shift(e.B), Link: e.Link})
 	}
+	for _, s := range p.Scales {
+		if s.Device == id {
+			continue
+		}
+		s.Device = shift(s.Device)
+		out.Scales = append(out.Scales, s)
+	}
 	return out, nil
 }
 
-// WithCost returns a shallow copy of the platform pricing through c
-// (nil = Roofline). Devices, links and topology are shared — they are
-// immutable after construction — so the copy is cheap and the original
-// platform (and every plan bound to its fingerprint) is untouched.
-func (p *Platform) WithCost(c CostModel) *Platform {
+// WithScales returns a shallow copy of the platform priced with
+// scales (nil = the paper's roofline). Devices, links and topology are
+// shared — they are immutable after construction — so the copy is
+// cheap and the original platform (and every plan bound to its
+// fingerprint) is untouched. The copy keeps scales itself; the caller
+// must not modify it afterwards.
+func (p *Platform) WithScales(scales []Scale) *Platform {
 	q := *p
-	q.Cost = c
+	q.Scales = scales
 	return &q
 }
 
-// Uncalibrated returns the platform pricing through its base cost
-// model, stripping any Calibrated wrapper(s). Its fingerprint is the
-// calibration-free identity a CalibrationReport binds to: two
-// calibrations of the same machine share it, so superseding one
-// calibration with another is never a staleness violation.
+// Uncalibrated returns the platform without its scales. Its
+// fingerprint is the calibration-free identity a CalibrationReport
+// binds to: two calibrations of the same machine share it, so
+// superseding one calibration with another is never a staleness
+// violation.
 func (p *Platform) Uncalibrated() *Platform {
-	c := p.Cost
-	for {
-		cal, ok := c.(*Calibrated)
-		if !ok {
-			break
-		}
-		c = cal.Base
-	}
-	if c == p.Cost {
+	if len(p.Scales) == 0 {
 		return p
 	}
-	return p.WithCost(c)
+	return p.WithScales(nil)
 }
 
 // String summarizes the platform for reports.

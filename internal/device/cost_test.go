@@ -5,7 +5,7 @@ import (
 	"testing"
 )
 
-// TestCalibratedFactorPrecedence pins the override resolution order:
+// TestCalibratedFactorPrecedence pins the scale resolution order:
 // exact kernel+device beats kernel-only beats device-only beats the
 // global override, regardless of slice order; non-positive factors are
 // ignored entirely.
@@ -36,24 +36,22 @@ func TestCalibratedFactorPrecedence(t *testing.T) {
 		rng.Shuffle(len(shuffled), func(i, j int) {
 			shuffled[i], shuffled[j] = shuffled[j], shuffled[i]
 		})
-		c := &Calibrated{Scales: shuffled}
 		for _, tc := range cases {
-			if got := c.factor(tc.kernel, tc.dev); got != tc.want {
+			if got := factor(shuffled, tc.kernel, tc.dev); got != tc.want {
 				t.Fatalf("perm %d, %s: factor(%q, %d) = %g, want %g",
 					perm, tc.name, tc.kernel, tc.dev, got, tc.want)
 			}
 		}
 	}
 
-	empty := &Calibrated{}
-	if got := empty.factor("saxpy", 1); got != 1 {
+	if got := factor(nil, "saxpy", 1); got != 1 {
 		t.Errorf("no overrides: factor = %g, want 1", got)
 	}
 }
 
 // TestCalibratedCanonicalPermutationStable pins the byte-stability of
-// the canonical encoding: any ordering of the same override set must
-// render identically, and a different set must not.
+// the scales' fingerprint segment: any ordering of the same scales
+// must render identically, and a different set must not.
 func TestCalibratedCanonicalPermutationStable(t *testing.T) {
 	scales := []Scale{
 		{Kernel: "copy", Device: 1, Factor: 1.5},
@@ -62,7 +60,8 @@ func TestCalibratedCanonicalPermutationStable(t *testing.T) {
 		{Kernel: "add", Device: 2, Factor: 1.25},
 		{Kernel: "", Device: 2, Factor: 3},
 	}
-	want := (&Calibrated{Scales: scales}).Canonical()
+	fingerprint := func(scales []Scale) string { return PaperPlatform(0).WithScales(scales).Fingerprint() }
+	want := fingerprint(scales)
 
 	rng := rand.New(rand.NewSource(11))
 	for perm := 0; perm < 50; perm++ {
@@ -70,14 +69,14 @@ func TestCalibratedCanonicalPermutationStable(t *testing.T) {
 		rng.Shuffle(len(shuffled), func(i, j int) {
 			shuffled[i], shuffled[j] = shuffled[j], shuffled[i]
 		})
-		if got := (&Calibrated{Scales: shuffled}).Canonical(); got != want {
+		if got := fingerprint(shuffled); got != want {
 			t.Fatalf("perm %d: canonical %q != %q", perm, got, want)
 		}
 	}
 
 	changed := append([]Scale(nil), scales...)
 	changed[0].Factor = 1.6
-	if got := (&Calibrated{Scales: changed}).Canonical(); got == want {
+	if got := fingerprint(changed); got == want {
 		t.Errorf("different factor must change the canonical, both are %q", got)
 	}
 }
@@ -95,14 +94,13 @@ func TestMergeScales(t *testing.T) {
 		{Kernel: "add", Device: 1, Factor: 1.1},  // new
 	}
 	merged := MergeScales(old, fitted)
-	c := &Calibrated{Scales: merged}
-	if got := c.factor("copy", 1); got != 1.8 {
+	if got := factor(merged, "copy", 1); got != 1.8 {
 		t.Errorf("fitted exact pair must replace: factor(copy,1) = %g, want 1.8", got)
 	}
-	if got := c.factor("add", 1); got != 1.1 {
+	if got := factor(merged, "add", 1); got != 1.1 {
 		t.Errorf("fitted new pair must apply: factor(add,1) = %g, want 1.1", got)
 	}
-	if got := c.factor("scale", 2); got != 2 {
+	if got := factor(merged, "scale", 2); got != 2 {
 		t.Errorf("surviving global must apply: factor(scale,2) = %g, want 2", got)
 	}
 	if len(merged) != 3 {
@@ -111,23 +109,24 @@ func TestMergeScales(t *testing.T) {
 	// Same merge from permuted inputs is byte-equal.
 	againOld := []Scale{old[1], old[0]}
 	againFit := []Scale{fitted[1], fitted[0]}
-	a := (&Calibrated{Scales: merged}).Canonical()
-	b := (&Calibrated{Scales: MergeScales(againOld, againFit)}).Canonical()
+	a := PaperPlatform(0).WithScales(merged).Fingerprint()
+	b := PaperPlatform(0).WithScales(MergeScales(againOld, againFit)).Fingerprint()
 	if a != b {
 		t.Errorf("merge is order-dependent: %q != %q", a, b)
 	}
 }
 
-// TestWithCostAndUncalibrated pins the platform cost-rebinding
-// helpers: WithCost never mutates the receiver, and Uncalibrated
-// strips calibration wrappers down to the base model's fingerprint.
-func TestWithCostAndUncalibrated(t *testing.T) {
+// TestWithScalesAndUncalibrated pins the platform recalibration
+// helpers: WithScales never mutates the receiver and replaces any
+// previous scales, and Uncalibrated strips them down to the base
+// fingerprint.
+func TestWithScalesAndUncalibrated(t *testing.T) {
 	base := PaperPlatform(0)
 	baseFP := base.Fingerprint()
 
-	cal := base.WithCost(&Calibrated{Scales: []Scale{{Device: 1, Factor: 1.5}}})
+	cal := base.WithScales([]Scale{{Device: 1, Factor: 1.5}})
 	if base.Fingerprint() != baseFP {
-		t.Fatalf("WithCost mutated the receiver: %q", base.Fingerprint())
+		t.Fatalf("WithScales mutated the receiver: %q", base.Fingerprint())
 	}
 	if cal.Fingerprint() == baseFP {
 		t.Fatalf("calibrated fingerprint must differ from the base")
@@ -136,10 +135,13 @@ func TestWithCostAndUncalibrated(t *testing.T) {
 		t.Errorf("Uncalibrated fingerprint = %q, want base %q", got, baseFP)
 	}
 
-	// Nested wrappers strip all the way down.
-	nested := cal.WithCost(&Calibrated{Base: cal.Cost, Scales: []Scale{{Device: 1, Factor: 2}}})
-	if got := nested.Uncalibrated().Fingerprint(); got != baseFP {
-		t.Errorf("nested Uncalibrated fingerprint = %q, want base %q", got, baseFP)
+	// Recalibrating replaces the scales; it never compounds them.
+	recal := cal.WithScales([]Scale{{Device: 1, Factor: 2}})
+	if got, want := recal.Fingerprint(), baseFP+"+cost=calibrated[:1:2]"; got != want {
+		t.Errorf("recalibrated fingerprint = %q, want %q", got, want)
+	}
+	if got := recal.Uncalibrated().Fingerprint(); got != baseFP {
+		t.Errorf("recalibrated Uncalibrated fingerprint = %q, want base %q", got, baseFP)
 	}
 	// An already-uncalibrated platform comes back unchanged.
 	if base.Uncalibrated() != base {

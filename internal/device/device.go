@@ -153,25 +153,13 @@ func (d *Device) shareDiv() float64 {
 	return float64(d.Share)
 }
 
-// ExecTime evaluates the roofline model for one executor of the device:
+// execTime evaluates the roofline model for one executor given div,
+// the number of concurrent executors splitting the device's peaks:
 //
-//	t = max( flops / (effC·peakFLOPS/share), bytes / (effM·peakBW/share) )
+//	t = max( flops / (effC·peakFLOPS/div), bytes / (effM·peakBW/div) )
 //
 // plus the device's fixed launch overhead. A zero-work instance still
 // pays the launch overhead.
-func (d *Device) ExecTime(w Work, eff Efficiency) sim.Duration {
-	return d.execTime(w, eff, d.shareDiv())
-}
-
-// ExecTimeFull evaluates the roofline model with the whole device's
-// capability (Share ignored). The runtime's processor-sharing executor
-// uses it as the base service demand: an instance running alone on an
-// otherwise idle multicore gets the full socket, k concurrent
-// instances each get 1/k (see rt's host execution model).
-func (d *Device) ExecTimeFull(w Work, eff Efficiency) sim.Duration {
-	return d.execTime(w, eff, 1)
-}
-
 func (d *Device) execTime(w Work, eff Efficiency, div float64) sim.Duration {
 	if !eff.Valid() {
 		eff = DefaultEfficiency
@@ -190,20 +178,6 @@ func (d *Device) execTime(w Work, eff Efficiency, div float64) sim.Duration {
 		t = tm
 	}
 	return d.LaunchOverhead.Add(sim.DurationOf(t))
-}
-
-// Throughput reports the modeled steady-state throughput of one executor
-// in elements/second for work linear in the element count: it evaluates
-// ExecTime for n elements of the given per-element work and divides.
-func (d *Device) Throughput(perElemFlops, perElemBytes float64, p Precision, eff Efficiency, n int64) float64 {
-	if n <= 0 {
-		return 0
-	}
-	t := d.ExecTime(Work{Flops: perElemFlops * float64(n), Bytes: perElemBytes * float64(n), Precision: p}, eff)
-	if t <= 0 {
-		return 0
-	}
-	return float64(n) / t.Seconds()
 }
 
 // RoundUpWarp rounds n up to a multiple of the device's warp size,

@@ -47,12 +47,18 @@ func TestThreadsDefaultsToCores(t *testing.T) {
 	}
 }
 
+// roofline prices w on d through a platform without scales: the
+// paper's roofline bound for one of d's executors.
+func roofline(d *Device, w Work, eff Efficiency) sim.Duration {
+	return (&Platform{}).ExecCost(d, "k", w, eff)
+}
+
 func TestExecTimeComputeBound(t *testing.T) {
 	d := &Device{Model: TeslaK20m(), ID: 1, Share: 1}
 	eff := Efficiency{Compute: 0.5, Memory: 0.5}
 	// 1 GFLOP at 50% of 3519.3 GFLOPS ~ 568 us; negligible bytes.
 	w := Work{Flops: 1e9, Bytes: 1, Precision: SP}
-	got := d.ExecTime(w, eff) - d.LaunchOverhead
+	got := roofline(d, w, eff) - d.LaunchOverhead
 	want := 1e9 / (0.5 * 3519.3e9)
 	if !almostEqual(got.Seconds(), want, 1e-6) {
 		t.Fatalf("compute-bound time = %v, want %.3gs", got, want)
@@ -64,7 +70,7 @@ func TestExecTimeMemoryBound(t *testing.T) {
 	eff := Efficiency{Compute: 1, Memory: 0.8}
 	// 1 GB at 80% of 208 GB/s; negligible flops.
 	w := Work{Flops: 1, Bytes: 1e9, Precision: DP}
-	got := d.ExecTime(w, eff) - d.LaunchOverhead
+	got := roofline(d, w, eff) - d.LaunchOverhead
 	want := 1e9 / (0.8 * 208e9)
 	if !almostEqual(got.Seconds(), want, 1e-6) {
 		t.Fatalf("memory-bound time = %v, want %.3gs", got, want)
@@ -73,7 +79,7 @@ func TestExecTimeMemoryBound(t *testing.T) {
 
 func TestExecTimeZeroWorkPaysLaunch(t *testing.T) {
 	d := &Device{Model: TeslaK20m(), ID: 1, Share: 1}
-	if got := d.ExecTime(Work{}, DefaultEfficiency); got != d.LaunchOverhead {
+	if got := roofline(d, Work{}, DefaultEfficiency); got != d.LaunchOverhead {
 		t.Fatalf("zero work time = %v, want launch overhead %v", got, d.LaunchOverhead)
 	}
 }
@@ -85,13 +91,13 @@ func TestExecTimeZeroWorkPaysLaunch(t *testing.T) {
 func TestDurationsSaturate(t *testing.T) {
 	d := &Device{Model: TeslaK20m(), ID: 1, Share: 1}
 	huge := Work{Flops: 1e30, Precision: SP}
-	if got := d.ExecTime(huge, DefaultEfficiency); got != sim.MaxTime {
-		t.Errorf("ExecTime of 1e30 flops = %d, want sim.MaxTime", int64(got))
+	if got := roofline(d, huge, DefaultEfficiency); got != sim.MaxTime {
+		t.Errorf("ExecCost of 1e30 flops = %d, want sim.MaxTime", int64(got))
 	}
 	nearEnd := Work{Flops: 3519.3e9 * 8e9, Precision: SP} // ~8e18 ns at full efficiency
-	cal := &Calibrated{Scales: []Scale{{Device: -1, Factor: 1e3}}}
-	if got := cal.ExecTime(d, "k", nearEnd, Efficiency{Compute: 1, Memory: 1}, 1); got != sim.MaxTime {
-		t.Errorf("calibrated ExecTime = %d, want sim.MaxTime", int64(got))
+	cal := &Platform{Scales: []Scale{{Device: -1, Factor: 1e3}}}
+	if got := cal.ExecCostFull(d, "k", nearEnd, Efficiency{Compute: 1, Memory: 1}); got != sim.MaxTime {
+		t.Errorf("calibrated ExecCostFull = %d, want sim.MaxTime", int64(got))
 	}
 	slow := Link{HtoDGBps: 1e-3, Latency: 10 * sim.Microsecond}
 	if got := slow.TransferTime(math.MaxInt64, true); got != sim.MaxTime {
@@ -102,8 +108,8 @@ func TestDurationsSaturate(t *testing.T) {
 func TestExecTimeInvalidEfficiencyFallsBack(t *testing.T) {
 	d := &Device{Model: XeonE5_2620(), ID: 0, Share: 1}
 	w := Work{Flops: 1e9, Precision: SP}
-	a := d.ExecTime(w, Efficiency{})
-	b := d.ExecTime(w, DefaultEfficiency)
+	a := roofline(d, w, Efficiency{})
+	b := roofline(d, w, DefaultEfficiency)
 	if a != b {
 		t.Fatalf("invalid efficiency: got %v, want default %v", a, b)
 	}
@@ -114,26 +120,10 @@ func TestShareDividesThroughput(t *testing.T) {
 	perThread := &Device{Model: XeonE5_2620(), ID: 0, Share: 12}
 	w := Work{Flops: 1e9, Precision: SP}
 	eff := Efficiency{Compute: 0.5, Memory: 0.5}
-	tw := (whole.ExecTime(w, eff) - whole.LaunchOverhead).Seconds()
-	tp := (perThread.ExecTime(w, eff) - perThread.LaunchOverhead).Seconds()
+	tw := (roofline(whole, w, eff) - whole.LaunchOverhead).Seconds()
+	tp := (roofline(perThread, w, eff) - perThread.LaunchOverhead).Seconds()
 	if !almostEqual(tp, 12*tw, 1e-6) {
 		t.Fatalf("per-thread time %v, want 12x whole %v", tp, tw)
-	}
-}
-
-func TestThroughputLinearKernel(t *testing.T) {
-	d := &Device{Model: TeslaK20m(), ID: 1, Share: 1}
-	eff := Efficiency{Compute: 0.5, Memory: 0.5}
-	// Large n so launch overhead is negligible. With flops/elem = 100 and
-	// bytes/elem = 8 this kernel is memory-bound on the K20m:
-	// 8/(0.5*208e9) > 100/(0.5*3519.3e9) per element.
-	th := d.Throughput(100, 8, SP, eff, 100_000_000)
-	want := 0.5 * 208e9 / 8
-	if !almostEqual(th, want, 0.01) {
-		t.Fatalf("throughput = %.3g, want %.3g", th, want)
-	}
-	if d.Throughput(100, 8, SP, eff, 0) != 0 {
-		t.Fatal("zero-n throughput should be 0")
 	}
 }
 
@@ -254,15 +244,15 @@ func TestMultiAccelPlatform(t *testing.T) {
 	}
 }
 
-// Property: ExecTime is monotone in both flops and bytes.
+// Property: ExecCost is monotone in both flops and bytes.
 func TestQuickExecTimeMonotone(t *testing.T) {
 	d := &Device{Model: TeslaK20m(), ID: 1, Share: 1}
 	eff := Efficiency{Compute: 0.7, Memory: 0.7}
 	f := func(f1, f2, b1, b2 uint32) bool {
 		fa, fb := float64(f1), float64(f1)+float64(f2)
 		ba, bb := float64(b1), float64(b1)+float64(b2)
-		ta := d.ExecTime(Work{Flops: fa, Bytes: ba, Precision: SP}, eff)
-		tb := d.ExecTime(Work{Flops: fb, Bytes: bb, Precision: SP}, eff)
+		ta := roofline(d, Work{Flops: fa, Bytes: ba, Precision: SP}, eff)
+		tb := roofline(d, Work{Flops: fb, Bytes: bb, Precision: SP}, eff)
 		return tb >= ta
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
@@ -299,7 +289,7 @@ func TestPaperPlatformCapabilityRatios(t *testing.T) {
 	gpu := &Device{Model: TeslaK20m(), ID: 1, Share: 1}
 	eff := Efficiency{Compute: 0.6, Memory: 0.6}
 	w := Work{Flops: 1e12, Precision: SP}
-	ratio := host.ExecTime(w, eff).Seconds() / gpu.ExecTime(w, eff).Seconds()
+	ratio := roofline(host, w, eff).Seconds() / roofline(gpu, w, eff).Seconds()
 	if ratio < 5 || ratio > 15 {
 		t.Fatalf("SP compute ratio GPU/CPU = %.2f, want ~9 (3519.3/384)", ratio)
 	}

@@ -16,7 +16,8 @@ import (
 // must wrap ErrPlatformInvalid; an accepted spec must carry one small
 // simulation to a typed error or to a finite, positive makespan with
 // an encodable plan. The hostile seeds are links and factors the
-// simulator cannot price.
+// simulator cannot price, a calibration whose price would depend on
+// its scales' order, and a calibration without scales.
 func FuzzSpecFromJSON(f *testing.F) {
 	for _, name := range device.SpecNames() {
 		s, err := device.SpecByName(name)
@@ -38,6 +39,9 @@ func FuzzSpecFromJSON(f *testing.F) {
 		`"cost":{"model":"calibrated","scales":[{"device":0,"factor":1e-300},{"device":1,"factor":1e-300}]}}`))
 	f.Add([]byte(host + `"accels":[{"model":"tesla-k20m","link":{"name":"pcie2x16"}},{"model":"gtx-680","link":{"name":"pcie3x16"}}],` +
 		`"p2p":[{"a":1,"b":2,"link":{"htod_gbps":10,"dtoh_gbps":1e-300,"latency_ns":5000}}]}`))
+	f.Add([]byte(host + `"accels":[{"model":"tesla-k20m","link":{"name":"pcie2x16"}}],` +
+		`"cost":{"model":"calibrated","scales":[{"device":1,"factor":2},{"device":1,"factor":3}]}}`))
+	f.Add([]byte(host + `"accels":[{"model":"tesla-k20m","link":{"name":"pcie2x16"}}],"cost":{"model":"calibrated"}}`))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		s, err := device.SpecFromJSON(data)

@@ -74,7 +74,7 @@ type P2PSpec struct {
 type CostSpec struct {
 	// Model is "roofline" (default) or "calibrated".
 	Model string `json:"model"`
-	// Scales are calibrated overrides (calibrated model only).
+	// Scales are the calibration (calibrated model only, at least one).
 	Scales []Scale `json:"scales,omitempty"`
 }
 
@@ -144,8 +144,9 @@ func (l LinkSpec) resolve() (Link, error) {
 // host, at least one device, every accelerator a known non-CPU model
 // reachable over a known link or one within the inline-link bounds
 // (MinLinkGBps, MaxLinkLatencyNs), P2P edges between existing distinct
-// devices over such links, and a known cost model whose scales pass
-// Scale.Validate. Failures wrap apierr.ErrPlatformInvalid.
+// devices over such links, and a known cost model whose scales, if
+// calibrated, pass ValidateScales. Failures wrap
+// apierr.ErrPlatformInvalid.
 func (s *Spec) Validate() error {
 	if s == nil {
 		return invalidPlatform("nil spec")
@@ -196,14 +197,8 @@ func (s *Spec) Validate() error {
 				return invalidPlatform("platform %q: cost scales require the calibrated model", s.Name)
 			}
 		case "calibrated":
-			for _, sc := range s.Cost.Scales {
-				if err := sc.Validate(); err != nil {
-					return fmt.Errorf("platform %q: %w", s.Name, err)
-				}
-				if sc.Device > len(s.Accels) {
-					return invalidPlatform("platform %q: calibrated scale targets device %d the platform does not have",
-						s.Name, sc.Device)
-				}
+			if err := ValidateScales(s.Cost.Scales, 1+len(s.Accels)); err != nil {
+				return fmt.Errorf("platform %q: %w", s.Name, err)
 			}
 		default:
 			return invalidPlatform("platform %q: unknown cost model %q", s.Name, s.Cost.Model)
@@ -235,9 +230,7 @@ func (s *Spec) ToPlatform(threads int) (*Platform, error) {
 		p.P2P = append(p.P2P, P2PEdge{A: e.A, B: e.B, Link: l})
 	}
 	if s.Cost != nil && s.Cost.Model == "calibrated" {
-		scales := make([]Scale, len(s.Cost.Scales))
-		copy(scales, s.Cost.Scales)
-		p.Cost = &Calibrated{Scales: scales}
+		p.Scales = append([]Scale(nil), s.Cost.Scales...)
 	}
 	if err := p.Validate(); err != nil {
 		return nil, invalidPlatform("platform %q: %v", s.Name, err)

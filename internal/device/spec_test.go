@@ -6,6 +6,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -95,9 +96,9 @@ func TestFingerprintPinned(t *testing.T) {
 		}
 	}
 
-	calibrated := PaperPlatform(12).WithCost(&Calibrated{Scales: []Scale{
+	calibrated := PaperPlatform(12).WithScales([]Scale{
 		{Kernel: "k", Device: 1, Factor: 1.25}, {Device: -1, Factor: 0.5},
-	}})
+	})
 	if got, want := calibrated.Fingerprint(), paper+"+cost=calibrated[:-1:0.5,k:1:1.25]"; got != want {
 		t.Errorf("calibrated: fingerprint %q, want %q", got, want)
 	}
@@ -163,17 +164,17 @@ func TestFingerprintDiscrimination(t *testing.T) {
 		t.Errorf("p2p edge does not discriminate: %q", noBus.Fingerprint())
 	}
 
-	// A calibrated cost model prices differently, so it must change the
-	// fingerprint; the roofline default must not.
+	// Calibration scales price differently, so they must change the
+	// fingerprint; an empty set is the roofline and must not.
 	calibrated := PaperPlatform(12)
-	calibrated.Cost = &Calibrated{Scales: []Scale{{Kernel: "dgemm", Device: 1, Factor: 1.2}}}
+	calibrated.Scales = []Scale{{Kernel: "dgemm", Device: 1, Factor: 1.2}}
 	if calibrated.Fingerprint() == PaperPlatform(12).Fingerprint() {
-		t.Error("calibrated cost model does not discriminate")
+		t.Error("calibration scales do not discriminate")
 	}
 	roofline := PaperPlatform(12)
-	roofline.Cost = Roofline{}
+	roofline.Scales = []Scale{}
 	if roofline.Fingerprint() != PaperPlatform(12).Fingerprint() {
-		t.Error("explicit roofline changed the fingerprint (must stay the legacy identity)")
+		t.Error("empty scales changed the fingerprint (must stay the legacy identity)")
 	}
 }
 
@@ -216,6 +217,10 @@ func TestSpecValidateDegenerate(t *testing.T) {
 			Accels: []AccelSpec{k20()}, Cost: &CostSpec{Model: "calibrated", Scales: []Scale{{Factor: 0}}}}},
 		{"scale targets missing device", Spec{Version: SpecVersion, Host: HostSpec{Model: "xeon-e5-2620"},
 			Accels: []AccelSpec{k20()}, Cost: &CostSpec{Model: "calibrated", Scales: []Scale{{Device: 7, Factor: 2}}}}},
+		{"repeated scale pair", Spec{Version: SpecVersion, Host: HostSpec{Model: "xeon-e5-2620"},
+			Accels: []AccelSpec{k20()}, Cost: &CostSpec{Model: "calibrated", Scales: []Scale{{Device: 1, Factor: 2}, {Device: 1, Factor: 3}}}}},
+		{"calibrated without scales", Spec{Version: SpecVersion, Host: HostSpec{Model: "xeon-e5-2620"},
+			Accels: []AccelSpec{k20()}, Cost: &CostSpec{Model: "calibrated"}}},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -327,6 +332,12 @@ func TestWithoutRenumbersLinkGraph(t *testing.T) {
 		{A: 1, B: 2, Link: Link{HtoDGBps: 8, DtoHGBps: 8, Duplex: true}},
 		{A: 2, B: 3, Link: Link{HtoDGBps: 10, DtoHGBps: 10, Duplex: true}},
 	}
+	p.Scales = []Scale{
+		{Kernel: "k", Device: -1, Factor: 2},
+		{Kernel: "k", Device: 0, Factor: 1.5},
+		{Kernel: "k", Device: 1, Factor: 10},
+		{Kernel: "k", Device: 3, Factor: 3},
+	}
 
 	q, err := p.Without(1)
 	if err != nil {
@@ -351,6 +362,14 @@ func TestWithoutRenumbersLinkGraph(t *testing.T) {
 	}
 	if err := q.Validate(); err != nil {
 		t.Errorf("renumbered platform fails validation: %v", err)
+	}
+	// The lost device's scale goes with it, and device 3's follows the
+	// device to ID 2: no survivor is priced with another's factor.
+	if got, want := q.Scales, []Scale{p.Scales[0], p.Scales[1], {Kernel: "k", Device: 2, Factor: 3}}; !slices.Equal(got, want) {
+		t.Errorf("scales after removing 1 = %+v, want %+v", got, want)
+	}
+	if got := factor(q.Scales, "k", 1); got != 2 {
+		t.Errorf("survivor 1 priced with factor %g, want the global 2", got)
 	}
 
 	// Removing the last accelerator drops its bus and its edges.

@@ -962,8 +962,8 @@ func (e *engine) exec(in *task.Instance, d *device.Device) {
 	}
 	eff := in.Kernel.EffOn(d.Kind)
 	w := in.Work()
-	// Kernel work is priced through the platform's cost model (the
-	// roofline by default), so calibrated per-kernel overrides reach
+	// Kernel work is priced through the platform (the roofline times
+	// its calibration scales), so calibrated per-kernel factors reach
 	// the virtual clock, DP-Perf's learned rates (which observe these
 	// durations), and Glinda's probes (which execute through here)
 	// from one place.

@@ -11,6 +11,7 @@ import (
 	"heteropart/internal/device"
 	"heteropart/internal/fault"
 	"heteropart/internal/metrics"
+	"heteropart/internal/plan"
 	"heteropart/internal/telemetry/flight"
 )
 
@@ -77,7 +78,7 @@ func chaosBundle(t *testing.T, spec Spec, res *Result) []byte {
 	}
 	snap.Points = kept
 	b, err := flight.Record(spec.App, res.Outcome.Strategy, spec.Canonical(),
-		PlatformFingerprint(spec.platform()), int64(makespan),
+		plan.Fingerprint(spec.platform()), int64(makespan),
 		res.Plan, &snap, nil, res.Outcome.Trace.Utilization(makespan))
 	if err != nil {
 		t.Fatalf("%s: record bundle: %v", spec, err)
@@ -323,7 +324,7 @@ func TestChaosDeviceLossReplan(t *testing.T) {
 
 	// The bundle must carry the repro artifacts.
 	b, err := flight.Record(spec.App, res.Outcome.Strategy, spec.Canonical(),
-		PlatformFingerprint(spec.platform()), int64(res.Outcome.Result.Makespan),
+		plan.Fingerprint(spec.platform()), int64(res.Outcome.Result.Makespan),
 		res.Plan, nil, nil, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -397,6 +398,51 @@ func TestChaosDeviceLossMultiAccel(t *testing.T) {
 	}
 	if err := res.Plan.CheckPlatform(surv); err != nil {
 		t.Errorf("replanned plan does not bind to the surviving platform: %v", err)
+	}
+}
+
+// TestChaosDeviceLossRenumbersCalibration loses the K20m of a
+// calibrated tri-asym-p2p whose scales price it 10× and the rest 1×.
+// The recovered plan must carry the survivors' own scales, renumbered
+// with their devices: the Xeon Phi, now device 1, keeps its factor 1
+// instead of inheriting the lost device's 10.
+func TestChaosDeviceLossRenumbersCalibration(t *testing.T) {
+	calibrated := func(accels []device.AccelSpec, p2p []device.P2PSpec, factors ...float64) *device.Platform {
+		t.Helper()
+		s := &device.Spec{Version: device.SpecVersion, Name: "calibrated",
+			Host: device.HostSpec{Model: "xeon-e5-2620"}, Accels: accels, P2P: p2p,
+			Cost: &device.CostSpec{Model: "calibrated"}}
+		for id, f := range factors {
+			s.Cost.Scales = append(s.Cost.Scales, device.Scale{Kernel: "black_scholes", Device: id, Factor: f})
+		}
+		plat, err := s.ToPlatform(0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return plat
+	}
+	tri, err := device.SpecByName("tri-asym-p2p")
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec := Spec{
+		App: "BlackScholes", Strategy: "SP-Single", N: 4194304,
+		Plat: calibrated(tri.Accels, tri.P2P, 1, 10, 1),
+		Fault: &fault.Schedule{
+			Version: fault.ScheduleVersion,
+			Faults:  []fault.Fault{{Kind: fault.KindDeviceLoss, Device: 1, After: 1}},
+		},
+	}
+	res, err := New(Config{Workers: 1, DisableCache: true}).Run(spec)
+	if err != nil {
+		t.Fatalf("calibrated device-loss run did not recover: %v", err)
+	}
+	if want := plan.Fingerprint(calibrated(tri.Accels[1:], nil, 1, 1)); res.Plan.Platform != want {
+		t.Errorf("recovered plan platform = %q, want %q", res.Plan.Platform, want)
+	}
+	r := res.Outcome.Result
+	if got := fmt.Sprintf("%.3f ms, %.1f%%", r.Makespan.Milliseconds(), 100*r.GPURatio()); got != "6.792 ms, 67.4%" {
+		t.Errorf("recovered run = %s, want 6.792 ms, 67.4%%", got)
 	}
 }
 

@@ -98,15 +98,6 @@ func (s Spec) resolve(p *apps.Problem) (strategy.Strategy, *analyzer.Report, err
 	return st, rep, err
 }
 
-// PlatformFingerprint renders the identity of a platform from its
-// contents: device models, thread count, and link characteristics.
-// Two platforms with equal fingerprints model the same hardware, so
-// runs on them are interchangeable for caching purposes. It is
-// plan.Fingerprint — the same identity gates plan replay.
-func PlatformFingerprint(p *device.Platform) string {
-	return plan.Fingerprint(p)
-}
-
 // Canonical renders the spec as a stable, human-readable encoding:
 // every field in a fixed order, the platform by fingerprint. Equal
 // canonical strings mean equal simulated worlds.
@@ -145,7 +136,7 @@ func (s Spec) PlanCanonical(resolved string) string {
 func (s Spec) canonical(prefix, strategy, obs string) string {
 	return fmt.Sprintf("%sapp=%s|strategy=%s|sync=%d|n=%d|iters=%d|plat=%s|chunks=%d|noseed=%t|%sseed=%d|fault=%s",
 		prefix, s.App, strategy, int(s.Sync), s.N, s.Iters,
-		PlatformFingerprint(s.platform()), s.Chunks, s.NoSeed, obs, s.Seed, s.Fault.Canonical())
+		plan.Fingerprint(s.platform()), s.Chunks, s.NoSeed, obs, s.Seed, s.Fault.Canonical())
 }
 
 // PlanKey is the content address of the decision inputs; the plan

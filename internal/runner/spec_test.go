@@ -7,6 +7,7 @@ import (
 	"heteropart/internal/apps"
 	"heteropart/internal/device"
 	"heteropart/internal/fault"
+	"heteropart/internal/plan"
 )
 
 func TestSpecKeyStable(t *testing.T) {
@@ -58,7 +59,7 @@ func TestSpecPlatformDefault(t *testing.T) {
 }
 
 func TestPlatformFingerprintContents(t *testing.T) {
-	fp := PlatformFingerprint(device.PaperPlatform(12))
+	fp := plan.Fingerprint(device.PaperPlatform(12))
 	for _, want := range []string{"m=12", "K20m"} {
 		if !strings.Contains(fp, want) {
 			t.Fatalf("fingerprint %q missing %q", fp, want)
@@ -69,19 +70,18 @@ func TestPlatformFingerprintContents(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if PlatformFingerprint(gtx) == fp {
+	if plan.Fingerprint(gtx) == fp {
 		t.Fatal("different accelerators fingerprint identically")
 	}
-	if PlatformFingerprint(nil) != "(nil)" {
+	if plan.Fingerprint(nil) != "(nil)" {
 		t.Fatal("nil platform fingerprint")
 	}
 }
 
-// calibrated is the paper platform at m threads with its cost model
-// recalibrated by scales, as calib.Report.Apply builds it.
+// calibrated is the paper platform at m threads priced with scales,
+// as calib.Report.Apply builds it.
 func calibrated(m int, scales ...device.Scale) *device.Platform {
-	base := device.PaperPlatform(m)
-	return base.WithCost(&device.Calibrated{Base: base.Cost, Scales: scales})
+	return device.PaperPlatform(m).WithScales(scales)
 }
 
 // TestCalibratedSpecNeverAliasesUncalibrated pins the cache-soundness
@@ -124,12 +124,8 @@ func TestCalibratedSpecNeverAliasesUncalibrated(t *testing.T) {
 	}
 
 	// The resolved platform is the calibrated one the spec names.
-	got, ok := cal.platform().Cost.(*device.Calibrated)
-	if !ok {
-		t.Fatalf("resolved platform cost = %T", cal.platform().Cost)
-	}
-	if len(got.Scales) != 1 || got.Scales[0].Device != 1 {
-		t.Fatalf("resolved platform lost its calibration: %+v", got.Scales)
+	if got := cal.platform().Scales; len(got) != 1 || got[0].Device != 1 {
+		t.Fatalf("resolved platform lost its calibration: %+v", got)
 	}
 }
 

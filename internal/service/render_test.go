@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"maps"
 	"math"
 	"net/http"
@@ -420,6 +421,31 @@ func TestHostileCalibrationRefused(t *testing.T) {
 	status, after := rawRequest(t, "POST", ts.URL+"/v1/matchmake", body)
 	if status != http.StatusOK || !bytes.Equal(after, before) {
 		t.Errorf("matchmake after refused reports: status %d, answer changed\nbefore: %s\nafter:  %s", status, before, after)
+	}
+}
+
+// TestCalibrateForeignDeviceIsPlatformInvalid: a report that binds to
+// the platform but scales a device it lacks answers 400
+// platform_invalid, and the platform's answers keep their
+// calibration-free plan.
+func TestCalibrateForeignDeviceIsPlatformInvalid(t *testing.T) {
+	_, ts := newTestService(t, Config{Workers: 1})
+	plat, err := heteropart.PlatformByName("tri-asym-p2p", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	report := fmt.Sprintf(`{"version":1,"app":"BlackScholes","platform":%q,"scales":[{"kernel":"black_scholes","device":7,"factor":2}]}`,
+		heteropart.PlatformFingerprint(plat))
+	status, _, eb := postJSON(t, ts.URL+"/v1/calibrate", `{"platform":"tri-asym-p2p","calibration":`+report+`}`)
+	if status != http.StatusBadRequest || eb == nil || eb.Code != CodePlatformInvalid {
+		t.Errorf("calibrate: status %d (%+v), want 400 %s", status, eb, CodePlatformInvalid)
+	}
+	status, resp, eb := postJSON(t, ts.URL+"/v1/matchmake", `{"app":"BlackScholes","n":4096,"platform":"tri-asym-p2p"}`)
+	if status != http.StatusOK {
+		t.Fatalf("matchmake: status %d (%+v)", status, eb)
+	}
+	if bytes.Contains(resp.Plan, []byte("+cost=")) {
+		t.Errorf("refused report still calibrates the platform's plans: %s", resp.Plan)
 	}
 }
 
