@@ -7,7 +7,6 @@ import (
 	"heteropart/internal/device"
 	"heteropart/internal/glinda"
 	"heteropart/internal/mem"
-	"heteropart/internal/plan"
 	"heteropart/internal/rt"
 	"heteropart/internal/runner"
 	"heteropart/internal/sched"
@@ -29,11 +28,11 @@ func Ablations(env *Env) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	p, pl, err := planFor(plat, "STREAM-Seq", apps.SyncNone, strategy.DPDep{})
+	p, tp, err := planFor(plat, "STREAM-Seq", apps.SyncNone, strategy.DPDep{})
 	if err != nil {
 		return nil, err
 	}
-	noAff, err := execUnder(plat, p, pl, sched.NewDepNoAffinity())
+	noAff, err := rt.Execute(rt.Config{Platform: plat, Scheduler: sched.NewDepNoAffinity()}, tp, p.Dir)
 	if err != nil {
 		return nil, err
 	}
@@ -45,23 +44,24 @@ func Ablations(env *Env) (*Table, error) {
 
 	// 2. DP-Perf's data-aware writeback prediction (HotSpot: a blind
 	// scheduler overloads the transfer-bound GPU). The blind scheduler
-	// is seeded from a blind training run, as Execute seeds DP-Perf.
+	// is seeded from a blind training run of the same task plan, as
+	// Execute seeds DP-Perf.
 	aware, err := env.runOne("HotSpot", apps.SyncDefault, "DP-Perf")
 	if err != nil {
 		return nil, err
 	}
-	p, pl, err = planFor(plat, "HotSpot", apps.SyncDefault, strategy.DPPerf{})
+	p, tp, err = planFor(plat, "HotSpot", apps.SyncDefault, strategy.DPPerf{})
 	if err != nil {
 		return nil, err
 	}
 	trainer := sched.NewPerfBlind()
-	if _, err := execUnder(plat, p, pl, trainer); err != nil {
+	if _, err := rt.Execute(rt.Config{Platform: plat, Scheduler: trainer}, tp, p.Dir); err != nil {
 		return nil, err
 	}
 	p.Dir.Reset()
 	blind := sched.NewPerfBlind()
 	blind.Seed(trainer.Snapshot())
-	blindRes, err := execUnder(plat, p, pl, blind)
+	blindRes, err := rt.Execute(rt.Config{Platform: plat, Scheduler: blind}, tp, p.Dir)
 	if err != nil {
 		return nil, err
 	}
@@ -89,11 +89,11 @@ func Ablations(env *Env) (*Table, error) {
 	return t, nil
 }
 
-// planFor builds an app and takes strategy s's plan for it, so an
-// ablation can run the plan's task instances under a scheduler variant
-// that no plan policy names.
+// planFor builds an app and materializes strategy s's plan for it, so
+// an ablation can run the plan's task instances under a scheduler
+// variant that no plan policy names.
 func planFor(plat *device.Platform, appName string, sync apps.SyncMode,
-	s strategy.Strategy) (*apps.Problem, *plan.ExecutionPlan, error) {
+	s strategy.Strategy) (*apps.Problem, *task.Plan, error) {
 	app, err := apps.ByName(appName)
 	if err != nil {
 		return nil, nil, err
@@ -106,16 +106,11 @@ func planFor(plat *device.Platform, appName string, sync apps.SyncMode,
 	if err != nil {
 		return nil, nil, err
 	}
-	return p, pl, nil
-}
-
-// execUnder materializes pl afresh and executes it under sch.
-func execUnder(plat *device.Platform, p *apps.Problem, pl *plan.ExecutionPlan, sch sched.Scheduler) (*rt.Result, error) {
 	tp, err := pl.Materialize(p)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	return rt.Execute(rt.Config{Platform: plat, Scheduler: sch}, tp, p.Dir)
+	return p, tp, nil
 }
 
 // DAGRefine measures the Section-VII future-work idea on Cholesky:

@@ -192,7 +192,7 @@ func (d *Directory) sourceFor(b *Buffer, iv Interval, order []Space) (Space, Int
 func (d *Directory) searchOrder() []Space { return d.hostFirst }
 
 // SetSourcePreference installs a per-destination source ordering used
-// by TransfersForRead's route selection. The runtime derives it from
+// by AppendTransfersForRead's route selection. The runtime derives it from
 // the platform's link graph — e.g. preferring a peer with a direct
 // P2P edge over a host round-trip — for platforms whose topology
 // makes the default host-first order suboptimal. order(to) must
@@ -212,27 +212,30 @@ func (d *Directory) orderFor(s Space) []Space {
 	return d.searchOrder()
 }
 
-// TransfersForRead computes the transfers needed before space s can read
-// iv of b. It does not mutate state; apply each transfer with Commit.
-// It fails when some required element is valid nowhere (lost update).
-// Source selection follows the installed source preference (see
-// SetSourcePreference), defaulting to host-first.
-func (d *Directory) TransfersForRead(b *Buffer, s Space, iv Interval) ([]Transfer, error) {
+// AppendTransfersForRead appends to dst the transfers needed before
+// space s can read iv of b, and returns the extended slice: a caller's
+// scratch slice serves every query without allocating once it has
+// room. It does not mutate state; apply each transfer with Commit. It
+// fails when some required element is valid nowhere (lost update),
+// returning dst as it was. Source selection follows the installed
+// source preference (see SetSourcePreference), defaulting to
+// host-first.
+func (d *Directory) AppendTransfersForRead(dst []Transfer, b *Buffer, s Space, iv Interval) ([]Transfer, error) {
 	st := d.state(b)
 	if st == nil {
 		if iv.Empty() {
-			return nil, nil
+			return dst, nil
 		}
-		return nil, unregistered(b)
+		return dst, unregistered(b)
 	}
-	var out []Transfer
+	out := dst
 	order := d.orderFor(s)
 	have := &st.valid[s]
 	for g := have.gap(iv); !g.Empty(); g = have.gap(Interval{Lo: g.Hi, Hi: iv.Hi}) {
 		for cur := g; !cur.Empty(); {
 			src, prefix, err := d.sourceFor(b, cur, order)
 			if err != nil {
-				return nil, err
+				return dst, err
 			}
 			out = append(out, Transfer{Buf: b, Interval: prefix, From: src, To: s})
 			cur.Lo = prefix.Hi
@@ -273,19 +276,19 @@ func (d *Directory) MarkWritten(b *Buffer, s Space, iv Interval) error {
 // of b whole (the taskwait flush). Elements already valid on the host
 // move nothing.
 func (d *Directory) FlushTransfers(b *Buffer) ([]Transfer, error) {
-	return d.TransfersForRead(b, HostSpace, b.Whole())
+	return d.AppendTransfersForRead(nil, b, HostSpace, b.Whole())
 }
 
-// FlushAllTransfers returns flush transfers for every registered buffer,
-// in registration order (deterministic).
-func (d *Directory) FlushAllTransfers() ([]Transfer, error) {
-	var out []Transfer
+// AppendFlushAllTransfers appends to dst the flush transfers for every
+// registered buffer, in registration order (deterministic), and returns
+// the extended slice. On failure it returns dst as it was.
+func (d *Directory) AppendFlushAllTransfers(dst []Transfer) ([]Transfer, error) {
+	out := dst
 	for _, st := range d.buffers {
-		txs, err := d.FlushTransfers(st.buf)
-		if err != nil {
-			return nil, err
+		var err error
+		if out, err = d.AppendTransfersForRead(out, st.buf, HostSpace, st.buf.Whole()); err != nil {
+			return dst, err
 		}
-		out = append(out, txs...)
 	}
 	return out, nil
 }

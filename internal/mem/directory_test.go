@@ -2,8 +2,10 @@ package mem
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"heteropart/internal/apierr"
@@ -19,10 +21,10 @@ func newDir(t *testing.T) (*Directory, *Buffer) {
 	return d, b
 }
 
-// reads is a test helper asserting TransfersForRead succeeds.
+// reads is a test helper asserting AppendTransfersForRead succeeds.
 func reads(t *testing.T, d *Directory, b *Buffer, s Space, q Interval) []Transfer {
 	t.Helper()
-	ts, err := d.TransfersForRead(b, s, q)
+	ts, err := d.AppendTransfersForRead(nil, b, s, q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,7 +133,7 @@ func TestTransfersForReadColdGPU(t *testing.T) {
 	}
 	// Uncommitted: still missing.
 	if len(d.MissingIn(b, 1, iv(100, 200))) != 1 {
-		t.Fatal("TransfersForRead mutated state")
+		t.Fatal("AppendTransfersForRead mutated state")
 	}
 	if err := d.Commit(tr); err != nil {
 		t.Fatal(err)
@@ -209,7 +211,7 @@ func TestFlushAllDeterministicOrder(t *testing.T) {
 	if err := d.MarkWritten(b1, 1, iv(0, 10)); err != nil {
 		t.Fatal(err)
 	}
-	ts, err := d.FlushAllTransfers()
+	ts, err := d.AppendFlushAllTransfers(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -249,7 +251,7 @@ func TestUnregisteredBufferOperations(t *testing.T) {
 	if miss := d.MissingIn(b, HostSpace, iv(0, 10)); len(miss) != 1 || miss[0] != iv(0, 10) {
 		t.Errorf("foreign buffer MissingIn = %v, want all missing", miss)
 	}
-	if _, err := d.TransfersForRead(b, 1, iv(0, 10)); err == nil {
+	if _, err := d.AppendTransfersForRead(nil, b, 1, iv(0, 10)); err == nil {
 		t.Error("foreign buffer read did not error")
 	}
 	if err := d.Commit(Transfer{Buf: b, Interval: iv(0, 5), From: HostSpace, To: 1}); err == nil {
@@ -334,7 +336,7 @@ func TestQuickDirectoryCoverage(t *testing.T) {
 					t.Fatal(err)
 				}
 			case 2: // taskwait flush
-				all, err := d.FlushAllTransfers()
+				all, err := d.AppendFlushAllTransfers(nil)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -351,5 +353,65 @@ func TestQuickDirectoryCoverage(t *testing.T) {
 				t.Fatalf("trial %d step %d: %v", trial, step, err)
 			}
 		}
+	}
+}
+
+// TestAppendFormsKeepPrefixAndReuse pins the append forms of the
+// directory queries: each keeps the caller's prefix, appends exactly
+// what it returns into an empty destination, allocates nothing when
+// the destination has room, and on failure hands the destination back
+// as it was.
+func TestAppendFormsKeepPrefixAndReuse(t *testing.T) {
+	d := NewDirectory(3)
+	x := d.Register("x", 1000, 8)
+	y := d.Register("y", 500, 4)
+	for _, w := range []struct {
+		b  *Buffer
+		s  Space
+		iv Interval
+	}{{x, 1, iv(100, 300)}, {x, 2, iv(600, 650)}, {y, 2, iv(0, 50)}, {y, 1, iv(400, 500)}} {
+		if err := d.MarkWritten(w.b, w.s, w.iv); err != nil {
+			t.Fatal(err)
+		}
+	}
+	prefix := Transfer{Buf: y, Interval: iv(1, 2), From: 2, To: 1}
+	dst := append(make([]Transfer, 0, 16), prefix)
+	check := func(name string, got, want []Transfer, err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if len(want) == 0 || got[0] != prefix || !slices.Equal(got[1:], want) {
+			t.Fatalf("%s: appended %v, want %v after the prefix", name, got, want)
+		}
+	}
+	for _, q := range []struct {
+		b  *Buffer
+		s  Space
+		iv Interval
+	}{{x, 1, iv(0, 1000)}, {x, 2, iv(50, 700)}, {y, HostSpace, y.Whole()}, {y, 1, iv(0, 60)}} {
+		want, err := d.AppendTransfersForRead(nil, q.b, q.s, q.iv)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := d.AppendTransfersForRead(dst, q.b, q.s, q.iv)
+		check(fmt.Sprintf("read %s%v into %d", q.b.Name, q.iv, q.s), got, want, err)
+		if n := testing.AllocsPerRun(10, func() { _, _ = d.AppendTransfersForRead(dst, q.b, q.s, q.iv) }); n != 0 {
+			t.Errorf("read %s%v into %d: %.0f allocations with room in the destination", q.b.Name, q.iv, q.s, n)
+		}
+	}
+	want, err := d.AppendFlushAllTransfers(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := d.AppendFlushAllTransfers(dst)
+	check("flush", got, want, err)
+	if n := testing.AllocsPerRun(10, func() { _, _ = d.AppendFlushAllTransfers(dst) }); n != 0 {
+		t.Errorf("flush: %.0f allocations with room in the destination", n)
+	}
+
+	ghost := &Buffer{ID: 7, Name: "ghost", Elems: 10, ElemSize: 1}
+	if got, err := d.AppendTransfersForRead(dst, ghost, 1, iv(0, 10)); err == nil || len(got) != 1 || got[0] != prefix {
+		t.Fatalf("unregistered read: %v, %v; want an error and the destination back", got, err)
 	}
 }

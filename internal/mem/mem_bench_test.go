@@ -38,7 +38,7 @@ func BenchmarkDirectoryReadWriteCycle(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		lo := int64(i%1024) * 1024
 		iv := Interval{Lo: lo, Hi: lo + 1024}
-		txs, err := d.TransfersForRead(buf, 1, iv)
+		txs, err := d.AppendTransfersForRead(nil, buf, 1, iv)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -236,7 +236,10 @@ func (pl *ExecutionPlan) CheckPlatform(plat *device.Platform) error {
 // Materialize binds the plan to a problem instance and emits a fresh
 // task.Plan: every chunk submitted in recorded order (instance IDs —
 // and therefore the whole simulation — depend only on the plan), a
-// barrier after each Sync phase, and the closing taskwait. Beyond
+// barrier after each Sync phase, and the closing taskwait. The task
+// plan is sized from the chunk and barrier counts, so its instances
+// come from one slab; it can back several executions in turn (a
+// seeded perf plan's training and measured runs share one). Beyond
 // Validate it checks the binding: phase count, kernel names and sizes
 // must match the problem, and a synchronization the problem requires
 // cannot have been dropped (atomic DAG problems order phases through
@@ -261,8 +264,14 @@ func (pl *ExecutionPlan) materialize(p *apps.Problem) (*task.Plan, error) {
 		return nil, fmt.Errorf("plan: atomicity mismatch: plan %t, problem %s %t",
 			pl.Atomic, p.AppName, p.AtomicPhases)
 	}
-	var tp task.Plan
 	last := len(pl.Phases) - 1
+	barriers := 1
+	for i := range pl.Phases[:last] {
+		if pl.Phases[i].Sync {
+			barriers++
+		}
+	}
+	tp := task.NewPlan(pl.Instances(), barriers)
 	for i := range pl.Phases {
 		ph := &pl.Phases[i]
 		pp := p.Phases[i]
@@ -289,7 +298,7 @@ func (pl *ExecutionPlan) materialize(p *apps.Problem) (*task.Plan, error) {
 	if err := tp.Err(); err != nil {
 		return nil, err
 	}
-	return &tp, nil
+	return tp, nil
 }
 
 // JSON renders the plan as stable, human-readable JSON: fixed field

@@ -27,13 +27,11 @@ func errPastEnd(what string) error {
 type psExec struct {
 	eng  *sim.Engine
 	jobs []psJob
-	// done is fire's scratch list of drained jobs.
-	done  []psJob
-	last  sim.Time
+	// done is Fire's scratch list of drained jobs.
+	done []psJob
+	last sim.Time
+	// timer is the pending completion event; psExec is its handler.
 	timer sim.Event
-	// fireFn is the fire method value, bound once so arming the timer
-	// allocates nothing.
-	fireFn func()
 	// hook receives the completed instance, its start time and its
 	// full-speed service demand (the dedicated-equivalent duration).
 	hook func(in *task.Instance, started sim.Time, demand sim.Duration)
@@ -53,9 +51,7 @@ type psJob struct {
 }
 
 func newPSExec(eng *sim.Engine, hook func(in *task.Instance, started sim.Time, demand sim.Duration), batchEnd func()) *psExec {
-	p := &psExec{eng: eng, hook: hook, batchEnd: batchEnd}
-	p.fireFn = p.fire
-	return p
+	return &psExec{eng: eng, hook: hook, batchEnd: batchEnd}
 }
 
 // Add admits an instance with the given full-speed service demand.
@@ -106,11 +102,12 @@ func (p *psExec) reschedule() {
 		p.eng.Fail(errPastEnd("host work"))
 		return
 	}
-	p.timer = p.eng.After(sim.Duration(wait), p.fireFn)
+	p.timer = p.eng.After(sim.Duration(wait), p, 0)
 }
 
-// fire completes every job whose demand has drained.
-func (p *psExec) fire() {
+// Fire completes every job whose demand has drained when the timer
+// fires.
+func (p *psExec) Fire(int) {
 	p.advance()
 	done := p.done[:0]
 	live := p.jobs[:0]

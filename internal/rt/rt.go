@@ -179,7 +179,8 @@ type engine struct {
 	p2p map[[2]int]*linkRes
 	// sources memoizes sourceOrder per destination space.
 	sources [][]mem.Space
-	// devQ are per-device FIFO queues of bound instances.
+	// devQ are per-device FIFO queues of bound instances, popped from
+	// the front.
 	devQ [][]*task.Instance
 	// central is the ready queue for pull policies.
 	central []*task.Instance
@@ -188,21 +189,25 @@ type engine struct {
 	// slots is the configured executor width per device.
 	slots []int
 
-	pendingDeps []int
-	// dispatchAt records when each running instance left its queue,
-	// for wall-time reporting to the scheduler.
-	dispatchAt []sim.Time
+	// inst is the per-instance run state, indexed by instance ID.
+	inst []instState
 	// ps is the host's processor-sharing executor.
 	ps *psExec
 	// inflight records transfers on the wire per destination; spare
 	// holds landed records for reuse.
 	inflight map[xferKey][]*inflightXfer
 	spare    []*inflightXfer
-	// reads is startTransfers' scratch list of input transfers.
-	reads []mem.Transfer
+	// joins holds finished ensure waits for reuse.
+	joins []*join
+	// scratch is the transfer list of the directory query in progress:
+	// ensure reads it before returning, so one slice serves every
+	// query.
+	scratch []mem.Transfer
 	// eagerBusy/eagerCount track final-region proactive writebacks.
 	eagerBusy  []bool
 	eagerCount int
+	// flushStart is when the taskwait flush in progress began.
+	flushStart sim.Time
 	// inBatch suppresses per-completion dispatch while a processor-
 	// sharing batch drains; the batch dispatches once at the end.
 	inBatch     bool
@@ -218,6 +223,40 @@ type engine struct {
 	res *Result
 	err error
 }
+
+// instState is one instance's run state. The engine keeps it by
+// instance ID, so executing a plan writes nothing to its instances and
+// the plan can run again.
+type instState struct {
+	in *task.Instance
+	// pending counts unfinished dependencies; dev is the device the
+	// instance was dispatched to.
+	pending, dev int32
+	// dispatchAt is when the instance left its queue, for wall-time
+	// reporting to the scheduler; dur is an accelerator chunk's
+	// execution time, which started dur before its completion.
+	dispatchAt sim.Time
+	dur        sim.Duration
+}
+
+// The engine's event handlers. Each is the engine under its own type,
+// and each event passes the instance ID, device ID or flag it concerns,
+// so scheduling one allocates nothing.
+type (
+	startEvent          engine
+	startTransfersEvent engine
+	execEvent           engine
+	completedEvent      engine
+	eagerDoneEvent      engine
+	barrierDoneEvent    engine
+)
+
+func (h *startEvent) Fire(int)               { (*engine)(h).processOps() }
+func (h *startTransfersEvent) Fire(id int)   { (*engine)(h).startTransfers(id) }
+func (h *execEvent) Fire(id int)             { (*engine)(h).exec(id) }
+func (h *completedEvent) Fire(id int)        { (*engine)(h).completed(id) }
+func (h *eagerDoneEvent) Fire(dev int)       { (*engine)(h).eagerDone(dev) }
+func (h *barrierDoneEvent) Fire(flushed int) { (*engine)(h).barrierDone(flushed) }
 
 // View implementation for schedulers.
 func (e *engine) Now() sim.Time              { return e.eng.Now() }
@@ -235,6 +274,13 @@ func (e *engine) syncClock() {
 // Execute runs the plan to completion and returns the result. The
 // directory must hold every buffer the plan's accesses reference; it is
 // left in its final state (host whole if the plan ends with a barrier).
+//
+// Execute builds the plan's dependence graph only when Plan.Stale
+// reports it out of date, and keeps all run state by instance ID, so
+// one plan can be executed again (with the directory reset in between)
+// and gives the same result without rebuilding the graph. Each event
+// passes its instance ID to a handler that is the engine itself under
+// another type, so the dynamic path allocates no closure per instance.
 func Execute(cfg Config, plan *task.Plan, dir *mem.Directory) (*Result, error) {
 	if cfg.Platform == nil {
 		return nil, fmt.Errorf("rt: nil platform")
@@ -255,24 +301,25 @@ func Execute(cfg Config, plan *task.Plan, dir *mem.Directory) (*Result, error) {
 		return nil, fmt.Errorf("rt: %w", err)
 	}
 
-	task.BuildDeps(plan)
+	if plan.Stale() {
+		task.BuildDeps(plan)
+	}
 
 	devs := cfg.Platform.Devices()
 	e := &engine{
-		cfg:         cfg,
-		eng:         sim.NewEngine(),
-		dir:         dir,
-		plan:        plan,
-		devs:        devs,
-		links:       make([]*linkRes, len(devs)),
-		sources:     make([][]mem.Space, len(devs)),
-		devQ:        make([][]*task.Instance, len(devs)),
-		idle:        make([]int, len(devs)),
-		slots:       make([]int, len(devs)),
-		pendingDeps: make([]int, plan.IDBound()),
-		dispatchAt:  make([]sim.Time, plan.IDBound()),
-		inflight:    make(map[xferKey][]*inflightXfer),
-		eagerBusy:   make([]bool, len(devs)),
+		cfg:       cfg,
+		eng:       sim.NewEngine(),
+		dir:       dir,
+		plan:      plan,
+		devs:      devs,
+		links:     make([]*linkRes, len(devs)),
+		sources:   make([][]mem.Space, len(devs)),
+		devQ:      make([][]*task.Instance, len(devs)),
+		idle:      make([]int, len(devs)),
+		slots:     make([]int, len(devs)),
+		inst:      make([]instState, plan.IDBound()),
+		inflight:  make(map[xferKey][]*inflightXfer),
+		eagerBusy: make([]bool, len(devs)),
 		res: &Result{
 			ElemsByDevice:     make(map[int]int64),
 			ElemsByKernel:     make(map[string]map[int]int64),
@@ -359,7 +406,11 @@ func Execute(cfg Config, plan *task.Plan, dir *mem.Directory) (*Result, error) {
 	}
 
 	// Validate pins, kernel implementations, and count work.
-	for _, in := range plan.Instances() {
+	for _, op := range plan.Ops {
+		if op.Kind != task.OpSubmit {
+			continue
+		}
+		in := op.Inst
 		e.res.Instances++
 		if in.Pin != task.Unpinned {
 			if in.Pin < 0 || in.Pin > len(cfg.Platform.Accels) {
@@ -381,10 +432,10 @@ func Execute(cfg Config, plan *task.Plan, dir *mem.Directory) (*Result, error) {
 				return nil, fmt.Errorf("rt: kernel %q has no implementation for any platform device", in.Kernel.Name)
 			}
 		}
-		e.pendingDeps[in.ID] = len(in.Deps)
+		e.inst[in.ID] = instState{in: in, pending: int32(len(in.Deps))}
 	}
 
-	e.eng.At(0, func() { e.processOps() })
+	e.eng.At(0, (*startEvent)(e), 0)
 	e.eng.Run()
 
 	if e.err != nil {
@@ -444,7 +495,7 @@ func (e *engine) processOps() {
 			e.opIdx++
 			e.remaining++
 			in := op.Inst
-			if e.pendingDeps[in.ID] == 0 {
+			if e.inst[in.ID].pending == 0 {
 				e.route(in)
 			}
 		case task.OpBarrier:
@@ -453,7 +504,7 @@ func (e *engine) processOps() {
 				return
 			}
 			e.opIdx++
-			e.flushThen(func() { e.processOps() })
+			e.flush()
 			return
 		}
 	}
@@ -470,7 +521,7 @@ func (e *engine) tryBarrier() {
 	}
 	e.barrierWait = false
 	e.opIdx++
-	e.flushThen(func() { e.processOps() })
+	e.flush()
 }
 
 // inFinalRegion reports whether the main program has issued its last
@@ -498,58 +549,63 @@ func (e *engine) maybeEagerFlush(dev int) {
 	if len(e.devQ[dev]) > 0 || len(e.central) > 0 || e.idle[dev] != e.slots[dev] {
 		return
 	}
-	all, err := e.dir.FlushAllTransfers()
+	all, err := e.dir.AppendFlushAllTransfers(e.scratch[:0])
 	if err != nil {
 		e.fail(err)
 		return
 	}
-	var txs []mem.Transfer
+	// Keep this device's writebacks, filtering in place.
+	txs := all[:0]
 	for _, tr := range all {
 		if int(tr.From) == dev {
 			txs = append(txs, tr)
 		}
 	}
+	e.scratch = txs[:0]
 	if len(txs) == 0 {
 		return
 	}
 	e.eagerBusy[dev] = true
 	e.eagerCount++
-	e.ensure(txs, func() {
-		e.eagerCount--
-		e.eagerBusy[dev] = false
-		e.maybeEagerFlush(dev)
-		e.tryBarrier()
-	})
+	e.ensure(txs, (*eagerDoneEvent)(e), dev)
 }
 
-// flushThen moves all device-resident data back to the host and drops
-// the device copies (taskwait semantics: the runtime releases device
-// allocations, so post-barrier reuse re-transfers), then continues.
-func (e *engine) flushThen(cont func()) {
-	transfers, err := e.dir.FlushAllTransfers()
+// eagerDone ends device dev's eager writeback.
+func (e *engine) eagerDone(dev int) {
+	e.eagerCount--
+	e.eagerBusy[dev] = false
+	e.maybeEagerFlush(dev)
+	e.tryBarrier()
+}
+
+// flush moves all device-resident data back to the host and drops the
+// device copies (taskwait semantics: the runtime releases device
+// allocations, so post-barrier reuse re-transfers), then resumes the
+// program.
+func (e *engine) flush() {
+	transfers, err := e.dir.AppendFlushAllTransfers(e.scratch[:0])
 	if err != nil {
 		e.fail(err)
 		return
 	}
+	e.scratch = transfers[:0]
+	e.flushStart = e.eng.Now()
 	if len(transfers) == 0 {
-		if err := e.dir.DropDeviceCopies(); err != nil {
-			e.fail(err)
-			return
-		}
-		now := e.eng.Now()
-		e.emit(&event{kind: trace.Barrier, start: now, end: now, dev: -1})
-		cont()
+		e.barrierDone(0)
 		return
 	}
-	start := e.eng.Now()
-	e.ensure(transfers, func() {
-		if err := e.dir.DropDeviceCopies(); err != nil {
-			e.fail(err)
-			return
-		}
-		e.emit(&event{kind: trace.Barrier, start: start, end: e.eng.Now(), dev: -1, flushed: true})
-		cont()
-	})
+	e.ensure(transfers, (*barrierDoneEvent)(e), 1)
+}
+
+// barrierDone ends the taskwait once its flush has landed; flushed is
+// 1 when the flush moved data and 0 when there was nothing to move.
+func (e *engine) barrierDone(flushed int) {
+	if err := e.dir.DropDeviceCopies(); err != nil {
+		e.fail(err)
+		return
+	}
+	e.emit(&event{kind: trace.Barrier, start: e.flushStart, end: e.eng.Now(), dev: -1, flushed: flushed == 1})
+	e.processOps()
 }
 
 // sourceOrder ranks candidate source spaces for reads destined to
@@ -652,25 +708,30 @@ type inflightXfer struct {
 	toDev bool
 	p2p   bool
 	start sim.Time
-	done  func()
-	subs  []func()
-	// landFn is the bound land method.
-	landFn func()
+	// done is the wait that issued the transfer; subs are the waits
+	// that subscribed to it.
+	done *join
+	subs []*join
+}
+
+// join is one ensure call's wait: the count of transfers it still
+// awaits, and the handler to fire with arg once they have landed.
+// Joins are recycled through engine.joins once they fire.
+type join struct {
+	left int
+	done sim.Handler
+	arg  int
 }
 
 // ensure makes the data named by the transfer list present at its
 // destinations, deduplicating against transfers already in flight:
 // requested intervals covered by an in-flight transfer subscribe to its
-// completion, the rest are issued. done fires once everything is
-// present.
-func (e *engine) ensure(transfers []mem.Transfer, done func()) {
-	left := 1 // sentinel so done cannot fire before all issues
-	fire := func() {
-		left--
-		if left == 0 {
-			done()
-		}
-	}
+// completion, the rest are issued. done.Fire(arg) runs once
+// everything is present.
+func (e *engine) ensure(transfers []mem.Transfer, done sim.Handler, arg int) {
+	// The join's first arrival is a sentinel, so done cannot fire
+	// before all issues.
+	j := e.newJoin(done, arg)
 	for _, tr := range transfers {
 		if tr.Interval.Empty() {
 			continue
@@ -678,8 +739,8 @@ func (e *engine) ensure(transfers []mem.Transfer, done func()) {
 		key := xferKey{tr.Buf.ID, tr.To}
 		flights := e.inflight[key]
 		if len(flights) == 0 {
-			left++
-			e.runTransfer(tr, fire)
+			j.left++
+			e.runTransfer(tr, j)
 			continue
 		}
 		remaining := mem.NewSet(tr.Interval)
@@ -687,16 +748,43 @@ func (e *engine) ensure(transfers []mem.Transfer, done func()) {
 			if remaining.IntersectInterval(fl.tr.Interval).Empty() {
 				continue
 			}
-			left++
-			fl.subs = append(fl.subs, fire)
+			j.left++
+			fl.subs = append(fl.subs, j)
 			remaining.Remove(fl.tr.Interval)
 		}
 		for _, iv := range remaining.Intervals() {
-			left++
-			e.runTransfer(mem.Transfer{Buf: tr.Buf, Interval: iv, From: tr.From, To: tr.To}, fire)
+			j.left++
+			e.runTransfer(mem.Transfer{Buf: tr.Buf, Interval: iv, From: tr.From, To: tr.To}, j)
 		}
 	}
-	fire()
+	e.arrive(j)
+}
+
+// newJoin takes a recycled or fresh wait for done.Fire(arg) that
+// awaits one arrival.
+func (e *engine) newJoin(done sim.Handler, arg int) *join {
+	var j *join
+	if n := len(e.joins); n > 0 {
+		j = e.joins[n-1]
+		e.joins = e.joins[:n-1]
+	} else {
+		j = new(join)
+	}
+	*j = join{left: 1, done: done, arg: arg}
+	return j
+}
+
+// arrive counts one landed transfer (or ensure's sentinel) against j;
+// the last one recycles j and fires its handler.
+func (e *engine) arrive(j *join) {
+	j.left--
+	if j.left > 0 {
+		return
+	}
+	done, arg := j.done, j.arg
+	j.done = nil
+	e.joins = append(e.joins, j)
+	done.Fire(arg)
 }
 
 // runTransfer performs one directory transfer over the modeled link
@@ -704,22 +792,24 @@ func (e *engine) ensure(transfers []mem.Transfer, done func()) {
 // with bus mates when the attachment names a shared bus),
 // device↔device moves take a direct P2P edge when the platform has
 // one and otherwise stage through the host in two legs. It registers
-// the in-flight record and commits the directory state at completion.
-func (e *engine) runTransfer(tr mem.Transfer, done func()) {
+// the in-flight record and commits the directory state at completion,
+// when it counts the transfer against done.
+func (e *engine) runTransfer(tr mem.Transfer, done *join) {
 	from, to := int(tr.From), int(tr.To)
 	if from != 0 && to != 0 {
 		if lr, fwd, ok := e.p2pRes(from, to); ok {
 			e.runP2P(tr, lr, fwd, done)
 			return
 		}
-		// No peer edge: stage through the host.
+		// No peer edge: stage through the host. The second leg starts
+		// when the first lands.
 		leg1 := mem.Transfer{Buf: tr.Buf, Interval: tr.Interval, From: tr.From, To: mem.HostSpace}
 		leg2 := mem.Transfer{Buf: tr.Buf, Interval: tr.Interval, From: mem.HostSpace, To: tr.To}
-		e.runTransfer(leg1, func() { e.runTransfer(leg2, done) })
+		e.runTransfer(leg1, e.newJoin(sim.Func(func(int) { e.runTransfer(leg2, done) }), 0))
 		return
 	}
 	if from == to {
-		done()
+		e.arrive(done)
 		return
 	}
 	accel := from
@@ -747,7 +837,7 @@ func (e *engine) runTransfer(tr mem.Transfer, done func()) {
 // the transfer's direction. The in-flight dedup and fault hooks work
 // exactly as for host transfers; the fault draw targets the source
 // device (the one streaming the data out).
-func (e *engine) runP2P(tr mem.Transfer, lr *linkRes, fwd bool, done func()) {
+func (e *engine) runP2P(tr mem.Transfer, lr *linkRes, fwd bool, done *join) {
 	extra, ferr := e.cfg.Faults.TransferStart(int64(e.eng.Now()), int(tr.From))
 	if ferr != nil {
 		e.faultFired(ferr, tr.Buf.Name)
@@ -763,7 +853,7 @@ func (e *engine) runP2P(tr mem.Transfer, lr *linkRes, fwd bool, done func()) {
 
 // issue registers an in-flight record for tr and holds the link for
 // dur; the record lands when the hold ends.
-func (e *engine) issue(tr mem.Transfer, dev int, toDev, p2p bool, link *sim.Resource, dur sim.Duration, done func()) {
+func (e *engine) issue(tr mem.Transfer, dev int, toDev, p2p bool, link *sim.Resource, dur sim.Duration, done *join) {
 	if dur >= sim.MaxTime-link.FreeAt() {
 		e.fail(errPastEnd("transfer"))
 		return
@@ -774,18 +864,18 @@ func (e *engine) issue(tr mem.Transfer, dev int, toDev, p2p bool, link *sim.Reso
 		e.spare = e.spare[:n-1]
 	} else {
 		fl = &inflightXfer{e: e}
-		fl.landFn = fl.land
 	}
 	// The link serves holds FIFO: this one starts when it frees.
 	fl.tr, fl.key, fl.dev, fl.toDev, fl.p2p = tr, xferKey{tr.Buf.ID, tr.To}, dev, toDev, p2p
 	fl.start, fl.done = link.FreeAt(), done
 	e.inflight[fl.key] = append(e.inflight[fl.key], fl)
-	link.Acquire(dur, nil, fl.landFn)
+	link.Acquire(dur, nil, fl, 0)
 }
 
-// land commits a finished transfer, accounts for it, and releases its
+// Fire lands the transfer when its link hold ends: it commits the
+// directory state, accounts for the transfer, and releases its
 // requester and subscribers before recycling the record.
-func (fl *inflightXfer) land() {
+func (fl *inflightXfer) Fire(int) {
 	e, tr := fl.e, fl.tr
 	if err := e.dir.Commit(tr); err != nil {
 		e.fail(err)
@@ -800,9 +890,9 @@ func (fl *inflightXfer) land() {
 	}
 	e.emit(&event{kind: trace.Transfer, start: fl.start, end: e.eng.Now(), dev: fl.dev,
 		tr: tr, toDev: fl.toDev, p2p: fl.p2p})
-	fl.done()
-	for _, s := range fl.subs {
-		s()
+	e.arrive(fl.done)
+	for _, j := range fl.subs {
+		e.arrive(j)
 	}
 	clear(fl.subs)
 	fl.subs, fl.done = fl.subs[:0], nil
@@ -883,7 +973,13 @@ func (e *engine) dispatchOne(d *device.Device) bool {
 	var in *task.Instance
 	if q := e.devQ[d.ID]; len(q) > 0 {
 		in = q[0]
-		e.devQ[d.ID] = q[1:]
+		// Popping the last instance rewinds the queue onto its own
+		// array, so a queue that drains between binds never regrows.
+		q[0] = nil
+		if q = q[1:]; len(q) == 0 {
+			q = e.devQ[d.ID][:0]
+		}
+		e.devQ[d.ID] = q
 	} else if len(e.central) > 0 {
 		e.syncClock()
 		pick := e.cfg.Scheduler.OnIdle(d.ID, e.central, e)
@@ -915,46 +1011,52 @@ func (e *engine) dispatchOne(d *device.Device) bool {
 }
 
 // start runs the instance's lifecycle on device d: decision overhead
-// (dynamic only), input transfers, kernel execution, completion.
+// (dynamic only), input transfers, kernel execution, completion. Each
+// later step is an event for the instance's ID.
 func (e *engine) start(in *task.Instance, d *device.Device) {
-	e.dispatchAt[in.ID] = e.eng.Now()
+	st := &e.inst[in.ID]
+	st.dispatchAt, st.dev = e.eng.Now(), int32(d.ID)
 	if in.Pin == task.Unpinned {
 		oh := e.cfg.Scheduler.Overhead()
 		now := e.eng.Now()
 		e.emit(&event{kind: trace.Decision, start: now, end: now + oh, dev: d.ID, in: in, busy: oh})
 		if oh > 0 {
-			e.eng.After(oh, func() { e.startTransfers(in, d) })
+			e.eng.After(oh, (*startTransfersEvent)(e), in.ID)
 			return
 		}
 	}
-	e.startTransfers(in, d)
+	e.startTransfers(in.ID)
 }
 
-func (e *engine) startTransfers(in *task.Instance, d *device.Device) {
-	// ensure reads the list before returning, so one scratch slice
-	// serves every instance.
-	transfers := e.reads[:0]
-	defer func() { e.reads = transfers[:0] }()
-	space := mem.Space(d.ID)
-	for _, a := range in.Accesses {
+// startTransfers issues instance id's input transfers and executes it
+// once they have landed.
+func (e *engine) startTransfers(id int) {
+	st := &e.inst[id]
+	space := mem.Space(st.dev)
+	transfers := e.scratch[:0]
+	for _, a := range st.in.Accesses {
 		if !a.Mode.Reads() {
 			continue
 		}
-		txs, err := e.dir.TransfersForRead(a.Buf, space, a.Interval)
-		if err != nil {
+		var err error
+		if transfers, err = e.dir.AppendTransfersForRead(transfers, a.Buf, space, a.Interval); err != nil {
 			e.fail(err)
 			return
 		}
-		transfers = append(transfers, txs...)
 	}
+	e.scratch = transfers[:0]
 	if len(transfers) == 0 {
-		e.exec(in, d)
+		e.exec(id)
 		return
 	}
-	e.ensure(transfers, func() { e.exec(in, d) })
+	e.ensure(transfers, (*execEvent)(e), id)
 }
 
-func (e *engine) exec(in *task.Instance, d *device.Device) {
+// exec runs instance id's kernel on its device: under processor
+// sharing on the host, as a timed completion event on an accelerator.
+func (e *engine) exec(id int) {
+	st := &e.inst[id]
+	in, d := st.in, e.devs[st.dev]
 	factor, ferr := e.cfg.Faults.ExecStart(int64(e.eng.Now()), d.ID, in.Kernel.Name)
 	if ferr != nil {
 		e.faultFired(ferr, in.String())
@@ -979,12 +1081,19 @@ func (e *engine) exec(in *task.Instance, d *device.Device) {
 	if factor != 1 {
 		e.mx.faultPerturbed()
 	}
-	startAt := e.eng.Now()
-	if dur >= sim.MaxTime-startAt {
+	if dur >= sim.MaxTime-e.eng.Now() {
 		e.fail(errPastEnd("accelerator chunk"))
 		return
 	}
-	e.eng.After(dur, func() { e.complete(in, d, startAt, dur) })
+	st.dur = dur
+	e.eng.After(dur, (*completedEvent)(e), id)
+}
+
+// completed finishes instance id's accelerator chunk, which started
+// its execution time before now.
+func (e *engine) completed(id int) {
+	st := &e.inst[id]
+	e.complete(st.in, e.devs[st.dev], e.eng.Now()-st.dur, st.dur)
 }
 
 // perturb scales a duration by the injector's factor, saturating at
@@ -1043,7 +1152,7 @@ func (e *engine) complete(in *task.Instance, d *device.Device, startAt sim.Time,
 	// equivalent service demand on the processor-sharing host (wall
 	// time there depends on how crowded the socket happened to be, so
 	// it is not a rate).
-	reported := e.eng.Now() - e.dispatchAt[in.ID]
+	reported := e.eng.Now() - e.inst[in.ID].dispatchAt
 	if d.ID == 0 && d.Share > 1 {
 		reported = dur
 	}
@@ -1055,8 +1164,9 @@ func (e *engine) complete(in *task.Instance, d *device.Device, startAt sim.Time,
 	// completion event can fire, so every successor is already
 	// submitted.
 	for _, s := range in.Succs {
-		e.pendingDeps[s.ID]--
-		if e.pendingDeps[s.ID] == 0 {
+		st := &e.inst[s.ID]
+		st.pending--
+		if st.pending == 0 {
 			e.route(s)
 		}
 	}

@@ -2,6 +2,7 @@ package rt
 
 import (
 	"errors"
+	"reflect"
 	"testing"
 
 	"heteropart/internal/apierr"
@@ -471,6 +472,75 @@ func TestPastEndFailsTyped(t *testing.T) {
 			Faults: fault.NewInjector(c.faults, fault.ScopeExecute)}, &p, dir)
 		if !errors.Is(err, apierr.ErrOptionsInvalid) {
 			t.Errorf("%s: %v, want ErrOptionsInvalid", c.name, err)
+		}
+	}
+}
+
+// TestReexecutedPlanRepeatsItsRun: a plan executed twice, with the
+// directory reset in between, gives the same Result and trace records,
+// and the second Execute leaves the dependence graph as the first one
+// built it. The runtime keeps its run state by instance ID and builds
+// the graph only when the plan has changed.
+func TestReexecutedPlanRepeatsItsRun(t *testing.T) {
+	plat := testPlatform(4)
+	dir := mem.NewDirectory(2)
+	a := dir.Register("a", 8*1000, 8)
+	b := dir.Register("b", 8*1000, 8)
+	stage := func(name string, in, out *mem.Buffer) *task.Kernel {
+		return &task.Kernel{
+			Name: name, Size: in.Elems, Precision: device.SP, Eff: fullEff,
+			Flops: func(lo, hi int64) float64 { return 1e4 * float64(hi-lo) },
+			Accesses: func(lo, hi int64) []task.Access {
+				iv := mem.Interval{Lo: lo, Hi: hi}
+				return []task.Access{{Buf: in, Interval: iv, Mode: task.Read}, {Buf: out, Interval: iv, Mode: task.Write}}
+			},
+		}
+	}
+	var p task.Plan
+	for _, k := range []*task.Kernel{stage("ab", a, b), stage("ba", b, a), stage("ab", a, b)} {
+		for c := int64(0); c < 8; c++ {
+			p.Submit(k, c*1000, (c+1)*1000, task.Unpinned, int(c))
+		}
+	}
+	p.Barrier()
+
+	run := func() (*Result, []trace.Record) {
+		tr := &trace.Trace{}
+		res := mustExecute(t, Config{Platform: plat, Scheduler: sched.NewPerf(), Trace: tr}, &p, dir)
+		return res, tr.Records
+	}
+	res1, recs1 := run()
+	if p.Stale() {
+		t.Fatal("Execute left the plan's dependence graph stale")
+	}
+	if res1.Decisions == 0 || res1.TransferCount == 0 {
+		t.Fatalf("the plan exercised no decisions or transfers: %+v", res1)
+	}
+	insts := p.Instances()
+	deps := make([][]*task.Instance, len(insts))
+	succs := make([][]*task.Instance, len(insts))
+	edges := 0
+	for i, in := range insts {
+		deps[i], succs[i] = in.Deps, in.Succs
+		edges += len(in.Deps)
+	}
+	if edges == 0 {
+		t.Fatal("the plan has no dependences")
+	}
+
+	dir.Reset()
+	res2, recs2 := run()
+	if !reflect.DeepEqual(res1, res2) {
+		t.Errorf("second run's result differs:\n%+v\n%+v", res1, res2)
+	}
+	if !reflect.DeepEqual(recs1, recs2) {
+		t.Errorf("second run's trace differs: %d vs %d records", len(recs1), len(recs2))
+	}
+	// The same lists, not equal copies: the graph was not rebuilt.
+	same := func(x, y []*task.Instance) bool { return len(x) == len(y) && (len(x) == 0 || &x[0] == &y[0]) }
+	for i, in := range insts {
+		if !same(in.Deps, deps[i]) || !same(in.Succs, succs[i]) {
+			t.Fatalf("%v: the second Execute rebuilt its dependence lists", in)
 		}
 	}
 }

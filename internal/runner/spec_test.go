@@ -1,9 +1,12 @@
 package runner
 
 import (
+	"context"
+	"errors"
 	"strings"
 	"testing"
 
+	"heteropart/internal/apierr"
 	"heteropart/internal/apps"
 	"heteropart/internal/device"
 	"heteropart/internal/fault"
@@ -207,6 +210,47 @@ func TestSpecCanonicalPinned(t *testing.T) {
 		}
 		if v.Key() == full.Key() {
 			t.Errorf("observation field %s did not change Key", field)
+		}
+	}
+}
+
+// uncarriableScales are calibrations that no platform spec or
+// calibration report could carry, but that WithScales takes as given:
+// a factor far below MinScaleFactor, a zero factor, and a repeated
+// (kernel, device) pair.
+var uncarriableScales = []struct {
+	name   string
+	scales []device.Scale
+}{
+	{"tiny factor", []device.Scale{{Device: -1, Factor: 1e-300}}},
+	{"zero factor", []device.Scale{{Device: 1, Factor: 0}}},
+	{"repeated pair", []device.Scale{{Device: 1, Factor: 1.5}, {Device: 1, Factor: 2}}},
+}
+
+// TestUncarriableCalibrationRefused: a run on a platform whose
+// calibration breaks device.ValidateScales fails with
+// ErrPlatformInvalid, whether the runner decides the plan or replays
+// one. BlackScholes SP-Single at n = 16384 used to report a zero
+// makespan under the tiny factor and price the zero factor as the
+// plain roofline.
+func TestUncarriableCalibrationRefused(t *testing.T) {
+	for _, c := range uncarriableScales {
+		plat := calibrated(0, c.scales...)
+		spec := Spec{App: "BlackScholes", Strategy: "SP-Single", N: 16384, Plat: plat}
+		r := New(Config{Workers: 1})
+		if _, err := r.Run(spec); !errors.Is(err, apierr.ErrPlatformInvalid) {
+			t.Errorf("%s: Run = %v, want ErrPlatformInvalid", c.name, err)
+		}
+		// A plan decided on the clean platform, bound to the
+		// calibrated one as a replayed plan file would be.
+		pl, _, err := r.PlanContext(context.Background(), Spec{App: "BlackScholes", Strategy: "SP-Single", N: 16384})
+		if err != nil {
+			t.Fatal(err)
+		}
+		bound := *pl
+		bound.Platform = plan.Fingerprint(plat)
+		if _, err := r.ExecuteContext(context.Background(), spec, &bound); !errors.Is(err, apierr.ErrPlatformInvalid) {
+			t.Errorf("%s: ExecuteContext = %v, want ErrPlatformInvalid", c.name, err)
 		}
 	}
 }

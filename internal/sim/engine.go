@@ -74,13 +74,29 @@ func DurationOf(seconds float64) Duration {
 	return Duration(ns + 0.5)
 }
 
-// event is one scheduled callback. The engine recycles records once
-// they fire or are reaped, bumping gen, so a handle issued for an
-// earlier use of the record no longer matches it.
+// Handler receives a scheduled event when it fires, with the argument
+// it was scheduled with. The argument lets one handler serve many
+// events: a runtime binds a handler per kind of event and passes the
+// instance, device or flag each event concerns, so scheduling
+// allocates nothing.
+type Handler interface {
+	Fire(arg int)
+}
+
+// Func adapts a function to Handler.
+type Func func(arg int)
+
+// Fire calls f(arg).
+func (f Func) Fire(arg int) { f(arg) }
+
+// event is one scheduled handler and its argument. The engine recycles
+// records once they fire or are reaped, bumping gen, so a handle issued
+// for an earlier use of the record no longer matches it.
 type event struct {
 	at   Time
 	seq  uint64
-	fn   func()
+	h    Handler
+	arg  int
 	gen  uint64
 	dead bool
 }
@@ -185,11 +201,12 @@ func (e *Engine) Fired() uint64 { return e.fired }
 // that have not been reaped yet).
 func (e *Engine) Pending() int { return len(e.queue) }
 
-// At schedules fn to run at absolute virtual time t. Scheduling in the
-// past is always a logic error in a discrete-event model: the engine
-// records the fault (visible through Err), halts the run loop, and
-// returns a handle to nothing, which stays safe to use.
-func (e *Engine) At(t Time, fn func()) Event {
+// At schedules h.Fire(arg) at absolute virtual time t; a caller with
+// nothing to pass ignores the argument. Scheduling in the past is
+// always a logic error in a discrete-event model: the engine records
+// the fault (visible through Err), halts the run loop, and returns a
+// handle to nothing, which stays safe to use.
+func (e *Engine) At(t Time, h Handler, arg int) Event {
 	if t < e.now {
 		e.Fail(fmt.Errorf("sim: scheduling at %v before now %v", t, e.now))
 		return Event{at: t}
@@ -201,7 +218,7 @@ func (e *Engine) At(t Time, fn func()) Event {
 	} else {
 		ev = &event{}
 	}
-	ev.at, ev.seq, ev.fn, ev.dead = t, e.seq, fn, false
+	ev.at, ev.seq, ev.h, ev.arg, ev.dead = t, e.seq, h, arg, false
 	e.seq++
 	e.queue.push(ev)
 	return Event{ev: ev, gen: ev.gen, at: t}
@@ -210,7 +227,7 @@ func (e *Engine) At(t Time, fn func()) Event {
 // recycle retires a record taken off the queue: its handles go stale
 // and the record becomes available to At.
 func (e *Engine) recycle(ev *event) {
-	ev.fn = nil
+	ev.h = nil
 	ev.gen++
 	e.free = append(e.free, ev)
 }
@@ -228,12 +245,12 @@ func (e *Engine) Fail(err error) {
 	e.Halt()
 }
 
-// After schedules fn to run d nanoseconds from now.
-func (e *Engine) After(d Duration, fn func()) Event {
+// After schedules h.Fire(arg) d nanoseconds from now.
+func (e *Engine) After(d Duration, h Handler, arg int) Event {
 	if d < 0 {
 		d = 0
 	}
-	return e.At(e.now.Add(d), fn)
+	return e.At(e.now.Add(d), h, arg)
 }
 
 // Halt stops the run loop after the current event returns.
@@ -244,14 +261,14 @@ func (e *Engine) Halt() { e.halted = true }
 func (e *Engine) Step() bool {
 	for len(e.queue) > 0 {
 		ev := e.queue.pop()
-		at, fn, dead := ev.at, ev.fn, ev.dead
+		at, h, arg, dead := ev.at, ev.h, ev.arg, ev.dead
 		e.recycle(ev)
 		if dead {
 			continue
 		}
 		e.now = at
 		e.fired++
-		fn()
+		h.Fire(arg)
 		return true
 	}
 	return false

@@ -36,19 +36,19 @@ func (r *Resource) FreeAt() Time {
 }
 
 // Acquire enqueues a hold of the resource for dur, starting as soon as
-// all previously enqueued holds finish. onStart (optional) fires when
-// service begins; onDone fires when the hold ends. It returns the
-// completion time.
-func (r *Resource) Acquire(dur Duration, onStart, onDone func()) Time {
+// all previously enqueued holds finish. onStart (optional) fires with
+// arg when service begins; onDone (optional) fires with arg when the
+// hold ends. It returns the completion time.
+func (r *Resource) Acquire(dur Duration, onStart, onDone Handler, arg int) Time {
 	start := r.FreeAt()
 	end := start + dur
 	r.freeAt = end
 	r.busy += dur
 	if onStart != nil {
-		r.eng.At(start, onStart)
+		r.eng.At(start, onStart, arg)
 	}
 	if onDone != nil {
-		r.eng.At(end, onDone)
+		r.eng.At(end, onDone, arg)
 	}
 	return end
 }

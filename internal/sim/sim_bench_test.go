@@ -7,14 +7,14 @@ import "testing"
 func BenchmarkEngineDispatch(b *testing.B) {
 	e := NewEngine()
 	n := 0
-	var next func()
-	next = func() {
+	var next Func
+	next = func(int) {
 		n++
 		if n < b.N {
-			e.After(1, next)
+			e.After(1, next, 0)
 		}
 	}
-	e.At(0, next)
+	e.At(0, next, 0)
 	b.ResetTimer()
 	e.Run()
 	if n != b.N && b.N > 0 {
@@ -27,7 +27,7 @@ func BenchmarkEngineDispatch(b *testing.B) {
 func BenchmarkEngineHeap(b *testing.B) {
 	e := NewEngine()
 	for i := 0; i < b.N; i++ {
-		e.At(Time(i%1000), func() {})
+		e.At(Time(i%1000), Func(func(int) {}), 0)
 	}
 	b.ResetTimer()
 	e.Run()
@@ -39,6 +39,6 @@ func BenchmarkResourceAcquire(b *testing.B) {
 	r := NewResource(e, "link")
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		r.Acquire(10, nil, nil)
+		r.Acquire(10, nil, nil, 0)
 	}
 }

@@ -3,6 +3,7 @@ package sim
 import (
 	"errors"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -10,9 +11,9 @@ import (
 func TestEngineOrdersByTime(t *testing.T) {
 	e := NewEngine()
 	var got []int
-	e.At(30, func() { got = append(got, 3) })
-	e.At(10, func() { got = append(got, 1) })
-	e.At(20, func() { got = append(got, 2) })
+	e.At(30, Func(func(int) { got = append(got, 3) }), 0)
+	e.At(10, Func(func(int) { got = append(got, 1) }), 0)
+	e.At(20, Func(func(int) { got = append(got, 2) }), 0)
 	end := e.Run()
 	if end != 30 {
 		t.Fatalf("end time = %v, want 30", end)
@@ -30,7 +31,7 @@ func TestEngineTiesFireInScheduleOrder(t *testing.T) {
 	var got []int
 	for i := 0; i < 10; i++ {
 		i := i
-		e.At(5, func() { got = append(got, i) })
+		e.At(5, Func(func(int) { got = append(got, i) }), 0)
 	}
 	e.Run()
 	for i := 0; i < 10; i++ {
@@ -43,9 +44,9 @@ func TestEngineTiesFireInScheduleOrder(t *testing.T) {
 func TestEngineAfterAccumulates(t *testing.T) {
 	e := NewEngine()
 	var at Time
-	e.After(100, func() {
-		e.After(50, func() { at = e.Now() })
-	})
+	e.After(100, Func(func(int) {
+		e.After(50, Func(func(int) { at = e.Now() }), 0)
+	}), 0)
 	e.Run()
 	if at != 150 {
 		t.Fatalf("nested After fired at %v, want 150", at)
@@ -55,7 +56,7 @@ func TestEngineAfterAccumulates(t *testing.T) {
 func TestEngineCancel(t *testing.T) {
 	e := NewEngine()
 	fired := false
-	ev := e.At(10, func() { fired = true })
+	ev := e.At(10, Func(func(int) { fired = true }), 0)
 	ev.Cancel()
 	e.Run()
 	if fired {
@@ -72,21 +73,21 @@ func TestEngineCancel(t *testing.T) {
 // touch the event that now occupies the record.
 func TestEngineStaleCancelIsNoOp(t *testing.T) {
 	e := NewEngine()
-	first := e.At(10, func() {})
+	first := e.At(10, Func(func(int) {}), 0)
 	e.Run()
 	fired := false
-	second := e.At(20, func() { fired = true })
+	second := e.At(20, Func(func(int) { fired = true }), 0)
 	first.Cancel()
 	e.Run()
 	if !fired {
 		t.Fatal("stale Cancel of a fired event canceled its successor")
 	}
 
-	canceled := e.At(30, func() { t.Error("canceled event fired") })
+	canceled := e.At(30, Func(func(int) { t.Error("canceled event fired") }), 0)
 	canceled.Cancel()
 	e.Run() // reaps the canceled record
 	fired = false
-	e.At(40, func() { fired = true })
+	e.At(40, Func(func(int) { fired = true }), 0)
 	canceled.Cancel()
 	second.Cancel()
 	e.Run()
@@ -98,14 +99,14 @@ func TestEngineStaleCancelIsNoOp(t *testing.T) {
 func TestEnginePastSchedulingErrors(t *testing.T) {
 	e := NewEngine()
 	reached := false
-	e.At(100, func() {
-		ev := e.At(50, func() { t.Error("past event fired") })
+	e.At(100, Func(func(int) {
+		ev := e.At(50, Func(func(int) { t.Error("past event fired") }), 0)
 		ev.Cancel() // the returned handle must stay safe to use
 		if ev.Time() != 50 {
 			t.Errorf("past-event handle time = %v, want 50", ev.Time())
 		}
-	})
-	e.At(200, func() { reached = true })
+	}), 0)
+	e.At(200, Func(func(int) { reached = true }), 0)
 	e.Run()
 	if e.Err() == nil {
 		t.Fatal("scheduling in the past did not set Err")
@@ -120,8 +121,8 @@ func TestEngineFail(t *testing.T) {
 	e := NewEngine()
 	first, second := errors.New("first"), errors.New("second")
 	reached := false
-	e.At(1, func() { e.Fail(first); e.Fail(second) })
-	e.At(2, func() { reached = true })
+	e.At(1, Func(func(int) { e.Fail(first); e.Fail(second) }), 0)
+	e.At(2, Func(func(int) { reached = true }), 0)
 	e.Run()
 	if e.Err() != first || reached {
 		t.Fatalf("Err = %v, reached = %v; want the first fault and a halted loop", e.Err(), reached)
@@ -131,9 +132,9 @@ func TestEngineFail(t *testing.T) {
 func TestEngineHalt(t *testing.T) {
 	e := NewEngine()
 	n := 0
-	e.At(1, func() { n++ })
-	e.At(2, func() { n++; e.Halt() })
-	e.At(3, func() { n++ })
+	e.At(1, Func(func(int) { n++ }), 0)
+	e.At(2, Func(func(int) { n++; e.Halt() }), 0)
+	e.At(3, Func(func(int) { n++ }), 0)
 	e.Run()
 	if n != 2 {
 		t.Fatalf("fired %d events before halt, want 2", n)
@@ -150,7 +151,7 @@ func TestEngineRunUntil(t *testing.T) {
 	var got []Time
 	for _, at := range []Time{5, 10, 15, 20} {
 		at := at
-		e.At(at, func() { got = append(got, at) })
+		e.At(at, Func(func(int) { got = append(got, at) }), 0)
 	}
 	e.RunUntil(12)
 	if len(got) != 2 || got[0] != 5 || got[1] != 10 {
@@ -203,8 +204,8 @@ func TestResourceFIFO(t *testing.T) {
 	e := NewEngine()
 	r := NewResource(e, "link")
 	var done []int
-	end1 := r.Acquire(100, nil, func() { done = append(done, 1) })
-	end2 := r.Acquire(50, nil, func() { done = append(done, 2) })
+	end1 := r.Acquire(100, nil, Func(func(id int) { done = append(done, id) }), 1)
+	end2 := r.Acquire(50, nil, Func(func(id int) { done = append(done, id) }), 2)
 	if end1 != 100 || end2 != 150 {
 		t.Fatalf("ends = %v %v, want 100 150", end1, end2)
 	}
@@ -220,11 +221,11 @@ func TestResourceFIFO(t *testing.T) {
 func TestResourceIdleGap(t *testing.T) {
 	e := NewEngine()
 	r := NewResource(e, "link")
-	r.Acquire(10, nil, nil)
+	r.Acquire(10, nil, nil, 0)
 	var start Time
-	e.At(100, func() {
-		r.Acquire(5, func() { start = e.Now() }, nil)
-	})
+	e.At(100, Func(func(int) {
+		r.Acquire(5, Func(func(int) { start = e.Now() }), nil, 0)
+	}), 0)
 	e.Run()
 	if start != 100 {
 		t.Fatalf("second hold started at %v, want 100 (resource was idle)", start)
@@ -240,12 +241,12 @@ func TestQuickEngineMonotonicClock(t *testing.T) {
 		ok := true
 		for _, d := range delays {
 			d := Time(d)
-			e.At(d, func() {
+			e.At(d, Func(func(int) {
 				if e.Now() < last {
 					ok = false
 				}
 				last = e.Now()
-			})
+			}), 0)
 		}
 		e.Run()
 		return ok
@@ -267,7 +268,7 @@ func TestQuickResourceSerialization(t *testing.T) {
 		for _, d := range durs {
 			dur := Duration(d)
 			total += dur
-			end := r.Acquire(dur, nil, nil)
+			end := r.Acquire(dur, nil, nil, 0)
 			if end < prevEnd {
 				ok = false
 			}
@@ -295,10 +296,10 @@ func TestDeterminism(t *testing.T) {
 			n := rng.Intn(3)
 			for i := 0; i < n; i++ {
 				d := Duration(rng.Intn(1000))
-				e.After(d, func() { spawn(depth + 1) })
+				e.After(d, Func(func(int) { spawn(depth + 1) }), 0)
 			}
 		}
-		e.At(0, func() { spawn(0) })
+		e.At(0, Func(func(int) { spawn(0) }), 0)
 		e.Run()
 		return trace
 	}
@@ -315,7 +316,7 @@ func TestDeterminism(t *testing.T) {
 
 func TestEngineIntrospection(t *testing.T) {
 	e := NewEngine()
-	ev := e.At(50, func() {})
+	ev := e.At(50, Func(func(int) {}), 0)
 	if ev.Time() != 50 {
 		t.Fatalf("event time = %v", ev.Time())
 	}
@@ -334,16 +335,16 @@ func TestEngineIntrospection(t *testing.T) {
 func TestAfterClampsNegativeAndSaturates(t *testing.T) {
 	e := NewEngine()
 	var at Time
-	e.After(-100, func() { at = e.Now() })
+	e.After(-100, Func(func(int) { at = e.Now() }), 0)
 	e.Run()
 	if at != 0 {
 		t.Fatalf("negative delay fired at %v", at)
 	}
 	// Near-MaxTime saturation.
 	e2 := NewEngine()
-	e2.At(MaxTime-5, func() {
-		e2.After(100, func() {}) // must clamp, not overflow
-	})
+	e2.At(MaxTime-5, Func(func(int) {
+		e2.After(100, Func(func(int) {}), 0) // must clamp, not overflow
+	}), 0)
 	e2.RunUntil(MaxTime - 5)
 	if e2.Pending() != 1 {
 		t.Fatalf("pending = %d", e2.Pending())
@@ -360,8 +361,8 @@ func TestResourceAndSlotsNames(t *testing.T) {
 
 func TestRunUntilCanceledHead(t *testing.T) {
 	e := NewEngine()
-	ev := e.At(5, func() {})
-	e.At(10, func() {})
+	ev := e.At(5, Func(func(int) {}), 0)
+	e.At(10, Func(func(int) {}), 0)
 	ev.Cancel()
 	e.RunUntil(7)
 	if e.Fired() != 0 {
@@ -370,5 +371,46 @@ func TestRunUntilCanceledHead(t *testing.T) {
 	e.Run()
 	if e.Fired() != 1 {
 		t.Fatalf("fired = %d", e.Fired())
+	}
+}
+
+// tally is a handler bound once for many events: it records each
+// event's argument.
+type tally []int
+
+func (t *tally) Fire(id int) { *t = append(*t, id) }
+
+// TestEngineArgEventsRecycle: events carrying an argument fire in
+// (time, seq) order, each with its own argument; their records are
+// reused once they fire; and a stale Cancel through a fired event's
+// handle leaves the event that now holds its record alone.
+func TestEngineArgEventsRecycle(t *testing.T) {
+	e := NewEngine()
+	var got tally
+	for _, c := range []struct {
+		at Time
+		id int
+	}{{20, 3}, {10, 1}, {20, 4}, {10, 2}, {15, 5}} {
+		e.At(c.at, &got, c.id)
+	}
+	e.Run()
+	if want := []int{1, 2, 5, 3, 4}; !slices.Equal(got, want) {
+		t.Fatalf("fired %v, want %v", got, want)
+	}
+	if len(e.free) != 5 {
+		t.Fatalf("%d records recycled, want 5", len(e.free))
+	}
+
+	old := e.At(30, &got, 6)
+	e.Run()
+	got = got[:0]
+	fresh := e.At(40, &got, 7)
+	if fresh.ev != old.ev {
+		t.Fatal("the fired event's record was not reused")
+	}
+	old.Cancel()
+	e.Run()
+	if !slices.Equal(got, []int{7}) {
+		t.Fatalf("after a stale Cancel fired %v, want [7]", got)
 	}
 }

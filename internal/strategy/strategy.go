@@ -199,11 +199,12 @@ func ByName(name string) (Strategy, error) {
 }
 
 // Execute carries out a decided plan on the platform: it validates the
-// plan (including the platform fingerprint), materializes the task
-// instances, builds the named scheduler — running the training pass
-// first for seeded perf plans — and measures the execution. Replaying
-// a plan reproduces the run that decided it exactly: the simulator is
-// deterministic and the plan pins the whole decision surface.
+// plan (including the platform fingerprint) and the platform's
+// calibration, materializes the task instances once, builds the named
+// scheduler — running the training pass first for seeded perf plans —
+// and measures the execution. Replaying a plan reproduces the run that
+// decided it exactly: the simulator is deterministic and the plan pins
+// the whole decision surface.
 func Execute(pl *plan.ExecutionPlan, p *apps.Problem, plat *device.Platform, opts Options) (*Outcome, error) {
 	return ExecuteContext(context.Background(), pl, p, plat, opts)
 }
@@ -213,6 +214,11 @@ func Execute(pl *plan.ExecutionPlan, p *apps.Problem, plat *device.Platform, opt
 // runtime's phase boundaries; a canceled run returns an error wrapping
 // apierr.ErrCanceled. With a background context the behaviour — and
 // the measured result — is byte-identical to Execute.
+//
+// A seeded perf plan's training and measured runs execute the one
+// materialized task plan, with the directory reset between them: the
+// runtime keeps its run state by instance ID and builds the dependence
+// graph only for the first run.
 func ExecuteContext(ctx context.Context, pl *plan.ExecutionPlan, p *apps.Problem, plat *device.Platform, opts Options) (*Outcome, error) {
 	if pl == nil {
 		return nil, fmt.Errorf("strategy: nil plan: %w", apierr.ErrPlanInvalid)
@@ -229,6 +235,9 @@ func ExecuteContext(ctx context.Context, pl *plan.ExecutionPlan, p *apps.Problem
 	if err := pl.CheckPlatform(plat); err != nil {
 		return nil, err
 	}
+	if err := checkScales(plat); err != nil {
+		return nil, err
+	}
 	tp, err := pl.Materialize(p)
 	if err != nil {
 		return nil, err
@@ -243,20 +252,15 @@ func ExecuteContext(ctx context.Context, pl *plan.ExecutionPlan, p *apps.Problem
 		perf := sched.NewPerf()
 		if pl.Scheduler.Seeded {
 			// The excluded profiling phase (Section IV-A3): a training
-			// execution on a fresh materialization learns the rates,
-			// the directory is reset, and the measured run starts from
-			// the trained profile.
+			// execution of the same task plan learns the rates, the
+			// directory is reset, and the measured run starts from the
+			// trained profile.
 			trainer := sched.NewPerf()
 			trainSpan := opts.Spans.Begin(execSpan, telemetry.KindTrain, "perf-training")
-			trainPlan, err := pl.Materialize(p)
-			if err != nil {
-				opts.Spans.End(trainSpan)
-				return nil, err
-			}
 			if _, err := rt.Execute(rt.Config{
 				Platform: plat, Scheduler: trainer, Ctx: opts.ctx,
 				Faults: fault.NewInjector(opts.Faults, fault.ScopeExecute),
-			}, trainPlan, p.Dir); err != nil {
+			}, tp, p.Dir); err != nil {
 				opts.Spans.End(trainSpan)
 				return nil, err
 			}
@@ -316,12 +320,29 @@ func RunContext(ctx context.Context, s Strategy, p *apps.Problem, plat *device.P
 }
 
 // PlanInSpan decides s on p inside a plan span under opts.SpanParent,
-// with the strategy's own spans (Glinda probes) beneath it.
+// with the strategy's own spans (Glinda probes) beneath it. A platform
+// whose calibration no spec or report could carry is refused first.
 func PlanInSpan(s Strategy, p *apps.Problem, plat *device.Platform, opts Options) (*plan.ExecutionPlan, error) {
+	if err := checkScales(plat); err != nil {
+		return nil, err
+	}
 	planSpan := opts.Spans.Begin(opts.SpanParent, telemetry.KindPlan, "plan "+s.Name())
 	defer opts.Spans.End(planSpan)
 	opts.SpanParent = planSpan
 	return s.Plan(p, plat, opts)
+}
+
+// checkScales refuses a calibrated platform whose scales break
+// device.ValidateScales — a factor outside its bounds, a device the
+// platform lacks, a repeated (kernel, device) pair — with an error
+// wrapping apierr.ErrPlatformInvalid: no platform spec or calibration
+// report could carry them, and WithScales does not check. An
+// uncalibrated platform costs nothing.
+func checkScales(plat *device.Platform) error {
+	if plat == nil || len(plat.Scales) == 0 {
+		return nil
+	}
+	return device.ValidateScales(plat.Scales, 1+len(plat.Accels))
 }
 
 // newPlan assembles the plan envelope around the phases g cuts from p.

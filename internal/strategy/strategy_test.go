@@ -1,6 +1,7 @@
 package strategy
 
 import (
+	"context"
 	"errors"
 	"runtime"
 	"testing"
@@ -8,6 +9,7 @@ import (
 	"heteropart/internal/apierr"
 	"heteropart/internal/apps"
 	"heteropart/internal/device"
+	"heteropart/internal/task"
 )
 
 // smallProblem builds a compute-mode test problem for an app.
@@ -337,5 +339,71 @@ func TestPlanInstanceCap(t *testing.T) {
 		if n != 1<<20 {
 			t.Errorf("iters %d: %d instances, want %d", c.iters, n, 1<<20)
 		}
+	}
+}
+
+// TestSeededPerfMaterializesOnce: a seeded DP-Perf execution runs its
+// training and measured passes on one materialized task plan, so each
+// kernel's access list is built once per task instance, not once per
+// pass.
+func TestSeededPerfMaterializesOnce(t *testing.T) {
+	plat := device.PaperPlatform(4)
+	p := smallProblem(t, "STREAM-Loop", apps.SyncDefault)
+	pl, err := DPPerf{}.Plan(p, plat, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !pl.Scheduler.Seeded {
+		t.Fatal("DP-Perf plan is not seeded")
+	}
+	calls := 0
+	for _, k := range p.Unique {
+		accesses := k.Accesses
+		k.Accesses = func(lo, hi int64) []task.Access {
+			calls++
+			return accesses(lo, hi)
+		}
+	}
+	if _, err := Execute(pl, p, plat, Options{}); err != nil {
+		t.Fatal(err)
+	}
+	if want := pl.Instances(); calls != want {
+		t.Fatalf("%d access-list builds for %d task instances, want one each", calls, want)
+	}
+}
+
+// TestSeededExecuteAllocationCeiling pins the allocations of one
+// ExecuteContext of a decided, seeded DP-Perf plan (STREAM-Loop on the
+// paper platform at m = 12): the plan is materialized once into one
+// instance slab, its training and measured runs share it, and its
+// dependence graph is built once. The final taskwait leaves the
+// directory pristine, so the problem is reused across calls. With Go
+// 1.24 on amd64 a call over the plan's 480 instances takes 1626
+// allocations, three quarters of them the kernels' access lists; the
+// ceiling leaves about 10% headroom and may be lowered, never raised.
+func TestSeededExecuteAllocationCeiling(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race runtime allocates per call")
+	}
+	plat := device.PaperPlatform(12)
+	p, err := apps.NewStreamLoop().Build(apps.Variant{N: 1 << 16})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pl, err := DPPerf{}.Plan(p, plat, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := testing.AllocsPerRun(20, func() {
+		if err == nil {
+			_, err = ExecuteContext(context.Background(), pl, p, plat, Options{})
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const ceiling = 1790
+	if got > ceiling {
+		t.Errorf("%.0f allocations per ExecuteContext, ceiling %d", got, ceiling)
 	}
 }

@@ -17,8 +17,12 @@ import (
 // Edges are deduplicated. Each Deps list is in discovery order: by
 // access, then by submission, which is ascending ID. Succs lists are in
 // submission order too.
+//
+// BuildDeps rebuilds the whole graph on every call and marks the plan
+// built; the runtime calls it only when Plan.Stale reports a change.
 func BuildDeps(p *Plan) {
-	hist := newHistories(p)
+	var stack [8]history
+	hist := newHistories(p, stack[:0])
 	// The per-instance state is slices indexed by op position: seen[i]
 	// == j+1 marks op i's instance as already a dependency of op j's
 	// (or as op j's own); nsucc[i] counts its successors.
@@ -30,8 +34,8 @@ func BuildDeps(p *Plan) {
 
 	for i, op := range p.Ops {
 		if op.Kind == OpBarrier {
-			for b, h := range hist {
-				hist[b] = history{ents: h.ents[:0]}
+			for b := range hist {
+				hist[b].clear()
 			}
 			continue
 		}
@@ -41,23 +45,38 @@ func BuildDeps(p *Plan) {
 		first := len(slab)
 		for _, a := range in.Accesses {
 			from := len(slab)
-			for _, h := range hist[a.Buf.ID].candidates(a.Interval) {
-				if seen[h.op] == stamp || !a.Interval.Overlaps(h.iv) {
-					continue
+			// depend makes e's instance a dependency of this one when
+			// their accesses overlap and conflict. RAW: we read what
+			// they wrote. WAW: we write what they wrote. WAR: we write
+			// what they read.
+			depend := func(e *past) {
+				if seen[e.op] == stamp || !a.Interval.Overlaps(e.iv) {
+					return
 				}
-				// RAW: we read what they wrote. WAW: we write what
-				// they wrote. WAR: we write what they read.
-				conflict := (a.Mode.Reads() && h.mode.Writes()) ||
-					(a.Mode.Writes() && h.mode.Writes()) ||
-					(a.Mode.Writes() && h.mode.Reads())
+				conflict := (a.Mode.Reads() && e.mode.Writes()) ||
+					(a.Mode.Writes() && e.mode.Writes()) ||
+					(a.Mode.Writes() && e.mode.Reads())
 				if conflict {
-					seen[h.op] = stamp
-					slab = append(slab, p.Ops[h.op].Inst)
-					nsucc[h.op]++
+					seen[e.op] = stamp
+					slab = append(slab, p.Ops[e.op].Inst)
+					nsucc[e.op]++
 				}
 			}
-			// The index yields entries by interval start; a history
-			// lists them in submission order, which is ascending ID.
+			// A short history is scanned whole, in submission order; a
+			// longer one by its chains, by start and then in submission
+			// order. Submission order is ascending ID.
+			h := &hist[a.Buf.ID]
+			if len(h.ents) <= shortHistory {
+				for j := range h.ents {
+					depend(&h.ents[j])
+				}
+			} else {
+				for _, c := range h.window(a.Interval) {
+					for j := c.head; j >= 0; j = h.ents[j].next {
+						depend(&h.ents[j])
+					}
+				}
+			}
 			slices.SortFunc(slab[from:], func(a, b *Instance) int { return a.ID - b.ID })
 		}
 		in.Deps = nil
@@ -65,7 +84,7 @@ func BuildDeps(p *Plan) {
 			in.Deps = slab[first:len(slab):len(slab)]
 		}
 		for _, a := range in.Accesses {
-			hist[a.Buf.ID].insert(past{iv: a.Interval, op: i, mode: a.Mode})
+			hist[a.Buf.ID].insert(a.Interval, i, a.Mode)
 		}
 	}
 
@@ -86,34 +105,51 @@ func BuildDeps(p *Plan) {
 			d.Succs = append(d.Succs, in)
 		}
 	}
+	p.built = true
 }
 
-// past is one access in a buffer's history: its interval, mode and the
-// position of its instance's op in the plan. Holding no pointer, the
-// histories move and are scanned by the garbage collector for free.
+// past is one access in a buffer's history: its interval, mode, the
+// position of its instance's op in the plan, and the index of the next
+// newer entry with the same start (-1 for none). Holding no pointer,
+// the histories are scanned by the garbage collector for free.
 type past struct {
 	iv   mem.Interval
-	op   int
+	op   int32
+	next int32
 	mode Mode
 }
 
-// history is one buffer's non-empty accesses since the last barrier,
-// ordered by interval start, with the longest interval among them. An
+// chain is one distinct interval start in a history: the indexes of
+// its oldest and newest entries, the ones between following through
+// past.next in submission order. The start itself is the entries'.
+type chain struct {
+	head, tail int32
+}
+
+// history is one buffer's non-empty accesses since the last barrier.
+// Entries only ever append, in submission order. Once there are more
+// than shortHistory of them, chains index them by distinct start, in
+// ascending start order, so re-submitting a chunk grid is a search
+// plus an append. maxLen is the longest interval among the entries: an
 // access can overlap only entries that start before its end and less
 // than that length before its start.
 type history struct {
 	ents   []past
+	chains []chain
 	maxLen int64
 }
 
-// shortHistory is the length up to which a plain scan of a history
-// beats locating the candidates by binary search.
+// shortHistory is the entry count up to which a plain scan of a
+// history beats locating the candidates by binary search.
 const shortHistory = 8
 
 // newHistories sizes each buffer's history, indexed by buffer ID (dense
 // from Register), for the most non-empty accesses any barrier window
-// makes to the buffer, and carves them all from one slab.
-func newHistories(p *Plan) []history {
+// makes to the buffer, and carves every history's entries from one
+// slab and the chains of those that can outgrow shortHistory from
+// another. The histories themselves are appended to hist, which a
+// caller's stack array can back.
+func newHistories(p *Plan, hist []history) []history {
 	// counts[b] holds buffer b's accesses in the current window and the
 	// most in any window; a few buffers fit on the stack.
 	type count struct{ window, most int }
@@ -138,52 +174,78 @@ func newHistories(p *Plan) []history {
 			}
 		}
 	}
-	total := 0
+	total, long := 0, 0
 	for _, c := range counts {
 		total += c.most
+		if c.most > shortHistory {
+			long += c.most
+		}
 	}
-	slab := make([]past, total)
-	hist := make([]history, len(counts))
+	ents := make([]past, total)
+	chains := make([]chain, long)
+	hist = slices.Grow(hist[:0], len(counts))[:len(counts)]
 	for b, c := range counts {
-		hist[b].ents, slab = slab[:0:c.most], slab[c.most:]
+		hist[b] = history{ents: ents[:0:c.most]}
+		ents = ents[c.most:]
+		if c.most > shortHistory {
+			hist[b].chains, chains = chains[:0:c.most], chains[c.most:]
+		}
 	}
 	return hist
 }
 
-// candidates returns the entries that can overlap iv, in interval-start
-// order.
-func (h *history) candidates(iv mem.Interval) []past {
-	switch {
-	case iv.Empty():
-		return nil
-	case len(h.ents) <= shortHistory:
-		return h.ents
-	}
-	return h.ents[startsAfter(h.ents, iv.Lo-h.maxLen):startsAfter(h.ents, iv.Hi-1)]
+// clear empties the history at a barrier, keeping its capacity.
+func (h *history) clear() {
+	*h = history{ents: h.ents[:0], chains: h.chains[:0]}
 }
 
-// insert adds a non-empty access in interval-start order; empty ones
-// overlap nothing and are dropped.
-func (h *history) insert(e past) {
-	if e.iv.Empty() {
+// window returns the chains whose entries can overlap iv, in ascending
+// start order.
+func (h *history) window(iv mem.Interval) []chain {
+	if iv.Empty() {
+		return nil
+	}
+	return h.chains[h.startsAfter(iv.Lo-h.maxLen):h.startsAfter(iv.Hi-1)]
+}
+
+// insert adds the access of op i to the history; empty intervals
+// overlap nothing and are dropped. A start already present appends the
+// entry to its chain; a new start is inserted among the chains in
+// order.
+func (h *history) insert(iv mem.Interval, i int, mode Mode) {
+	if iv.Empty() {
 		return
 	}
-	h.maxLen = max(h.maxLen, e.iv.Len())
-	n := len(h.ents)
-	h.ents = append(h.ents, e)
-	if n > 0 && h.ents[n-1].iv.Lo > e.iv.Lo {
-		at := startsAfter(h.ents[:n], e.iv.Lo)
-		copy(h.ents[at+1:], h.ents[at:n])
-		h.ents[at] = e
+	h.maxLen = max(h.maxLen, iv.Len())
+	e := int32(len(h.ents))
+	h.ents = append(h.ents, past{iv: iv, op: int32(i), next: -1, mode: mode})
+	if cap(h.chains) == 0 {
+		// It never outgrows shortHistory, so it is only ever scanned.
+		return
 	}
+	n := len(h.chains)
+	if n == 0 || h.start(n-1) < iv.Lo {
+		h.chains = append(h.chains, chain{head: e, tail: e})
+		return
+	}
+	at := h.startsAfter(iv.Lo - 1)
+	if c := &h.chains[at]; h.start(at) == iv.Lo {
+		h.ents[c.tail].next = e
+		c.tail = e
+		return
+	}
+	h.chains = slices.Insert(h.chains, at, chain{head: e, tail: e})
 }
 
-// startsAfter returns the index of the first entry starting after x.
-func startsAfter(ents []past, x int64) int {
-	lo, hi := 0, len(ents)
+// start returns the interval start of chain c.
+func (h *history) start(c int) int64 { return h.ents[h.chains[c].head].iv.Lo }
+
+// startsAfter returns the index of the first chain starting after x.
+func (h *history) startsAfter(x int64) int {
+	lo, hi := 0, len(h.chains)
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
-		if ents[mid].iv.Lo > x {
+		if h.start(mid) > x {
 			hi = mid
 		} else {
 			lo = mid + 1

@@ -214,3 +214,61 @@ func TestQuickBuildDepsMatchesOracle(t *testing.T) {
 		}
 	}
 }
+
+// TestBuildDepsLongSameStartHistories pins BuildDeps against the
+// oracle and the reference order on plans that resubmit one chunk grid
+// many times without a barrier, STREAM-Loop's shape under DP-Dep: each
+// start's history grows long, and the first pass submits the grid in
+// shuffled order, so new starts arrive out of order too.
+func TestBuildDepsLongSameStartHistories(t *testing.T) {
+	rng := rand.New(rand.NewSource(2828))
+	modes := []Mode{Read, Write, ReadWrite}
+	for trial := 0; trial < 40; trial++ {
+		dir := mem.NewDirectory(1)
+		bufs := []*mem.Buffer{dir.Register("a", 256, 4), dir.Register("b", 256, 4)}
+		grid := (mem.Interval{Hi: 256}).AppendSplit(nil, 2+rng.Intn(15))
+		var p Plan
+		for it, iters := 0, 10+rng.Intn(30); it < iters; it++ {
+			// One kernel per pass, reading one buffer and writing or
+			// updating one, over every chunk of the grid.
+			in, out := bufs[rng.Intn(2)], bufs[rng.Intn(2)]
+			mode := modes[1+rng.Intn(2)]
+			k := &Kernel{
+				Name: "k", Size: 256,
+				Accesses: func(lo, hi int64) []Access {
+					iv := mem.Interval{Lo: lo, Hi: hi}
+					return []Access{{Buf: in, Interval: iv, Mode: Read}, {Buf: out, Interval: iv, Mode: mode}}
+				},
+			}
+			order := rng.Perm(len(grid))
+			if it > 0 && rng.Intn(2) == 0 {
+				slices.Sort(order)
+			}
+			for _, c := range order {
+				p.Submit(k, grid[c].Lo, grid[c].Hi, Unpinned, c)
+			}
+		}
+
+		BuildDeps(&p)
+		want := oracleDeps(&p)
+		refDeps, refSuccs := referenceDeps(&p)
+		edges := 0
+		for _, in := range p.Instances() {
+			edges += len(in.Deps)
+			for _, d := range in.Deps {
+				if !want[[2]int{d.ID, in.ID}] {
+					t.Fatalf("trial %d: spurious edge %d->%d", trial, d.ID, in.ID)
+				}
+			}
+			if d := ids(in.Deps); !slices.Equal(d, refDeps[in.ID]) {
+				t.Fatalf("trial %d: %v deps %v, reference order %v", trial, in.ID, d, refDeps[in.ID])
+			}
+			if s := ids(in.Succs); !slices.Equal(s, refSuccs[in.ID]) {
+				t.Fatalf("trial %d: %v succs %v, reference order %v", trial, in.ID, s, refSuccs[in.ID])
+			}
+		}
+		if edges != len(want) {
+			t.Fatalf("trial %d: %d edges, oracle has %d", trial, edges, len(want))
+		}
+	}
+}

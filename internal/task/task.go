@@ -201,12 +201,34 @@ type Op struct {
 // Submission faults are deferred: a bad chunk records the first error,
 // visible through Err, and the runtime refuses to execute a faulted
 // plan. This keeps the strategy builders' submit loops fluent.
+//
+// A plan can be executed more than once: the runtime keeps its
+// per-run state by instance ID, and BuildDeps is the only code that
+// writes to an instance. Submit and Barrier mark the dependence graph
+// stale; the runtime rebuilds it only then. The zero Plan is ready to
+// use; NewPlan sizes one for a known shape.
 type Plan struct {
 	Name string
 	Ops  []Op
 
 	nextID int
 	err    error
+	// slab holds the instances a sized plan carves its submissions
+	// from; once it is used up, Submit allocates each instance.
+	slab []Instance
+	// built reports that BuildDeps has run since the last Submit or
+	// Barrier.
+	built bool
+}
+
+// NewPlan returns an empty plan sized for the given numbers of
+// submissions and barriers: Ops never regrows, and the instances come
+// from one slab.
+func NewPlan(instances, barriers int) *Plan {
+	return &Plan{
+		Ops:  make([]Op, 0, instances+barriers),
+		slab: make([]Instance, 0, instances),
+	}
 }
 
 // Err reports the first submission fault, or nil.
@@ -224,7 +246,14 @@ func (p *Plan) Submit(k *Kernel, lo, hi int64, pin, chain int) *Instance {
 		}
 		return nil
 	}
-	in := &Instance{
+	var in *Instance
+	if n := len(p.slab); n < cap(p.slab) {
+		p.slab = p.slab[:n+1]
+		in = &p.slab[n]
+	} else {
+		in = new(Instance)
+	}
+	*in = Instance{
 		ID:       p.nextID,
 		Kernel:   k,
 		Lo:       lo,
@@ -235,13 +264,19 @@ func (p *Plan) Submit(k *Kernel, lo, hi int64, pin, chain int) *Instance {
 	}
 	p.nextID++
 	p.Ops = append(p.Ops, Op{Kind: OpSubmit, Inst: in})
+	p.built = false
 	return in
 }
 
 // Barrier appends a taskwait.
 func (p *Plan) Barrier() {
 	p.Ops = append(p.Ops, Op{Kind: OpBarrier})
+	p.built = false
 }
+
+// Stale reports whether the plan's dependence graph needs building:
+// BuildDeps has not run since the last Submit or Barrier.
+func (p *Plan) Stale() bool { return !p.built }
 
 // IDBound returns one more than the largest instance ID Submit has
 // issued. IDs are dense from 0, so per-instance state fits a slice of

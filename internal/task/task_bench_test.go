@@ -78,10 +78,14 @@ func streamLoopPlan(m, iters int, sync bool) *Plan {
 	return &p
 }
 
-// BenchmarkBuildDeps measures dependence analysis on three plan
+// BenchmarkBuildDeps measures dependence analysis on four plan
 // shapes: a no-barrier pipeline with per-chunk chains, STREAM-Loop
 // forced to sync after every kernel at m = 48 (1920 instances, no
-// edges, windows of 48), and STREAM-Loop without barriers at m = 12.
+// edges, windows of 48), STREAM-Loop without barriers at m = 12, and
+// the long-history case: STREAM-Loop without barriers at m = 2048 over
+// 4 iterations (32768 instances, 245760 edges), where every pass
+// re-inserts the same 2048 starts into histories of up to 32768
+// entries.
 func BenchmarkBuildDeps(b *testing.B) {
 	for _, c := range []struct {
 		name string
@@ -90,6 +94,7 @@ func BenchmarkBuildDeps(b *testing.B) {
 		{"pipeline", pipelinePlan()},
 		{"stream-sync-m48", streamLoopPlan(48, 10, true)},
 		{"stream-loop-m12", streamLoopPlan(12, 10, false)},
+		{"long-history-m2048", streamLoopPlan(2048, 4, false)},
 	} {
 		b.Run(c.name, func(b *testing.B) {
 			b.ReportAllocs()

@@ -198,3 +198,44 @@ func TestValidateRankingMatchesOracle(t *testing.T) {
 		}
 	}
 }
+
+// TestUncarriableCalibrationRefusedThroughFacade: Matchmake and
+// ExecutePlan refuse a platform whose calibration no platform spec or
+// calibration report could carry (a factor far below the bound, a zero
+// factor, a repeated (kernel, device) pair) with ErrPlatformInvalid.
+func TestUncarriableCalibrationRefusedThroughFacade(t *testing.T) {
+	app, err := heteropart.AppByName("BlackScholes")
+	if err != nil {
+		t.Fatal(err)
+	}
+	perf, err := heteropart.StrategyByName("DP-Perf")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name   string
+		scales []heteropart.CostScale
+	}{
+		{"tiny factor", []heteropart.CostScale{{Device: -1, Factor: 1e-300}}},
+		{"zero factor", []heteropart.CostScale{{Device: 1, Factor: 0}}},
+		{"repeated pair", []heteropart.CostScale{{Device: 1, Factor: 1.5}, {Device: 1, Factor: 2}}},
+	} {
+		plat := heteropart.PaperPlatform(0).WithScales(c.scales)
+		p, err := app.Build(heteropart.Variant{N: 16384})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := heteropart.Matchmake(p, plat, heteropart.Options{}); !errors.Is(err, heteropart.ErrPlatformInvalid) {
+			t.Errorf("%s: Matchmake = %v, want ErrPlatformInvalid", c.name, err)
+		}
+		// Deciding DP-Perf prices nothing, so the plan binds to the
+		// calibrated platform; executing it must refuse.
+		pl, err := perf.Plan(p, plat, heteropart.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := heteropart.ExecutePlan(pl, p, plat, heteropart.Options{}); !errors.Is(err, heteropart.ErrPlatformInvalid) {
+			t.Errorf("%s: ExecutePlan = %v, want ErrPlatformInvalid", c.name, err)
+		}
+	}
+}
