@@ -223,7 +223,7 @@ func (ch Cholesky) Build(v Variant) (*Problem, error) {
 			Flops:     scale(sp.flops),
 			MemBytes:  scale(float64(len(sp.reads)+len(sp.writes)*2) * tsf * tsf * 8),
 			Accesses: func(lo, hi int64) []task.Access {
-				var out []task.Access
+				out := make([]task.Access, 0, len(sp.reads)+len(sp.writes))
 				for _, r := range sp.reads {
 					out = append(out, rw(tileBuf[r], 0, elems, task.Read))
 				}

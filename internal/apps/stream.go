@@ -126,7 +126,7 @@ func (s *streamApp) Build(v Variant) (*Problem, error) {
 			Flops:     func(lo, hi int64) float64 { return bind.spec.flops * float64(hi-lo) },
 			MemBytes:  func(lo, hi int64) float64 { return bind.spec.bytes * float64(hi-lo) },
 			Accesses: func(lo, hi int64) []task.Access {
-				var out []task.Access
+				out := make([]task.Access, 0, len(bind.reads)+len(bind.writes))
 				for _, r := range bind.reads {
 					out = append(out, rw(r, lo, hi, task.Read))
 				}

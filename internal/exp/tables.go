@@ -247,17 +247,11 @@ func MultiAccel(*Env) (*Table, error) {
 		return nil, err
 	}
 	k := p.Unique[0]
-	var accels []glinda.Estimate
-	var rc float64
-	for id := 1; id <= 2; id++ {
-		est, err := glinda.Profile(plat3, p.Dir, k, id, glinda.Config{})
-		if err != nil {
-			return nil, err
-		}
-		rc = est.Rc
-		accels = append(accels, est)
+	accels, err := glinda.ProfileAll(plat3, p.Dir, k, glinda.Config{})
+	if err != nil {
+		return nil, err
 	}
-	shares, err := glinda.SolveMulti(rc, accels, k.Size)
+	shares, err := glinda.SolveMulti(accels[0].Rc, accels, k.Size)
 	if err != nil {
 		return nil, err
 	}

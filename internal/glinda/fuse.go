@@ -20,39 +20,57 @@ import (
 // from the kernels' access lists, counting only *cold* reads — data not
 // produced by an earlier kernel in the sequence.
 func Fuse(kernels []*task.Kernel, ests []Estimate) (Estimate, error) {
-	if len(kernels) == 0 || len(kernels) != len(ests) {
-		return Estimate{}, fmt.Errorf("glinda: fuse needs matching kernels (%d) and estimates (%d)",
+	var out [1]Estimate
+	err := fuse(kernels, ests, out[:])
+	return out[0], err
+}
+
+// fuse fuses one estimate per accelerator: out[a] combines the
+// kernels' estimates for accelerator a, kernel i's at ests[i*len(out)+a].
+// The transfer fits read only the kernels' accesses, so one pair of
+// fits serves every accelerator.
+func fuse(kernels []*task.Kernel, ests []Estimate, out []Estimate) error {
+	if len(kernels) == 0 || len(ests) != len(kernels)*len(out) {
+		return fmt.Errorf("glinda: fuse needs matching kernels (%d) and estimates (%d)",
 			len(kernels), len(ests))
 	}
 	n := kernels[0].Size
 	for _, k := range kernels[1:] {
 		if k.Size != n {
-			return Estimate{}, fmt.Errorf("glinda: fused kernels must share an iteration space: %q has %d, want %d",
+			return fmt.Errorf("glinda: fused kernels must share an iteration space: %q has %d, want %d",
 				k.Name, k.Size, n)
 		}
 	}
-	out := Estimate{N: n, B: math.Inf(1)}
-	var invRc, invRg float64
-	for _, e := range ests {
-		if e.Rc <= 0 || e.Rg <= 0 {
-			return Estimate{}, fmt.Errorf("glinda: fuse needs positive rates, got Rc=%g Rg=%g", e.Rc, e.Rg)
-		}
-		invRc += 1 / e.Rc
-		invRg += 1 / e.Rg
-		if !math.IsInf(e.B, 1) && e.B > 0 {
-			if math.IsInf(out.B, 1) || e.B > out.B {
-				out.B = e.B
+	for a := range out {
+		f := Estimate{N: n, B: math.Inf(1)}
+		var invRc, invRg float64
+		for i := range kernels {
+			e := ests[i*len(out)+a]
+			if e.Rc <= 0 || e.Rg <= 0 {
+				return fmt.Errorf("glinda: fuse needs positive rates, got Rc=%g Rg=%g", e.Rc, e.Rg)
+			}
+			invRc += 1 / e.Rc
+			invRg += 1 / e.Rg
+			if !math.IsInf(e.B, 1) && e.B > 0 {
+				if math.IsInf(f.B, 1) || e.B > f.B {
+					f.B = e.B
+				}
 			}
 		}
+		f.Rc = 1 / invRc
+		f.Rg = 1 / invRg
+		out[a] = f
 	}
-	out.Rc = 1 / invRc
-	out.Rg = 1 / invRg
 
 	// Transfer fits through two partition sizes: cold reads in, the
 	// written union back out at the closing taskwait.
-	out.InSlope, out.InConst = fitBytes(n, ColdReadBytes(kernels, n), ColdReadBytes(kernels, n/2))
-	out.OutSlope, out.OutConst = fitBytes(n, WriteBackBytes(kernels, n), WriteBackBytes(kernels, n/2))
-	return out, nil
+	inSlope, inConst := fitBytes(n, ColdReadBytes(kernels, n), ColdReadBytes(kernels, n/2))
+	outSlope, outConst := fitBytes(n, WriteBackBytes(kernels, n), WriteBackBytes(kernels, n/2))
+	for a := range out {
+		out[a].InSlope, out[a].InConst = inSlope, inConst
+		out[a].OutSlope, out[a].OutConst = outSlope, outConst
+	}
+	return nil
 }
 
 // ColdReadBytes totals the bytes a device partition [0, s) must receive
@@ -109,16 +127,40 @@ func WriteBackBytes(kernels []*task.Kernel, s int64) int64 {
 	return total
 }
 
-// ProfileFused profiles every kernel and fuses the estimates — the
-// SP-Unified front end.
+// ProfileFused profiles every kernel against accelerator accelID and
+// fuses the estimates — the DP-Converted front end.
 func ProfileFused(plat *device.Platform, dir *mem.Directory, kernels []*task.Kernel, accelID int, cfg Config) (Estimate, error) {
-	ests := make([]Estimate, len(kernels))
-	for i, k := range kernels {
-		e, err := Profile(plat, dir, k, accelID, cfg)
-		if err != nil {
-			return Estimate{}, fmt.Errorf("glinda: profiling %q: %w", k.Name, err)
-		}
-		ests[i] = e
+	if accelID < 1 || accelID > len(plat.Accels) {
+		return Estimate{}, fmt.Errorf("glinda: no accelerator %d", accelID)
 	}
-	return Fuse(kernels, ests)
+	var est [1]Estimate
+	err := profileFused(plat, dir, kernels, accelID, est[:], cfg)
+	return est[0], err
+}
+
+// ProfileFusedAll profiles every kernel against every accelerator and
+// fuses each accelerator's estimates — the SP-Unified front end. Entry
+// i equals ProfileFused's estimate for accelerator i+1; each kernel's
+// host probe runs once (see ProfileAll).
+func ProfileFusedAll(plat *device.Platform, dir *mem.Directory, kernels []*task.Kernel, cfg Config) ([]Estimate, error) {
+	if len(plat.Accels) == 0 {
+		return nil, fmt.Errorf("glinda: no accelerator to profile")
+	}
+	ests := make([]Estimate, len(plat.Accels))
+	if err := profileFused(plat, dir, kernels, 1, ests, cfg); err != nil {
+		return nil, err
+	}
+	return ests, nil
+}
+
+// profileFused fills out[a] with the fused estimate for accelerator
+// first+a.
+func profileFused(plat *device.Platform, dir *mem.Directory, kernels []*task.Kernel, first int, out []Estimate, cfg Config) error {
+	ests := make([]Estimate, len(kernels)*len(out))
+	for i, k := range kernels {
+		if err := probe(plat, dir, k, first, ests[i*len(out):(i+1)*len(out)], cfg); err != nil {
+			return fmt.Errorf("glinda: profiling %q: %w", k.Name, err)
+		}
+	}
+	return fuse(kernels, ests, out)
 }

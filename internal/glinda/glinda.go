@@ -286,62 +286,69 @@ func Decide(e Estimate, n int64, accel *device.Device) Decision {
 // probe instances inside the simulator: a CPU probe (the sample spread
 // over all m worker threads) and an accelerator probe (one pinned
 // instance on cold data, so the makespan splits into transfer + exec).
-// The directory is Reset afterwards, so profiling leaves no footprint.
+// The directory is Reset after each probe, so profiling leaves no
+// footprint. A decision that needs every accelerator's estimate calls
+// ProfileAll, which runs the host probe once.
 func Profile(plat *device.Platform, dir *mem.Directory, k *task.Kernel, accelID int, cfg Config) (Estimate, error) {
 	if accelID < 1 || accelID > len(plat.Accels) {
 		return Estimate{}, fmt.Errorf("glinda: no accelerator %d", accelID)
 	}
+	var est [1]Estimate
+	err := probe(plat, dir, k, accelID, est[:], cfg)
+	return est[0], err
+}
+
+// ProfileAll profiles kernel k against every accelerator of the
+// platform: entry i is Profile's estimate for accelerator i+1, field
+// for field. The host probe pins m pieces of the same sample to the
+// host, starts from a reset directory and runs under a fresh injector
+// whichever accelerator follows it, so its Rc is the same for every
+// accelerator, and so are the transfer-byte fits, which read only the
+// kernel's accesses: one host probe serves them all, followed by one
+// probe per accelerator.
+func ProfileAll(plat *device.Platform, dir *mem.Directory, k *task.Kernel, cfg Config) ([]Estimate, error) {
+	if len(plat.Accels) == 0 {
+		return nil, fmt.Errorf("glinda: no accelerator to profile")
+	}
+	ests := make([]Estimate, len(plat.Accels))
+	if err := probe(plat, dir, k, 1, ests, cfg); err != nil {
+		return nil, err
+	}
+	return ests, nil
+}
+
+// probe fills out[i] with kernel k's estimate for accelerator first+i:
+// one host probe, then one probe per accelerator, each followed by a
+// directory Reset. It records one profile span, and counts one profile
+// per estimate.
+func probe(plat *device.Platform, dir *mem.Directory, k *task.Kernel, first int, out []Estimate, cfg Config) error {
 	span := cfg.Spans.Begin(cfg.SpanParent, telemetry.KindProfile, "profile "+k.Name)
 	defer cfg.Spans.End(span)
 	n := k.Size
 	s := probeSize(n)
 	if s <= 0 {
-		return Estimate{}, fmt.Errorf("glinda: kernel %q has empty iteration space", k.Name)
+		return fmt.Errorf("glinda: kernel %q has empty iteration space", k.Name)
 	}
-
-	est := Estimate{N: n, B: math.Inf(1)}
 
 	// CPU probe: sample chunked over the m worker threads. The pieces
 	// live on the stack for any thread count up to len(pieces).
 	var pieces [64]mem.Interval
-	var cpuPlan task.Plan
-	for _, iv := range (mem.Interval{Hi: s}).AppendSplit(pieces[:0], plat.CPUThreads()) {
+	split := (mem.Interval{Hi: s}).AppendSplit(pieces[:0], plat.CPUThreads())
+	cpuPlan := task.NewPlan(len(split), 0)
+	for _, iv := range split {
 		cpuPlan.Submit(k, iv.Lo, iv.Hi, 0, -1)
 	}
 	cpuRes, err := rt.Execute(rt.Config{
 		Platform: plat, Scheduler: sched.NewStatic(),
 		Faults: fault.NewInjector(cfg.Faults, fault.ScopeProfile),
-	}, &cpuPlan, dir)
+	}, cpuPlan, dir)
 	if err != nil {
-		return Estimate{}, fmt.Errorf("glinda: CPU probe: %w", err)
+		return fmt.Errorf("glinda: CPU probe: %w", err)
 	}
 	dir.Reset()
+	var rc float64
 	if cpuRes.Makespan > 0 {
-		est.Rc = float64(s) / cpuRes.Makespan.Seconds()
-	}
-
-	// Accelerator probe on cold data.
-	var gpuPlan task.Plan
-	gpuPlan.Submit(k, 0, s, accelID, -1)
-	gpuRes, err := rt.Execute(rt.Config{
-		Platform: plat, Scheduler: sched.NewStatic(),
-		Faults: fault.NewInjector(cfg.Faults, fault.ScopeProfile),
-	}, &gpuPlan, dir)
-	if err != nil {
-		return Estimate{}, fmt.Errorf("glinda: accelerator probe: %w", err)
-	}
-	dir.Reset()
-	exec := gpuRes.DeviceBusy[accelID]
-	if exec > 0 {
-		est.Rg = float64(s) / exec.Seconds()
-	}
-	// The probe's makespan decomposes into input transfer + execution
-	// + output writeback, so the effective link bandwidth covers the
-	// full round trip.
-	xfer := gpuRes.Makespan - exec
-	moved := gpuRes.HtoDBytes + gpuRes.DtoHBytes
-	if moved > 0 && xfer > 0 {
-		est.B = float64(moved) / xfer.Seconds()
+		rc = float64(s) / cpuRes.Makespan.Seconds()
 	}
 
 	// Transfer-bytes models from the kernel's declared accesses,
@@ -349,23 +356,53 @@ func Profile(plat *device.Platform, dir *mem.Directory, k *task.Kernel, accelID 
 	// inputs moved to the device, outputs flushed back.
 	in1, out1 := accessBytes(k, s)
 	in2, out2 := accessBytes(k, s/2)
-	est.InSlope, est.InConst = fitBytes(s, in1, in2)
-	est.OutSlope, est.OutConst = fitBytes(s, out1, out2)
+	base := Estimate{N: n, Rc: rc, B: math.Inf(1)}
+	base.InSlope, base.InConst = fitBytes(s, in1, in2)
+	base.OutSlope, base.OutConst = fitBytes(s, out1, out2)
 
-	if r := cfg.Metrics; r != nil {
-		r.Counter("glinda_profiles_total", "profiling passes executed").Inc()
-		r.Gauge(metrics.Label("glinda_rc", "kernel", k.Name),
-			"profiled whole-CPU throughput, elements/s").Set(est.Rc)
-		r.Gauge(metrics.Label("glinda_rg", "kernel", k.Name),
-			"profiled accelerator throughput, elements/s").Set(est.Rg)
-		if !math.IsInf(est.B, 1) {
-			r.Gauge(metrics.Label("glinda_bandwidth", "kernel", k.Name),
-				"profiled effective link bandwidth, bytes/s").Set(est.B)
+	// Accelerator probes on cold data.
+	for i := range out {
+		accelID := first + i
+		gpuPlan := task.NewPlan(1, 0)
+		gpuPlan.Submit(k, 0, s, accelID, -1)
+		gpuRes, err := rt.Execute(rt.Config{
+			Platform: plat, Scheduler: sched.NewStatic(),
+			Faults: fault.NewInjector(cfg.Faults, fault.ScopeProfile),
+		}, gpuPlan, dir)
+		if err != nil {
+			return fmt.Errorf("glinda: accelerator probe: %w", err)
 		}
-		r.Gauge(metrics.Label("glinda_probe_elems", "kernel", k.Name),
-			"probe sample size, elements").SetInt(s)
+		dir.Reset()
+		est := base
+		exec := gpuRes.DeviceBusy[accelID]
+		if exec > 0 {
+			est.Rg = float64(s) / exec.Seconds()
+		}
+		// The probe's makespan decomposes into input transfer +
+		// execution + output writeback, so the effective link
+		// bandwidth covers the full round trip.
+		xfer := gpuRes.Makespan - exec
+		moved := gpuRes.HtoDBytes + gpuRes.DtoHBytes
+		if moved > 0 && xfer > 0 {
+			est.B = float64(moved) / xfer.Seconds()
+		}
+		out[i] = est
+
+		if r := cfg.Metrics; r != nil {
+			r.Counter("glinda_profiles_total", "profiling passes executed").Inc()
+			r.Gauge(metrics.Label("glinda_rc", "kernel", k.Name),
+				"profiled whole-CPU throughput, elements/s").Set(est.Rc)
+			r.Gauge(metrics.Label("glinda_rg", "kernel", k.Name),
+				"profiled accelerator throughput, elements/s").Set(est.Rg)
+			if !math.IsInf(est.B, 1) {
+				r.Gauge(metrics.Label("glinda_bandwidth", "kernel", k.Name),
+					"profiled effective link bandwidth, bytes/s").Set(est.B)
+			}
+			r.Gauge(metrics.Label("glinda_probe_elems", "kernel", k.Name),
+				"probe sample size, elements").SetInt(s)
+		}
 	}
-	return est, nil
+	return nil
 }
 
 // fitBytes fits bytes(s) = slope*s + const through (s, b1) and

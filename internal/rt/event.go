@@ -57,9 +57,9 @@ func (ev *event) dir() int {
 	return dirDtoH
 }
 
-// emit accounts for one occurrence: it folds the event into Result,
-// then hands it to the metrics, span and trace consumers, each of
-// which is a no-op when its sink is not attached.
+// emit accounts for one occurrence: it folds the event into Result's
+// counters, then hands it to the metrics, span and trace consumers,
+// each of which is a no-op when its sink is not attached.
 func (e *engine) emit(ev *event) {
 	e.res.add(ev)
 	e.mx.add(ev)
@@ -73,20 +73,11 @@ func (e *engine) emit(ev *event) {
 	e.record(ev)
 }
 
-// add folds one event into the result's counters.
+// add folds one event into the result's counters. A chunk's device,
+// elements and service demand stay in its instance's run state, from
+// which engine.tally fills the result's maps once the run completes.
 func (r *Result) add(ev *event) {
 	switch ev.kind {
-	case trace.TaskRun:
-		elems := ev.in.Elems()
-		r.ElemsByDevice[ev.dev] += elems
-		km := r.ElemsByKernel[ev.in.Kernel.Name]
-		if km == nil {
-			km = make(map[int]int64)
-			r.ElemsByKernel[ev.in.Kernel.Name] = km
-		}
-		km[ev.dev] += elems
-		r.InstancesByDevice[ev.dev]++
-		r.DeviceBusy[ev.dev] += ev.busy
 	case trace.Transfer:
 		r.TransferCount++
 		switch bytes := ev.tr.Bytes(); ev.dir() {

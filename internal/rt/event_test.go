@@ -4,26 +4,21 @@ import (
 	"testing"
 
 	"heteropart/internal/mem"
-	"heteropart/internal/sim"
 	"heteropart/internal/task"
 	"heteropart/internal/trace"
 )
 
 // TestEmitConsumersOffAllocatesNothing: with no trace, metrics or span
-// sink attached, emitting one event of every kind only updates Result,
-// whose map entries exist after the first round. So emit must not
-// allocate: no label is built and no event escapes to the heap.
+// sink attached, emitting one event of every kind only updates
+// Result's counters (a chunk's tallies wait in its instance's run state
+// until the run completes). So emit must not allocate: no label is
+// built and no event escapes to the heap.
 func TestEmitConsumersOffAllocatesNothing(t *testing.T) {
 	dir := mem.NewDirectory(2)
 	buf := dir.Register("a", 1000, 8)
 	var p task.Plan
 	in := p.Submit(flopsKernel("k", buf, 1e6), 0, 1000, task.Unpinned, -1)
-	res := &Result{
-		ElemsByDevice:     make(map[int]int64),
-		ElemsByKernel:     make(map[string]map[int]int64),
-		InstancesByDevice: make(map[int]int),
-		DeviceBusy:        make(map[int]sim.Duration),
-	}
+	res := &Result{}
 	e := &engine{res: res}
 	xfer := mem.Transfer{Buf: buf, Interval: mem.Interval{Lo: 0, Hi: 1000}, From: mem.HostSpace, To: 1}
 	got := testing.AllocsPerRun(100, func() {
@@ -35,7 +30,7 @@ func TestEmitConsumersOffAllocatesNothing(t *testing.T) {
 	if got != 0 {
 		t.Fatalf("emit with every consumer off: %.0f allocations per round, want 0", got)
 	}
-	if res.InstancesByDevice[1] != 101 || res.Decisions != 101 || res.HtoDBytes != 101*8000 {
+	if res.TransferCount != 101 || res.Decisions != 101 || res.HtoDBytes != 101*8000 {
 		t.Fatalf("result missed events: %+v", res)
 	}
 }

@@ -25,20 +25,14 @@ func errPastEnd(what string) error {
 // a fully loaded one, unlike a static peak/m split. The slot counter in
 // the engine still caps concurrency at the thread count m.
 type psExec struct {
-	eng  *sim.Engine
+	// e is the engine the host belongs to; drained jobs complete there.
+	e    *engine
 	jobs []psJob
 	// done is Fire's scratch list of drained jobs.
 	done []psJob
 	last sim.Time
 	// timer is the pending completion event; psExec is its handler.
 	timer sim.Event
-	// hook receives the completed instance, its start time and its
-	// full-speed service demand (the dedicated-equivalent duration).
-	hook func(in *task.Instance, started sim.Time, demand sim.Duration)
-	// batchEnd fires once after each completion batch (simultaneous
-	// completions are common under equal sharing), letting the caller
-	// dispatch freed capacity breadth-first rather than first-come.
-	batchEnd func()
 }
 
 type psJob struct {
@@ -50,23 +44,19 @@ type psJob struct {
 	started   sim.Time
 }
 
-func newPSExec(eng *sim.Engine, hook func(in *task.Instance, started sim.Time, demand sim.Duration), batchEnd func()) *psExec {
-	return &psExec{eng: eng, hook: hook, batchEnd: batchEnd}
-}
-
 // Add admits an instance with the given full-speed service demand.
 // Jobs live in a slice in admission order, so every float operation
 // and completion tie resolves identically across runs.
 func (p *psExec) Add(in *task.Instance, demand sim.Duration) {
 	p.advance()
-	p.jobs = append(p.jobs, psJob{in: in, remaining: float64(demand), demand: demand, started: p.eng.Now()})
+	p.jobs = append(p.jobs, psJob{in: in, remaining: float64(demand), demand: demand, started: p.e.eng.Now()})
 	p.reschedule()
 }
 
 // advance charges elapsed virtual time against every running job at
 // the current sharing rate.
 func (p *psExec) advance() {
-	now := p.eng.Now()
+	now := p.e.eng.Now()
 	elapsed := float64(now - p.last)
 	p.last = now
 	k := len(p.jobs)
@@ -98,11 +88,11 @@ func (p *psExec) reschedule() {
 		minRem = 0
 	}
 	wait := minRem*float64(k) + 0.999
-	if wait >= float64(sim.MaxTime-p.eng.Now()) {
-		p.eng.Fail(errPastEnd("host work"))
+	if wait >= float64(sim.MaxTime-p.e.eng.Now()) {
+		p.e.eng.Fail(errPastEnd("host work"))
 		return
 	}
-	p.timer = p.eng.After(sim.Duration(wait), p, 0)
+	p.timer = p.e.eng.After(sim.Duration(wait), p, 0)
 }
 
 // Fire completes every job whose demand has drained when the timer
@@ -127,13 +117,21 @@ func (p *psExec) Fire(int) {
 			done[j], done[j-1] = done[j-1], done[j]
 		}
 	}
+	// Each job completes with its start time and its full-speed service
+	// demand (the dedicated-equivalent duration). Simultaneous
+	// completions are common under equal sharing, so the batch
+	// dispatches the capacity it freed once, breadth-first rather than
+	// first-come.
+	e := p.e
+	e.inBatch = true
 	for _, j := range done {
-		p.hook(j.in, j.started, j.demand)
+		e.complete(j.in, e.devs[0], j.started, j.demand)
 	}
+	e.inBatch = false
 	clear(done)
 	p.done = done[:0]
-	if len(done) > 0 && p.batchEnd != nil {
-		p.batchEnd()
+	if len(done) > 0 {
+		e.dispatchAll()
 	}
 	p.reschedule()
 }

@@ -17,11 +17,11 @@
 package rt
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
 	"slices"
-	"sort"
 
 	"heteropart/internal/apierr"
 	"heteropart/internal/device"
@@ -75,7 +75,9 @@ type Config struct {
 	Faults *fault.Injector
 }
 
-// Result summarizes one execution.
+// Result summarizes one execution. Its maps are filled once, when the
+// run completes, from the engine's per-instance and per-device state: a
+// device or kernel that ran no chunk has no entry.
 type Result struct {
 	// Makespan is the virtual end-to-end execution time.
 	Makespan sim.Duration
@@ -149,6 +151,30 @@ type linkRes struct {
 	dtoh *sim.Resource
 }
 
+// devState is one device's run state, indexed by device ID.
+type devState struct {
+	// link is an accelerator's host attachment (nil for the host).
+	link *linkRes
+	// sources memoizes sourceOrder for reads destined to the device.
+	sources []mem.Space
+	// q is the FIFO of instances bound to the device; q[head:] wait.
+	q    []*task.Instance
+	head int
+	// idle counts free executor slots; slots is the configured width.
+	idle, slots int
+	// eagerBusy marks a final-region writeback in flight.
+	eagerBusy bool
+
+	// The result tallies, summed when the run completes: chunks run,
+	// their elements and service demand.
+	ran   int
+	elems int64
+	busy  sim.Duration
+}
+
+// queued reports how many bound instances wait for a slot.
+func (d *devState) queued() int { return len(d.q) - d.head }
+
 // res selects the channel for a direction; non-duplex links share one.
 func (l *linkRes) res(toDev bool) *sim.Resource {
 	if toDev {
@@ -169,32 +195,22 @@ type engine struct {
 	clock clockSyncer
 
 	// devs is the platform's device list, host first, built once per
-	// Execute and served read-only through View.Devices.
+	// Execute and served read-only through View.Devices; dev is the
+	// run state of each.
 	devs []*device.Device
-	// links holds each accelerator's attachment (index 0, the host,
-	// is nil).
-	links []*linkRes
-	// p2p maps ordered accel pairs (edge direction as declared) to
-	// their link resources; lookup tries both orientations.
-	p2p map[[2]int]*linkRes
-	// sources memoizes sourceOrder per destination space.
-	sources [][]mem.Space
-	// devQ are per-device FIFO queues of bound instances, popped from
-	// the front.
-	devQ [][]*task.Instance
+	dev  []devState
+	// links holds every accelerator's host attachment, then every P2P
+	// edge's resource pair, in the platform's declaration order.
+	links []linkRes
 	// central is the ready queue for pull policies.
 	central []*task.Instance
-	// idle counts free executor slots per device.
-	idle []int
-	// slots is the configured executor width per device.
-	slots []int
 
 	// inst is the per-instance run state, indexed by instance ID.
 	inst []instState
 	// ps is the host's processor-sharing executor.
-	ps *psExec
-	// inflight records transfers on the wire per destination; spare
-	// holds landed records for reuse.
+	ps psExec
+	// inflight records transfers on the wire per destination, made by
+	// the first transfer; spare holds landed records for reuse.
 	inflight map[xferKey][]*inflightXfer
 	spare    []*inflightXfer
 	// joins holds finished ensure waits for reuse.
@@ -203,8 +219,7 @@ type engine struct {
 	// ensure reads it before returning, so one slice serves every
 	// query.
 	scratch []mem.Transfer
-	// eagerBusy/eagerCount track final-region proactive writebacks.
-	eagerBusy  []bool
+	// eagerCount counts final-region proactive writebacks in flight.
 	eagerCount int
 	// flushStart is when the taskwait flush in progress began.
 	flushStart sim.Time
@@ -233,8 +248,8 @@ type instState struct {
 	// instance was dispatched to.
 	pending, dev int32
 	// dispatchAt is when the instance left its queue, for wall-time
-	// reporting to the scheduler; dur is an accelerator chunk's
-	// execution time, which started dur before its completion.
+	// reporting to the scheduler; dur is the chunk's service demand (an
+	// accelerator chunk started dur before its completion).
 	dispatchAt sim.Time
 	dur        sim.Duration
 }
@@ -261,7 +276,7 @@ func (h *barrierDoneEvent) Fire(flushed int) { (*engine)(h).barrierDone(flushed)
 // View implementation for schedulers.
 func (e *engine) Now() sim.Time              { return e.eng.Now() }
 func (e *engine) Devices() []*device.Device  { return e.devs }
-func (e *engine) QueuedOn(dev int) int       { return len(e.devQ[dev]) }
+func (e *engine) QueuedOn(dev int) int       { return e.dev[dev].queued() }
 func (e *engine) LinkOf(dev int) device.Link { return e.cfg.Platform.LinkOf(dev) }
 
 // syncClock clamps a busy-horizon scheduler to the current time.
@@ -307,25 +322,14 @@ func Execute(cfg Config, plan *task.Plan, dir *mem.Directory) (*Result, error) {
 
 	devs := cfg.Platform.Devices()
 	e := &engine{
-		cfg:       cfg,
-		eng:       sim.NewEngine(),
-		dir:       dir,
-		plan:      plan,
-		devs:      devs,
-		links:     make([]*linkRes, len(devs)),
-		sources:   make([][]mem.Space, len(devs)),
-		devQ:      make([][]*task.Instance, len(devs)),
-		idle:      make([]int, len(devs)),
-		slots:     make([]int, len(devs)),
-		inst:      make([]instState, plan.IDBound()),
-		inflight:  make(map[xferKey][]*inflightXfer),
-		eagerBusy: make([]bool, len(devs)),
-		res: &Result{
-			ElemsByDevice:     make(map[int]int64),
-			ElemsByKernel:     make(map[string]map[int]int64),
-			InstancesByDevice: make(map[int]int),
-			DeviceBusy:        make(map[int]sim.Duration),
-		},
+		cfg:  cfg,
+		eng:  sim.NewEngine(),
+		dir:  dir,
+		plan: plan,
+		devs: devs,
+		dev:  make([]devState, len(devs)),
+		inst: make([]instState, plan.IDBound()),
+		res:  new(Result),
 	}
 	e.clock, _ = cfg.Scheduler.(clockSyncer)
 	e.mx = newRTMetrics(cfg.Metrics, cfg.Platform, cfg.Faults != nil)
@@ -343,59 +347,53 @@ func Execute(cfg Config, plan *task.Plan, dir *mem.Directory) (*Result, error) {
 
 	// Executor slots: m on the host, 1 per accelerator. Host
 	// instances share the socket via processor sharing.
-	e.slots[0] = cfg.Platform.CPUThreads()
-	e.idle[0] = e.slots[0]
-	host := cfg.Platform.Host
-	e.ps = newPSExec(e.eng,
-		func(in *task.Instance, started sim.Time, demand sim.Duration) {
-			e.inBatch = true
-			e.complete(in, host, started, demand)
-			e.inBatch = false
-		},
-		func() { e.dispatchAll() })
+	e.dev[0].slots = cfg.Platform.CPUThreads()
+	e.dev[0].idle = e.dev[0].slots
+	e.ps.e = e
+	e.links = make([]linkRes, len(cfg.Platform.Accels)+len(cfg.Platform.P2P))
 	busHtoD := make(map[string]*sim.Resource)
 	busDtoH := make(map[string]*sim.Resource)
-	for _, a := range cfg.Platform.Accels {
-		e.slots[a.ID] = 1
-		e.idle[a.ID] = 1
+	for i, a := range cfg.Platform.Accels {
+		d := &e.dev[a.ID]
+		d.slots, d.idle = 1, 1
 		l := cfg.Platform.LinkOf(a.ID)
-		lr := &linkRes{link: l}
+		lr := &e.links[i]
+		lr.link = l
 		if bus := cfg.Platform.BusOf(a.ID); bus != "" {
 			// Shared bus: every attachment on it contends for one
 			// resource set, so concurrent transfers serialize.
 			if busHtoD[bus] == nil {
-				busHtoD[bus] = sim.NewResource(e.eng, fmt.Sprintf("bus.%s.htod", bus))
+				busHtoD[bus] = sim.NewResource(e.eng)
 			}
 			lr.htod = busHtoD[bus]
 			if l.Duplex {
 				if busDtoH[bus] == nil {
-					busDtoH[bus] = sim.NewResource(e.eng, fmt.Sprintf("bus.%s.dtoh", bus))
+					busDtoH[bus] = sim.NewResource(e.eng)
 				}
 				lr.dtoh = busDtoH[bus]
 			} else {
 				lr.dtoh = lr.htod
 			}
 		} else {
-			lr.htod = sim.NewResource(e.eng, fmt.Sprintf("link%d.htod", a.ID))
+			lr.htod = sim.NewResource(e.eng)
 			if l.Duplex {
-				lr.dtoh = sim.NewResource(e.eng, fmt.Sprintf("link%d.dtoh", a.ID))
+				lr.dtoh = sim.NewResource(e.eng)
 			} else {
 				lr.dtoh = lr.htod
 			}
 		}
-		e.links[a.ID] = lr
+		d.link = lr
 	}
-	if n := len(cfg.Platform.P2P); n > 0 {
-		e.p2p = make(map[[2]int]*linkRes, n)
+	if len(cfg.Platform.P2P) > 0 {
 		for i, edge := range cfg.Platform.P2P {
-			lr := &linkRes{link: edge.Link}
-			lr.htod = sim.NewResource(e.eng, fmt.Sprintf("p2p%d.fwd", i))
+			lr := &e.links[len(cfg.Platform.Accels)+i]
+			lr.link = edge.Link
+			lr.htod = sim.NewResource(e.eng)
 			if edge.Link.Duplex {
-				lr.dtoh = sim.NewResource(e.eng, fmt.Sprintf("p2p%d.rev", i))
+				lr.dtoh = sim.NewResource(e.eng)
 			} else {
 				lr.dtoh = lr.htod
 			}
-			e.p2p[[2]int{edge.A, edge.B}] = lr
 		}
 		// Route selection: reads destined to an accelerator prefer
 		// sources reachable in one hop over those needing a host
@@ -460,6 +458,7 @@ func Execute(cfg Config, plan *task.Plan, dir *mem.Directory) (*Result, error) {
 			e.remaining, e.opIdx, len(plan.Ops))
 	}
 	e.res.Makespan = e.eng.Now()
+	e.tally()
 	e.mx.finish(e.eng, e.res)
 	e.sp.finish()
 	return e.res, nil
@@ -543,10 +542,11 @@ func (e *engine) inFinalRegion() bool {
 // maybeEagerFlush starts proactive writebacks from a fully drained
 // accelerator during the final program region.
 func (e *engine) maybeEagerFlush(dev int) {
-	if dev == 0 || e.eagerBusy[dev] || !e.inFinalRegion() {
+	d := &e.dev[dev]
+	if dev == 0 || d.eagerBusy || !e.inFinalRegion() {
 		return
 	}
-	if len(e.devQ[dev]) > 0 || len(e.central) > 0 || e.idle[dev] != e.slots[dev] {
+	if d.queued() > 0 || len(e.central) > 0 || d.idle != d.slots {
 		return
 	}
 	all, err := e.dir.AppendFlushAllTransfers(e.scratch[:0])
@@ -565,7 +565,7 @@ func (e *engine) maybeEagerFlush(dev int) {
 	if len(txs) == 0 {
 		return
 	}
-	e.eagerBusy[dev] = true
+	d.eagerBusy = true
 	e.eagerCount++
 	e.ensure(txs, (*eagerDoneEvent)(e), dev)
 }
@@ -573,7 +573,7 @@ func (e *engine) maybeEagerFlush(dev int) {
 // eagerDone ends device dev's eager writeback.
 func (e *engine) eagerDone(dev int) {
 	e.eagerCount--
-	e.eagerBusy[dev] = false
+	e.dev[dev].eagerBusy = false
 	e.maybeEagerFlush(dev)
 	e.tryBarrier()
 }
@@ -620,12 +620,11 @@ func (e *engine) barrierDone(flushed int) {
 // Each destination's order is computed once per Execute and shared:
 // the directory only reads it.
 func (e *engine) sourceOrder(to mem.Space) []mem.Space {
-	if order := e.sources[to]; order != nil {
-		return order
+	d := &e.dev[to]
+	if d.sources == nil {
+		d.sources = e.rankSources(to)
 	}
-	order := e.rankSources(to)
-	e.sources[to] = order
-	return order
+	return d.sources
 }
 
 // rankSources computes sourceOrder's ranking for one destination.
@@ -639,51 +638,61 @@ func (e *engine) rankSources(to mem.Space) []mem.Space {
 		return order
 	}
 	dst := int(to)
-	type cand struct {
-		space mem.Space
-		bw    float64
+	plat := e.cfg.Platform
+	// bw is a one-hop source's bandwidth toward dst: the host's over
+	// dst's attachment, a peer's over its edge in the move's direction.
+	bw := func(s mem.Space) float64 {
+		if s == mem.HostSpace {
+			return plat.LinkOf(dst).HtoDGBps
+		}
+		l, fwd, _ := plat.P2PLinkOf(int(s), dst)
+		if fwd {
+			return l.HtoDGBps
+		}
+		return l.DtoHGBps
 	}
-	var oneHop []cand
-	oneHop = append(oneHop, cand{mem.HostSpace, e.cfg.Platform.LinkOf(dst).HtoDGBps})
-	twoHop := make([]mem.Space, 0, n)
-	for _, a := range e.cfg.Platform.Accels {
-		if a.ID == dst {
-			continue
-		}
-		if l, fwd, ok := e.cfg.Platform.P2PLinkOf(a.ID, dst); ok {
-			bw := l.HtoDGBps
-			if !fwd {
-				bw = l.DtoHGBps
-			}
-			oneHop = append(oneHop, cand{mem.Space(a.ID), bw})
-		} else {
-			twoHop = append(twoHop, mem.Space(a.ID))
+	peer := func(id int) bool {
+		_, _, ok := plat.P2PLinkOf(id, dst)
+		return id != dst && ok
+	}
+	order = append(order, mem.HostSpace)
+	for _, a := range plat.Accels {
+		if peer(a.ID) {
+			order = append(order, mem.Space(a.ID))
 		}
 	}
-	sort.SliceStable(oneHop, func(i, j int) bool {
-		if oneHop[i].bw != oneHop[j].bw {
-			return oneHop[i].bw > oneHop[j].bw
+	slices.SortStableFunc(order, func(a, b mem.Space) int {
+		if ba, bb := bw(a), bw(b); ba != bb {
+			return cmp.Compare(bb, ba)
 		}
-		return oneHop[i].space < oneHop[j].space
+		return cmp.Compare(a, b)
 	})
-	for _, c := range oneHop {
-		order = append(order, c.space)
+	for _, a := range plat.Accels {
+		if a.ID != dst && !peer(a.ID) {
+			order = append(order, mem.Space(a.ID))
+		}
 	}
-	order = append(order, twoHop...)
-	order = append(order, to) // destination itself: already-valid data needs no move
-	return order
+	return append(order, to) // destination itself: already-valid data needs no move
 }
 
 // p2pRes finds the resource set for a direct transfer from one accel
-// to another, trying both edge orientations. fwd reports whether the
-// transfer runs in the edge's declared direction (HtoD figures) or
-// the reverse (DtoH figures).
+// to another, trying both edge orientations; the last edge declared
+// for an ordered pair wins. fwd reports whether the transfer runs in
+// the edge's declared direction (HtoD figures) or the reverse (DtoH
+// figures).
 func (e *engine) p2pRes(from, to int) (lr *linkRes, fwd bool, ok bool) {
-	if lr, ok := e.p2p[[2]int{from, to}]; ok {
-		return lr, true, true
-	}
-	if lr, ok := e.p2p[[2]int{to, from}]; ok {
-		return lr, false, true
+	edges := e.cfg.Platform.P2P
+	peers := e.links[len(e.links)-len(edges):]
+	for _, fwd := range [2]bool{true, false} {
+		a, b := from, to
+		if !fwd {
+			a, b = to, from
+		}
+		for i := len(edges) - 1; i >= 0; i-- {
+			if edges[i].A == a && edges[i].B == b {
+				return &peers[i], fwd, true
+			}
+		}
 	}
 	return nil, false, false
 }
@@ -823,7 +832,7 @@ func (e *engine) runTransfer(tr mem.Transfer, done *join) {
 		e.faultFired(ferr, tr.Buf.Name)
 		return
 	}
-	lr := e.links[accel]
+	lr := e.dev[accel].link
 	dur := lr.link.TransferTime(tr.Bytes(), toDev)
 	if extra > 0 {
 		dur = dur.Add(sim.Duration(extra))
@@ -868,6 +877,9 @@ func (e *engine) issue(tr mem.Transfer, dev int, toDev, p2p bool, link *sim.Reso
 	// The link serves holds FIFO: this one starts when it frees.
 	fl.tr, fl.key, fl.dev, fl.toDev, fl.p2p = tr, xferKey{tr.Buf.ID, tr.To}, dev, toDev, p2p
 	fl.start, fl.done = link.FreeAt(), done
+	if e.inflight == nil {
+		e.inflight = make(map[xferKey][]*inflightXfer)
+	}
 	e.inflight[fl.key] = append(e.inflight[fl.key], fl)
 	link.Acquire(dur, nil, fl, 0)
 }
@@ -918,13 +930,21 @@ func (e *engine) route(in *task.Instance) {
 
 // bind queues an instance on the device its pin or the scheduler chose.
 func (e *engine) bind(in *task.Instance, dev int) {
-	if dev < 0 || dev >= len(e.devQ) {
+	if dev < 0 || dev >= len(e.dev) {
 		e.fail(fmt.Errorf("rt: scheduler %s placed %v on unknown device %d",
 			e.cfg.Scheduler.Name(), in, dev))
 		return
 	}
-	e.devQ[dev] = append(e.devQ[dev], in)
-	e.mx.noteQueueDepth(dev, len(e.devQ[dev]))
+	d := &e.dev[dev]
+	if len(d.q) == cap(d.q) && d.head > 0 {
+		// Full with a popped front: slide the waiting instances down
+		// instead of regrowing.
+		n := copy(d.q, d.q[d.head:])
+		clear(d.q[n:])
+		d.q, d.head = d.q[:n], 0
+	}
+	d.q = append(d.q, in)
+	e.mx.noteQueueDepth(dev, d.queued())
 	e.cfg.Scheduler.Placed(in, dev)
 }
 
@@ -958,7 +978,7 @@ func (e *engine) dispatchAll() {
 	for {
 		progress := false
 		for _, d := range e.devs {
-			if e.idle[d.ID] > 0 && e.dispatchOne(d) {
+			if e.dev[d.ID].idle > 0 && e.dispatchOne(d) {
 				progress = true
 			}
 		}
@@ -971,15 +991,13 @@ func (e *engine) dispatchAll() {
 // dispatchOne starts at most one instance on d; reports whether it did.
 func (e *engine) dispatchOne(d *device.Device) bool {
 	var in *task.Instance
-	if q := e.devQ[d.ID]; len(q) > 0 {
-		in = q[0]
-		// Popping the last instance rewinds the queue onto its own
-		// array, so a queue that drains between binds never regrows.
-		q[0] = nil
-		if q = q[1:]; len(q) == 0 {
-			q = e.devQ[d.ID][:0]
+	if ds := &e.dev[d.ID]; ds.queued() > 0 {
+		in = ds.q[ds.head]
+		ds.q[ds.head] = nil
+		// Popping the last instance rewinds the queue.
+		if ds.head++; ds.head == len(ds.q) {
+			ds.q, ds.head = ds.q[:0], 0
 		}
-		e.devQ[d.ID] = q
 	} else if len(e.central) > 0 {
 		e.syncClock()
 		pick := e.cfg.Scheduler.OnIdle(d.ID, e.central, e)
@@ -1005,7 +1023,7 @@ func (e *engine) dispatchOne(d *device.Device) bool {
 	} else {
 		return false
 	}
-	e.idle[d.ID]--
+	e.dev[d.ID].idle--
 	e.start(in, d)
 	return true
 }
@@ -1152,7 +1170,9 @@ func (e *engine) complete(in *task.Instance, d *device.Device, startAt sim.Time,
 	// equivalent service demand on the processor-sharing host (wall
 	// time there depends on how crowded the socket happened to be, so
 	// it is not a rate).
-	reported := e.eng.Now() - e.inst[in.ID].dispatchAt
+	st := &e.inst[in.ID]
+	st.dur = dur
+	reported := e.eng.Now() - st.dispatchAt
 	if d.ID == 0 && d.Share > 1 {
 		reported = dur
 	}
@@ -1172,7 +1192,7 @@ func (e *engine) complete(in *task.Instance, d *device.Device, startAt sim.Time,
 	}
 
 	e.remaining--
-	e.idle[d.ID]++
+	e.dev[d.ID].idle++
 	e.reofferCentral()
 	if !e.inBatch {
 		e.dispatchAll()
@@ -1182,6 +1202,45 @@ func (e *engine) complete(in *task.Instance, d *device.Device, startAt sim.Time,
 		e.maybeEagerFlush(d.ID)
 	}
 	e.tryBarrier()
+}
+
+// tally fills the result's maps once the run has completed. Every
+// instance ran once, on its dispatch device, for its service demand, so
+// the per-instance state holds every chunk: the per-device sums run
+// densely, and a kernel's map is looked up only when the instances, in
+// ID order, move on to another kernel.
+func (e *engine) tally() {
+	r := e.res
+	r.ElemsByDevice = make(map[int]int64)
+	r.ElemsByKernel = make(map[string]map[int]int64)
+	r.InstancesByDevice = make(map[int]int)
+	r.DeviceBusy = make(map[int]sim.Duration)
+	var (
+		kern *task.Kernel
+		km   map[int]int64
+	)
+	for i := range e.inst {
+		st := &e.inst[i]
+		if k := st.in.Kernel; k != kern {
+			if kern, km = k, r.ElemsByKernel[k.Name]; km == nil {
+				km = make(map[int]int64)
+				r.ElemsByKernel[k.Name] = km
+			}
+		}
+		elems := st.in.Elems()
+		km[int(st.dev)] += elems
+		d := &e.dev[st.dev]
+		d.ran++
+		d.elems += elems
+		d.busy += st.dur
+	}
+	for id := range e.dev {
+		if d := &e.dev[id]; d.ran > 0 {
+			r.ElemsByDevice[id] = d.elems
+			r.InstancesByDevice[id] = d.ran
+			r.DeviceBusy[id] = d.busy
+		}
+	}
 }
 
 func (e *engine) fail(err error) {

@@ -63,7 +63,7 @@ func BenchmarkRuntimeDynamicThroughput(b *testing.B) {
 // are reused across runs, as the final taskwait leaves the directory
 // pristine. A reused plan's dependence graph is built once, by the
 // first run, so the count is the engine's alone. With Go 1.24 on amd64
-// a run takes 184 allocations under DP-Perf and 103 under DP-Dep; the
+// a run takes 172 allocations under DP-Perf and 93 under DP-Dep; the
 // ceilings leave about 10% headroom and may be lowered, never raised.
 func TestDynamicPathAllocationCeiling(t *testing.T) {
 	plat := testPlatform(12)
@@ -72,8 +72,8 @@ func TestDynamicPathAllocationCeiling(t *testing.T) {
 		policy  func() sched.Scheduler
 		ceiling float64
 	}{
-		{"DP-Perf", func() sched.Scheduler { return sched.NewPerf() }, 202},
-		{"DP-Dep", func() sched.Scheduler { return sched.NewDep() }, 113},
+		{"DP-Perf", func() sched.Scheduler { return sched.NewPerf() }, 189},
+		{"DP-Dep", func() sched.Scheduler { return sched.NewDep() }, 102},
 	} {
 		p, dir := dynamicPlan()
 		var err error

@@ -8,21 +8,20 @@ package sim
 // Resource keeps its own "free at" horizon, so Acquire is O(log n) in the
 // engine queue and there is no explicit waiter list: FIFO order follows
 // from the monotonically advancing horizon.
+//
+// A resource carries no name: a runtime builds its link resources on
+// every execution, and identifies them by where it keeps them.
 type Resource struct {
 	eng    *Engine
-	name   string
 	freeAt Time
 	// Busy accounting for utilization stats.
 	busy Duration
 }
 
 // NewResource creates a resource bound to an engine.
-func NewResource(eng *Engine, name string) *Resource {
-	return &Resource{eng: eng, name: name}
+func NewResource(eng *Engine) *Resource {
+	return &Resource{eng: eng}
 }
-
-// Name returns the resource's diagnostic name.
-func (r *Resource) Name() string { return r.name }
 
 // BusyTime reports the cumulative virtual time the resource was held.
 func (r *Resource) BusyTime() Duration { return r.busy }

@@ -36,7 +36,7 @@ func BenchmarkEngineHeap(b *testing.B) {
 // BenchmarkResourceAcquire measures the FIFO resource fast path.
 func BenchmarkResourceAcquire(b *testing.B) {
 	e := NewEngine()
-	r := NewResource(e, "link")
+	r := NewResource(e)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		r.Acquire(10, nil, nil, 0)

@@ -202,7 +202,7 @@ func TestTimeString(t *testing.T) {
 
 func TestResourceFIFO(t *testing.T) {
 	e := NewEngine()
-	r := NewResource(e, "link")
+	r := NewResource(e)
 	var done []int
 	end1 := r.Acquire(100, nil, Func(func(id int) { done = append(done, id) }), 1)
 	end2 := r.Acquire(50, nil, Func(func(id int) { done = append(done, id) }), 2)
@@ -220,7 +220,7 @@ func TestResourceFIFO(t *testing.T) {
 
 func TestResourceIdleGap(t *testing.T) {
 	e := NewEngine()
-	r := NewResource(e, "link")
+	r := NewResource(e)
 	r.Acquire(10, nil, nil, 0)
 	var start Time
 	e.At(100, Func(func(int) {
@@ -261,7 +261,7 @@ func TestQuickEngineMonotonicClock(t *testing.T) {
 func TestQuickResourceSerialization(t *testing.T) {
 	f := func(durs []uint16) bool {
 		e := NewEngine()
-		r := NewResource(e, "x")
+		r := NewResource(e)
 		var total Duration
 		var prevEnd Time
 		ok := true
@@ -348,14 +348,6 @@ func TestAfterClampsNegativeAndSaturates(t *testing.T) {
 	e2.RunUntil(MaxTime - 5)
 	if e2.Pending() != 1 {
 		t.Fatalf("pending = %d", e2.Pending())
-	}
-}
-
-func TestResourceAndSlotsNames(t *testing.T) {
-	e := NewEngine()
-	r := NewResource(e, "link")
-	if r.Name() != "link" {
-		t.Fatal("resource name")
 	}
 }
 

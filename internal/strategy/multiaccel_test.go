@@ -5,6 +5,8 @@ import (
 
 	"heteropart/internal/apps"
 	"heteropart/internal/device"
+	"heteropart/internal/mem"
+	"heteropart/internal/task"
 )
 
 func triPlatform() *device.Platform {
@@ -90,6 +92,55 @@ func TestDynamicStrategiesOnThreeDevices(t *testing.T) {
 		}
 		if err := p.Verify(); err != nil {
 			t.Fatalf("%s: %v", s.Name(), err)
+		}
+	}
+}
+
+// TestStaticPlanProbesHostOncePerKernel: on a two-accelerator platform
+// one SP-Single and one SP-Unified decision run each kernel's host
+// probe once, not once per accelerator. The host probe is the only
+// step that asks a kernel for the m pieces of Glinda's probe sample
+// [0, s), s = 2% of the iteration space but at least 256 elements, so
+// a kernel whose Accesses counts those calls sees each piece once.
+func TestStaticPlanProbesHostOncePerKernel(t *testing.T) {
+	plat, err := device.ByName("tri-asym-p2p", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		app string
+		s   Strategy
+	}{
+		{"BlackScholes", SPSingle{}},
+		{"STREAM-Seq", SPUnified{}},
+	} {
+		app, err := apps.ByName(c.app)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p, err := app.Build(apps.Variant{N: 1 << 16, Spaces: 1 + len(plat.Accels)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		n := p.Unique[0].Size
+		sample := mem.Interval{Hi: min(max(n/50, 256), n)}
+		pieces := sample.AppendSplit(nil, plat.CPUThreads())
+		calls := make(map[mem.Interval]int)
+		for _, k := range p.Unique {
+			accesses := k.Accesses
+			k.Accesses = func(lo, hi int64) []task.Access {
+				calls[mem.Interval{Lo: lo, Hi: hi}]++
+				return accesses(lo, hi)
+			}
+		}
+		if _, err := c.s.Plan(p, plat, Options{}); err != nil {
+			t.Fatal(err)
+		}
+		for _, iv := range pieces {
+			if got, want := calls[iv], len(p.Unique); got != want {
+				t.Errorf("%s %s: host-probe piece %v asked for %d times, want once per kernel (%d)",
+					c.s.Name(), c.app, iv, got, want)
+			}
 		}
 	}
 }

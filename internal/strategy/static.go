@@ -45,9 +45,11 @@ func (s SPSingle) Plan(p *apps.Problem, plat *device.Platform, opts Options) (*p
 	if len(plat.Accels) <= 1 && glinda.ImbalanceRatio(k, imbalanceSample(k)) > ImbalanceThreshold {
 		return s.planImbalanced(p, plat, opts)
 	}
-	shares, dec, err := decideShares(plat, k.Size, func(accel int) (glinda.Estimate, error) {
-		return glinda.Profile(plat, p.Dir, k, accel, opts.glindaCfg())
-	})
+	ests, err := glinda.ProfileAll(plat, p.Dir, k, opts.glindaCfg())
+	if err != nil {
+		return nil, err
+	}
+	shares, dec, err := decideShares(plat, k.Size, ests)
 	if err != nil {
 		return nil, err
 	}
@@ -109,28 +111,14 @@ func (s SPSingle) planImbalanced(p *apps.Problem, plat *device.Platform, opts Op
 }
 
 // decideShares splits one kernel's size elements between the host and
-// the accelerators, from profile(i), the kernel's profile on
-// accelerator i: glinda.Decide's cut-offs and warp rounding on one
-// accelerator, water-filling across several. It returns the
-// accelerator shares (index i for accelerator i+1) and the decision
-// that summarizes them.
-func decideShares(plat *device.Platform, size int64,
-	profile func(accel int) (glinda.Estimate, error)) ([]int64, glinda.Decision, error) {
-	if len(plat.Accels) <= 1 {
-		est, err := profile(1)
-		if err != nil {
-			return nil, glinda.Decision{}, err
-		}
-		dec := glinda.Decide(est, size, plat.Device(1))
+// the accelerators, from ests[i], the kernel's estimate for accelerator
+// i+1: glinda.Decide's cut-offs and warp rounding on one accelerator,
+// water-filling across several. It returns the accelerator shares
+// (index i for accelerator i+1) and the decision that summarizes them.
+func decideShares(plat *device.Platform, size int64, ests []glinda.Estimate) ([]int64, glinda.Decision, error) {
+	if len(ests) == 1 {
+		dec := glinda.Decide(ests[0], size, plat.Device(1))
 		return []int64{dec.NG}, dec, nil
-	}
-	ests := make([]glinda.Estimate, len(plat.Accels))
-	for i := range ests {
-		est, err := profile(i + 1)
-		if err != nil {
-			return nil, glinda.Decision{}, err
-		}
-		ests[i] = est
 	}
 	split, err := glinda.SolveMulti(ests[0].Rc, ests, size)
 	if err != nil {
@@ -174,8 +162,8 @@ func (SPUnified) Applicable(cls classify.Class, _ bool) bool {
 }
 
 // Plan implements Strategy. On several accelerators the fused profile
-// runs once per accelerator and water-filling splits the one shared
-// partitioning point across all of them.
+// gives one estimate per accelerator and water-filling splits the one
+// shared partitioning point across all of them.
 func (s SPUnified) Plan(p *apps.Problem, plat *device.Platform, opts Options) (*plan.ExecutionPlan, error) {
 	if p.AtomicPhases {
 		return nil, fmt.Errorf("strategy: SP-Unified cannot partition atomic-phase %s", p.AppName)
@@ -184,18 +172,21 @@ func (s SPUnified) Plan(p *apps.Problem, plat *device.Platform, opts Options) (*
 		return nil, err
 	}
 	steady := p.Class() == classify.MKLoop
-	shares, dec, err := decideShares(plat, p.Unique[0].Size, func(accel int) (glinda.Estimate, error) {
-		est, err := glinda.ProfileFused(plat, p.Dir, p.Unique, accel, opts.glindaCfg())
-		if steady {
-			// Steady-state iterations move no data: drop the transfer
-			// terms from the model (Section IV-B4 — "the data transfer
-			// is not profiled, because all the iterations except the
-			// first and the last ones do not have any data transfer").
-			est.InSlope, est.InConst = 0, 0
-			est.OutSlope, est.OutConst = 0, 0
+	ests, err := glinda.ProfileFusedAll(plat, p.Dir, p.Unique, opts.glindaCfg())
+	if err != nil {
+		return nil, err
+	}
+	if steady {
+		// Steady-state iterations move no data: drop the transfer terms
+		// from the model (Section IV-B4 — "the data transfer is not
+		// profiled, because all the iterations except the first and the
+		// last ones do not have any data transfer").
+		for i := range ests {
+			ests[i].InSlope, ests[i].InConst = 0, 0
+			ests[i].OutSlope, ests[i].OutConst = 0, 0
 		}
-		return est, err
-	})
+	}
+	shares, dec, err := decideShares(plat, p.Unique[0].Size, ests)
 	if err != nil {
 		return nil, err
 	}
@@ -236,9 +227,11 @@ func (s SPVaried) Plan(p *apps.Problem, plat *device.Platform, opts Options) (*p
 	decs := make(map[string]glinda.Decision, len(p.Unique))
 	splits := make(map[string][]int64, len(p.Unique))
 	for _, k := range p.Unique {
-		shares, dec, err := decideShares(plat, k.Size, func(accel int) (glinda.Estimate, error) {
-			return glinda.Profile(plat, p.Dir, k, accel, opts.glindaCfg())
-		})
+		ests, err := glinda.ProfileAll(plat, p.Dir, k, opts.glindaCfg())
+		if err != nil {
+			return nil, err
+		}
+		shares, dec, err := decideShares(plat, k.Size, ests)
 		if err != nil {
 			return nil, err
 		}

@@ -9,6 +9,8 @@ import (
 	"heteropart/internal/apierr"
 	"heteropart/internal/apps"
 	"heteropart/internal/device"
+	"heteropart/internal/rt"
+	"heteropart/internal/sched"
 	"heteropart/internal/task"
 )
 
@@ -297,6 +299,111 @@ func TestPlanAssemblyAllocationCeiling(t *testing.T) {
 	}
 }
 
+// TestStaticDecisionAllocationCeiling pins the allocations of one
+// SP-Single decision of BlackScholes on the two-accelerator
+// tri-asym-p2p platform: one host probe and one probe per accelerator,
+// then the water-filling split and plan assembly. With Go 1.24 on amd64
+// a Plan takes 216 allocations (415 when every accelerator's profile
+// ran its own host probe); the ceiling leaves about 10% headroom and
+// may be lowered, never raised.
+func TestStaticDecisionAllocationCeiling(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race runtime allocates per call")
+	}
+	plat, err := device.ByName("tri-asym-p2p", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := apps.NewBlackScholes().Build(apps.Variant{Spaces: 1 + len(plat.Accels)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := testing.AllocsPerRun(20, func() {
+		if err == nil {
+			_, err = SPSingle{}.Plan(p, plat, Options{})
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const ceiling = 238
+	if got > ceiling {
+		t.Errorf("%.0f allocations per SP-Single Plan, ceiling %d", got, ceiling)
+	}
+}
+
+// BenchmarkStaticPlan measures one static decision on each catalog
+// platform: SP-Single on BlackScholes and SP-Unified on STREAM-Seq at
+// the paper's sizes, Glinda's probes included.
+func BenchmarkStaticPlan(b *testing.B) {
+	for _, name := range device.SpecNames() {
+		plat, err := device.ByName(name, 0)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, c := range []struct {
+			app apps.App
+			s   Strategy
+		}{
+			{apps.NewBlackScholes(), SPSingle{}},
+			{apps.NewStreamSeq(), SPUnified{}},
+		} {
+			p, err := c.app.Build(apps.Variant{Spaces: 1 + len(plat.Accels)})
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.Run(name+"/"+c.s.Name(), func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					if _, err := c.s.Plan(p, plat, Options{}); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
+	}
+}
+
+// TestProbeExecuteAllocationCeiling pins the set-up budget of a small
+// rt.Execute: one Glinda accelerator probe of BlackScholes on
+// tri-asym-p2p, a fresh one-instance plan pinned to accelerator 1 and
+// executed on cold data. With Go 1.24 on amd64 building the plan and
+// executing it take 60 allocations (84 when the per-device state was
+// six slices, the tallies four maps written per chunk, and every link
+// resource carried a formatted name); the ceiling leaves about 10%
+// headroom and may be lowered, never raised.
+func TestProbeExecuteAllocationCeiling(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race runtime allocates per call")
+	}
+	plat, err := device.ByName("tri-asym-p2p", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := apps.NewBlackScholes().Build(apps.Variant{Spaces: 1 + len(plat.Accels)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	k := p.Unique[0]
+	s := k.Size / 50 // Glinda's probe sample: 2% of the iteration space
+	got := testing.AllocsPerRun(20, func() {
+		if err != nil {
+			return
+		}
+		tp := task.NewPlan(1, 0)
+		tp.Submit(k, 0, s, 1, -1)
+		_, err = rt.Execute(rt.Config{Platform: plat, Scheduler: sched.NewStatic()}, tp, p.Dir)
+		p.Dir.Reset()
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const ceiling = 66
+	if got > ceiling {
+		t.Errorf("%.0f allocations per probe Execute, ceiling %d", got, ceiling)
+	}
+}
+
 // TestPlanInstanceCap: a plan of more than 1<<20 task instances is
 // refused with ErrOptionsInvalid before its chunk lists are built:
 // iters and chunks are each capped, but not their product. STREAM-Loop
@@ -378,9 +485,9 @@ func TestSeededPerfMaterializesOnce(t *testing.T) {
 // instance slab, its training and measured runs share it, and its
 // dependence graph is built once. The final taskwait leaves the
 // directory pristine, so the problem is reused across calls. With Go
-// 1.24 on amd64 a call over the plan's 480 instances takes 1626
-// allocations, three quarters of them the kernels' access lists; the
-// ceiling leaves about 10% headroom and may be lowered, never raised.
+// 1.24 on amd64 a call over the plan's 480 instances takes 854
+// allocations, each instance's access list one of them; the ceiling
+// leaves about 10% headroom and may be lowered, never raised.
 func TestSeededExecuteAllocationCeiling(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race runtime allocates per call")
@@ -402,7 +509,7 @@ func TestSeededExecuteAllocationCeiling(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	const ceiling = 1790
+	const ceiling = 940
 	if got > ceiling {
 		t.Errorf("%.0f allocations per ExecuteContext, ceiling %d", got, ceiling)
 	}
